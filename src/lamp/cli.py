@@ -34,7 +34,6 @@ from lamp.core import (
     generate,
     load_model,
     log_likelihood,
-    perplexity,
     save_model,
 )
 from lamp.analysis import (
@@ -215,7 +214,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         prior_count=args.prior_count,
         seed=args.seed,
     )
-    model, report = alternate_minimize(corpus, cfg, threads=args.threads)
+    model, report = alternate_minimize(corpus, cfg)
     save_model(model, args.output)
     report_path = args.report or _json_stem(args.output) + ".report.jsonl"
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -241,7 +240,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     corpus = _align_corpus(_load_any_corpus(args.corpus), model.vocab)
     floor = EVALUATION_FLOOR if args.floor else None
     ll = log_likelihood(model, corpus, floor=floor)
-    ppl = perplexity(model, corpus, floor=floor)
+    ppl = ll.perplexity()
     doc = {
         "model": args.model,
         "corpus": args.corpus,
@@ -421,7 +420,6 @@ def build_parser() -> _Parser:
     p.add_argument("--support-epsilon", type=float, default=1e-3)
     p.add_argument("--prior-count", type=float, default=0.0)
     p.add_argument("--kkt-tol", type=float, default=1e-6)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--report", default=None, help="training report JSONL path")
     p.set_defaults(func=cmd_train)
 

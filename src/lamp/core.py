@@ -33,6 +33,7 @@ __all__ = [
     "HistoryDistribution",
     "LampModel",
     "Corpus",
+    "ScoredPositions",
     "LogLikelihood",
     "transition_distribution",
     "log_likelihood",
@@ -182,6 +183,19 @@ class SparseStochasticMatrix:
         return cls(n, tuple(row_cols), tuple(row_probs))
 
     @classmethod
+    def from_csr(
+        cls, n: int, indptr: np.ndarray, cols: np.ndarray, probs: np.ndarray
+    ) -> "SparseStochasticMatrix":
+        """Build from flat storage: row x holds ``cols[indptr[x]:indptr[x+1]]``
+        (strictly increasing) with the matching ``probs``."""
+        bounds = indptr[1:-1]
+        return cls(
+            n,
+            tuple(_as_readonly(c) for c in np.split(cols, bounds)),
+            tuple(_as_readonly(p) for p in np.split(probs, bounds)),
+        )
+
+    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseStochasticMatrix":
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
@@ -218,13 +232,17 @@ class SparseStochasticMatrix:
     # Cached flat views used by vectorised lookups and left-multiplication.
 
     @cached_property
+    def indptr(self) -> np.ndarray:
+        """Row offsets into the flat support storage: row x occupies
+        ``indptr[x]:indptr[x+1]``."""
+        out = np.zeros(self.n + 1, dtype=np.int64)
+        out[1:] = np.cumsum([c.size for c in self.row_cols])
+        return out
+
+    @cached_property
     def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = np.concatenate(
-            [np.full(c.size, x, dtype=np.int64) for x, c in enumerate(self.row_cols)]
-        ) if self.support_size else np.empty(0, dtype=np.int64)
-        cols = np.concatenate(self.row_cols) if self.support_size else np.empty(0, dtype=np.int64)
-        probs = np.concatenate(self.row_probs) if self.support_size else np.empty(0)
-        return rows, cols, probs
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        return rows, np.concatenate(self.row_cols), np.concatenate(self.row_probs)
 
     @cached_property
     def _pair_keys(self) -> np.ndarray:
@@ -269,13 +287,6 @@ class SparseStochasticMatrix:
             col_lists.append([int(c) for c in cols])
             cum_lists.append([float(v) for v in cum])
         return col_lists, cum_lists
-
-    @cached_property
-    def _row_lookup(self) -> list[dict[int, float]]:
-        return [
-            {int(c): float(p) for c, p in zip(cols, probs)}
-            for cols, probs in zip(self.row_cols, self.row_probs)
-        ]
 
 
 @dataclass(frozen=True)
@@ -389,6 +400,49 @@ class Corpus:
         return len(self.sequences)
 
 
+class ScoredPositions:
+    """Every scored position of a corpus, flattened for lags 1..k.
+
+    Position t is index ``pos[t]`` >= 1 of sequence ``seq_id[t]``, with
+    target ``tgt[t]`` and ``src[t, i-1]`` its source at lag i, clamped to the
+    sequence's first state.  Positions run in sequence order, then in order
+    within each sequence.  This table is the one place the package derives
+    per-position mixture terms from: scoring, the empirical initializer and
+    the trainer all read it.
+    """
+
+    def __init__(self, corpus: Corpus, k: int) -> None:
+        self.k = k
+        self.n = len(corpus.vocab)
+        self.n_sequences = len(corpus)
+        lengths = np.array([s.size for s in corpus.sequences], dtype=np.int64)
+        flat = np.concatenate(corpus.sequences) if len(corpus) else np.empty(0, np.int64)
+        starts = np.cumsum(lengths) - lengths
+        self.seq_id = np.repeat(np.arange(lengths.size), lengths - 1)
+        first = starts[self.seq_id]  # flat index of each position's sequence start
+        scored = np.ones(flat.size, dtype=bool)
+        scored[starts] = False
+        at = np.flatnonzero(scored)
+        self.pos = at - first
+        self.tgt = flat[at]
+        self.src = flat[np.maximum(at[:, None] - np.arange(1, k + 1), first[:, None])]
+        self.T = int(self.tgt.size)
+
+    @cached_property
+    def row_positions(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per state x: (position indices, lag indices) of every (t, i) with
+        clamped source x.  Computed once per corpus."""
+        flat = self.src.ravel()  # position-major, lag minor
+        order = np.argsort(flat, kind="stable")
+        bounds = np.cumsum(np.bincount(flat, minlength=self.n))[:-1]
+        return [(idx // self.k, idx % self.k) for idx in np.split(order, bounds)]
+
+    def lag_probabilities(self, P: SparseStochasticMatrix) -> np.ndarray:
+        """The (T, k) matrix A with ``A[t, i-1] = P(src[t, i-1], tgt[t])``, so
+        that ``A @ w`` is every position's mixture probability."""
+        return P.lookup_pairs(self.src, self.tgt[:, None])
+
+
 @dataclass(frozen=True)
 class LogLikelihood:
     """Natural-log likelihood of a corpus with a per-sequence breakdown.
@@ -402,6 +456,15 @@ class LogLikelihood:
     scored_transitions: int
     impossible_transitions: int
 
+    def perplexity(self) -> float:
+        """exp(-total / scored_transitions), or +inf when any scored
+        transition is impossible."""
+        if self.scored_transitions == 0:
+            raise DataError("perplexity requires at least one scored transition")
+        if self.impossible_transitions > 0:
+            return math.inf
+        return math.exp(-self.total / self.scored_transitions)
+
 
 # ---------------------------------------------------------------------------
 # Evaluation
@@ -412,12 +475,6 @@ def _check_vocab(model_vocab: Vocabulary, corpus_vocab: Vocabulary) -> None:
         return
     if model_vocab.tokens != corpus_vocab.tokens:
         raise VocabularyMismatch("model and corpus vocabularies differ")
-
-
-def _clamped_sources(seq: np.ndarray, j: int, k: int) -> Iterable[int]:
-    """State ids x_{max(0, j-i)} for lags i = 1..k."""
-    for i in range(1, k + 1):
-        yield int(seq[j - i]) if j - i >= 0 else int(seq[0])
 
 
 def transition_distribution(model: LampModel, history: Sequence[int]) -> np.ndarray:
@@ -444,43 +501,54 @@ def transition_distribution(model: LampModel, history: Sequence[int]) -> np.ndar
     return out
 
 
-def _sequence_log_likelihood(
-    model: LampModel, seq: np.ndarray, floor: float | None
-) -> tuple[float, int]:
-    """(natural-log likelihood, impossible count) for one sequence."""
-    w = model.w.weights
-    k = model.k
-    n = model.n
-    lookup = model.P._row_lookup
-    total = 0.0
-    impossible = 0
-    for j in range(1, seq.size):
-        tgt = int(seq[j])
-        if floor is None:
-            p = 0.0
-            for i, src in enumerate(_clamped_sources(seq, j, k)):
-                row = lookup[src]
-                if not row:
-                    raise EmptyRowError(f"state {src} has no outgoing transitions")
-                p += w[i] * row.get(tgt, 0.0)
-            if p <= 0.0:
-                impossible += 1
-                total = -math.inf
-            elif total != -math.inf:
-                total += math.log(p)
-        else:
-            # Floor smoothing: raise every state's probability to at least
-            # `floor`, then renormalise the full distribution.
-            acc: dict[int, float] = {}
-            for i, src in enumerate(_clamped_sources(seq, j, k)):
-                for col, prob in lookup[src].items():
-                    acc[col] = acc.get(col, 0.0) + w[i] * prob
-            mass = sum(acc.values())
-            lift = sum(floor - v for v in acc.values() if v < floor)
-            norm = mass + lift + (n - len(acc)) * floor
-            p = max(acc.get(tgt, 0.0), floor) / norm
-            total += math.log(p)
-    return total, impossible
+#: Most stored entries one chunk of floored scoring gathers at once; bounds
+#: the scratch memory whatever the corpus size.
+_FLOOR_CHUNK = 1 << 14
+
+
+def _floored_probabilities(
+    model: LampModel, positions: ScoredPositions, floor: float
+) -> np.ndarray:
+    """Floor-smoothed mixture probability of every scored position.
+
+    Every one of the n states is raised to at least ``floor`` and the
+    distribution is renormalized, so a position scores
+    ``max(acc[tgt], floor) / (sum(max(acc, floor)) + (n - |acc|) * floor)``
+    where ``acc`` sums ``w_i * P(src_i, .)`` over the stored entries of the k
+    source rows.  Those entries are gathered as slices of the flat storage and
+    summed per (position, column) key, one chunk of positions at a time.
+    """
+    P, n, k = model.P, model.n, model.k
+    _, cols, probs = P._flat
+    indptr, w = P.indptr, model.w.weights
+    sizes = np.diff(indptr)[positions.src]  # stored entries per (position, lag)
+    ends = np.cumsum(sizes.sum(axis=1))
+    out = np.empty(positions.T)
+    start = 0
+    while start < positions.T:
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + _FLOOR_CHUNK, side="right")), start + 1)
+        src = positions.src[start:stop].ravel()
+        counts = sizes[start:stop].ravel()
+        owner = np.repeat(np.arange(src.size), counts)  # (position, lag) of each gathered entry
+        offset = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+        entry = indptr[src][owner] + offset
+        keys, inverse = np.unique((owner // k) * n + cols[entry], return_inverse=True)
+        # bincount adds each column's terms in lag order, as the mixture does.
+        acc = np.bincount(inverse, weights=w[owner % k] * probs[entry], minlength=keys.size)
+        local = keys // n
+        m = stop - start
+        norm = (np.bincount(local, weights=np.maximum(acc, floor), minlength=m)
+                + (n - np.bincount(local, minlength=m)) * floor)
+        want = np.arange(m) * n + positions.tgt[start:stop]
+        at = np.searchsorted(keys, want)
+        hit = at < keys.size
+        hit[hit] = keys[at[hit]] == want[hit]
+        at_tgt = np.zeros(m)
+        at_tgt[hit] = acc[at[hit]]
+        out[start:stop] = np.maximum(at_tgt, floor) / norm
+        start = stop
+    return out
 
 
 def log_likelihood(
@@ -491,22 +559,29 @@ def log_likelihood(
     Every position j >= 1 of every sequence is scored, including the early
     positions where lags clamp to the first element.  Passing
     ``floor=EVALUATION_FLOOR`` enables floor smoothing so that no scored
-    transition has probability zero.
+    transition has probability zero.  Without it, a scored source state with
+    an empty row raises :class:`EmptyRowError`.
     """
     _check_vocab(model.vocab, corpus.vocab)
-    per_seq = []
-    impossible = 0
-    for seq in corpus.sequences:
-        ll, imp = _sequence_log_likelihood(model, seq, floor)
-        per_seq.append(ll)
-        impossible += imp
-    finite = [v for v in per_seq if v != -math.inf]
-    total = -math.inf if impossible else float(sum(finite))
+    positions = ScoredPositions(corpus, model.k)
+    if floor is None:
+        src = positions.src.ravel()
+        empty = np.flatnonzero(np.diff(model.P.indptr)[src] == 0)
+        if empty.size:  # the first empty source row, position-major, lag-minor
+            raise EmptyRowError(f"state {int(src[empty[0]])} has no outgoing transitions")
+        p = positions.lag_probabilities(model.P) @ model.w.weights
+    else:
+        p = _floored_probabilities(model, positions, floor)
+    impossible = p <= 0.0
+    per_seq = np.zeros(positions.n_sequences)
+    np.add.at(per_seq, positions.seq_id, np.log(np.where(impossible, 1.0, p)))
+    per_seq[positions.seq_id[impossible]] = -math.inf
+    per_sequence = tuple(per_seq.tolist())
     return LogLikelihood(
-        total=total,
-        per_sequence=tuple(per_seq),
-        scored_transitions=corpus.total_transitions,
-        impossible_transitions=impossible,
+        total=float(sum(per_sequence)),
+        per_sequence=per_sequence,
+        scored_transitions=positions.T,
+        impossible_transitions=int(impossible.sum()),
     )
 
 
@@ -517,12 +592,7 @@ def perplexity(model: LampModel, corpus: Corpus, floor: float | None = None) -> 
     Returns +inf when any scored transition is impossible and floor smoothing
     is off.
     """
-    ll = log_likelihood(model, corpus, floor=floor)
-    if ll.scored_transitions == 0:
-        raise DataError("perplexity requires at least one scored transition")
-    if ll.impossible_transitions > 0:
-        return math.inf
-    return math.exp(-ll.total / ll.scored_transitions)
+    return log_likelihood(model, corpus, floor=floor).perplexity()
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +24,7 @@ from lamp.core import (
     HistoryDistribution,
     LampModel,
     NumericError,
+    ScoredPositions,
     SparseStochasticMatrix,
     _check_vocab,
 )
@@ -167,72 +166,10 @@ class BlockResult:
 
 
 # ---------------------------------------------------------------------------
-# Corpus statistics shared by gradients and block optimizers
+# Mixture probabilities of the scored positions
 
 
-def _chunks(items: Sequence, n_chunks: int) -> list[Sequence]:
-    n_chunks = max(1, min(n_chunks, len(items)))
-    bounds = np.linspace(0, len(items), n_chunks + 1).astype(int)
-    return [items[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-class _CorpusStats:
-    """Flattened scored positions of a corpus for a given lag count.
-
-    For every sequence and every position j >= 1 this records the target
-    state and the clamped source state at each lag.  Per-sequence pieces may
-    be built on worker threads, but they are always concatenated in sequence
-    order, so the result is identical for any thread count.
-    """
-
-    def __init__(self, corpus: Corpus, k: int, threads: int = 1) -> None:
-        self.k = k
-        self.n = len(corpus.vocab)
-
-        def build(seqs: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-            out = []
-            for seq in seqs:
-                t = seq.size - 1
-                if t <= 0:
-                    out.append((np.empty((0, k), np.int64), np.empty(0, np.int64)))
-                    continue
-                pos = np.arange(1, seq.size)
-                src = np.empty((t, k), np.int64)
-                for i in range(1, k + 1):
-                    src[:, i - 1] = seq[np.maximum(pos - i, 0)]
-                out.append((src, seq[pos]))
-            return out
-
-        chunks = _chunks(corpus.sequences, threads)
-        if threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                pieces = [p for part in pool.map(build, chunks) for p in part]
-        else:
-            pieces = build(corpus.sequences)
-        self.src = np.concatenate([s for s, _ in pieces]) if pieces else np.empty((0, k), np.int64)
-        self.tgt = np.concatenate([t for _, t in pieces]) if pieces else np.empty(0, np.int64)
-        lengths = [t.size for _, t in pieces]
-        self.seq_id = np.repeat(np.arange(len(pieces)), lengths)
-        self.pos = np.concatenate([np.arange(1, ln + 1) for ln in lengths]) if pieces else np.empty(0, np.int64)
-        self.T = int(self.tgt.size)
-
-    @cached_property
-    def row_positions(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per state x: (position indices, lag indices) of every (t, i) with
-        clamped source x.  Computed once per corpus."""
-        flat = self.src.ravel()  # position-major, lag minor
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=self.n)
-        out: list[tuple[np.ndarray, np.ndarray]] = []
-        start = 0
-        for x in range(self.n):
-            idx = order[start:start + counts[x]]
-            start += counts[x]
-            out.append((idx // self.k, idx % self.k))
-        return out
-
-
-def _denominators(stats: _CorpusStats, A: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _denominators(stats: ScoredPositions, A: np.ndarray, w: np.ndarray) -> np.ndarray:
     denom = A @ w
     bad = np.nonzero(denom <= 0.0)[0]
     if bad.size:
@@ -242,6 +179,15 @@ def _denominators(stats: _CorpusStats, A: np.ndarray, w: np.ndarray) -> np.ndarr
             f"{int(stats.seq_id[t])} position {int(stats.pos[t])}"
         )
     return denom
+
+
+def _mixture(
+    stats: ScoredPositions, P: SparseStochasticMatrix, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lag terms A and mixture probabilities A @ w of every scored
+    position; a zero mixture probability is a numeric error."""
+    A = stats.lag_probabilities(P)
+    return A, _denominators(stats, A, w)
 
 
 # ---------------------------------------------------------------------------
@@ -267,34 +213,23 @@ def empirical_transition_matrix(
     if support_epsilon <= 0.0:
         raise DataError("support_epsilon must be positive")
     n = len(corpus.vocab)
-    lag1_counts: list[dict[int, int]] = [dict() for _ in range(n)]
-    lag1_totals = np.zeros(n, dtype=np.int64)
-    support: list[set[int]] = [set() for _ in range(n)]
-    for seq in corpus.sequences:
-        for j in range(1, seq.size):
-            tgt = int(seq[j])
-            src1 = int(seq[j - 1])
-            lag1_counts[src1][tgt] = lag1_counts[src1].get(tgt, 0) + 1
-            lag1_totals[src1] += 1
-            for i in range(1, k + 1):
-                src = int(seq[j - i]) if j - i >= 0 else int(seq[0])
-                support[src].add(tgt)
-    rows = []
-    lag1_pairs = 0
-    clamped_only = 0
-    for x in range(n):
-        entries = []
-        for y in sorted(support[x]):
-            c = lag1_counts[x].get(y, 0)
-            if c > 0:
-                entries.append((y, c / lag1_totals[x]))
-                lag1_pairs += 1
-            else:
-                entries.append((y, support_epsilon))
-                clamped_only += 1
-        total = sum(v for _, v in entries)
-        rows.append([(y, v / total) for y, v in entries])
-    matrix = SparseStochasticMatrix.from_rows(n, rows)
+    stats = ScoredPositions(corpus, k)
+    lag1_keys, lag1_counts = np.unique(stats.src[:, 0] * n + stats.tgt, return_counts=True)
+    lag1_totals = np.bincount(stats.src[:, 0], minlength=n)
+    keys = np.unique(stats.src * n + stats.tgt[:, None])  # row-major, columns ascending
+    rows, cols = np.divmod(keys, n)
+    count = np.zeros(keys.size, dtype=np.int64)
+    count[np.searchsorted(keys, lag1_keys)] = lag1_counts  # lag-1 pairs are support pairs
+    lag1 = count > 0
+    # Every support row is the lag-1 source of some position, so its total is positive.
+    value = np.where(lag1, count / lag1_totals[rows], support_epsilon)
+    # bincount adds each row's entries left to right, so the row sums (and
+    # the normalized rows) are bit-identical to a sequential sum.
+    total = np.bincount(rows, weights=value, minlength=n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    matrix = SparseStochasticMatrix.from_csr(n, indptr, cols, value / total[rows])
+    lag1_pairs = int(np.count_nonzero(lag1))
+    clamped_only = int(keys.size) - lag1_pairs
     if not return_report:
         return matrix
     report = EmpiricalMatrixReport(
@@ -318,11 +253,10 @@ def grad_w(model: LampModel, corpus: Corpus) -> np.ndarray:
     must have positive mixture probability.
     """
     _check_vocab(model.vocab, corpus.vocab)
-    stats = _CorpusStats(corpus, model.k)
+    stats = ScoredPositions(corpus, model.k)
     if stats.T == 0:
         return np.zeros(model.k)
-    A = model.P.lookup_pairs(stats.src, stats.tgt[:, None])
-    denom = _denominators(stats, A, model.w.weights)
+    A, denom = _mixture(stats, model.P, model.w.weights)
     return A.T @ (1.0 / denom)
 
 
@@ -334,24 +268,17 @@ def grad_P(model: LampModel, corpus: Corpus) -> list[np.ndarray]:
     support are ignored.
     """
     _check_vocab(model.vocab, corpus.vocab)
-    stats = _CorpusStats(corpus, model.k)
+    stats = ScoredPositions(corpus, model.k)
     flat = np.zeros(model.P.support_size)
     if stats.T:
-        A = model.P.lookup_pairs(stats.src, stats.tgt[:, None])
-        denom = _denominators(stats, A, model.w.weights)
+        _, denom = _mixture(stats, model.P, model.w.weights)
         w = model.w.weights
         inv = 1.0 / denom
         for i in range(model.k):
             idx = model.P.pair_indices(stats.src[:, i], stats.tgt)
             hit = idx >= 0
             np.add.at(flat, idx[hit], w[i] * inv[hit])
-    out = []
-    start = 0
-    for x in range(model.n):
-        size = model.P.row_cols[x].size
-        out.append(flat[start:start + size])
-        start += size
-    return out
+    return np.split(flat, model.P.indptr[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +481,7 @@ class _RowObjective:
 
 
 def _row_block_inputs(
-    stats: _CorpusStats,
+    stats: ScoredPositions,
     x: int,
     cols: np.ndarray,
     q: np.ndarray,
@@ -600,11 +527,10 @@ def optimize_row(model: LampModel, corpus: Corpus, state: int, cfg: TrainConfig)
     q = probs.copy()
     if cols.size == 1:
         return np.ones(1)
-    stats = _CorpusStats(corpus, model.k)
+    stats = ScoredPositions(corpus, model.k)
     if stats.T == 0:
         return q
-    A = model.P.lookup_pairs(stats.src, stats.tgt[:, None])
-    denom = _denominators(stats, A, model.w.weights)
+    _, denom = _mixture(stats, model.P, model.w.weights)
     inputs = _row_block_inputs(stats, state, cols, q, model.w.weights, denom)
     if inputs is None:
         return q
@@ -617,9 +543,7 @@ def optimize_row(model: LampModel, corpus: Corpus, state: int, cfg: TrainConfig)
 # Alternating minimization
 
 
-def alternate_minimize(
-    corpus: Corpus, cfg: TrainConfig, threads: int = 1
-) -> tuple[LampModel, TrainReport]:
+def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, TrainReport]:
     """Fit a LAMP to a corpus by alternating w and P block optimizations.
 
     P starts from the empirical transition matrix and w from weights
@@ -632,22 +556,19 @@ def alternate_minimize(
         raise DataError("training requires at least one scored transition")
     P0 = empirical_transition_matrix(corpus, cfg.k, cfg.support_epsilon)
     w = HistoryDistribution.geometric(cfg.init_decay, cfg.k).weights.copy()
-    stats = _CorpusStats(corpus, cfg.k, threads=threads)
+    stats = ScoredPositions(corpus, cfg.k)
     n = len(corpus.vocab)
     row_cols = [P0.row_cols[x] for x in range(n)]
     row_q = [P0.row_probs[x].copy() for x in range(n)]
 
     def current_matrix() -> SparseStochasticMatrix:
-        return SparseStochasticMatrix.from_rows(
-            n, [list(zip(cols.tolist(), q.tolist())) for cols, q in zip(row_cols, row_q)]
-        )
+        return SparseStochasticMatrix.from_csr(n, P0.indptr, np.concatenate(row_cols), np.concatenate(row_q))
 
     def active_size() -> int:
         return int(np.count_nonzero(w > 0)) + sum(int(np.count_nonzero(q > 0)) for q in row_q)
 
     matrix = P0
-    A = matrix.lookup_pairs(stats.src, stats.tgt[:, None])
-    denom = _denominators(stats, A, w)
+    A, denom = _mixture(stats, matrix, w)
     T = stats.T
 
     def record(block: str, residual: float | None, seconds: float) -> HalfIterationRecord:
@@ -687,8 +608,7 @@ def alternate_minimize(
                 denom[upos] = base + m * res.point[cidx]
                 worst = max(worst, res.kkt_residual)
             matrix = current_matrix()
-            A = matrix.lookup_pairs(stats.src, stats.tgt[:, None])
-            denom = _denominators(stats, A, w)
+            A, denom = _mixture(stats, matrix, w)
             records.append(record("P", worst, time.perf_counter() - t0))
 
     if records[-1].log_likelihood < records[0].log_likelihood - 1e-9:

@@ -60,6 +60,53 @@ def ref_log_likelihood(w, P_dense, sequences):
     return total, impossible
 
 
+def ref_floored_log_likelihood(w, P_dense, sequences, floor):
+    """Floor-smoothed natural-log likelihood: at each scored position every
+    state of the mixture is raised to at least ``floor``, and the
+    distribution is renormalized."""
+    total = 0.0
+    for seq in sequences:
+        for j in range(1, len(seq)):
+            dist = np.maximum(ref_transition_distribution(w, P_dense, seq[:j]), floor)
+            total += math.log(dist[seq[j]] / dist.sum())
+    return total
+
+
+def ref_empirical_rows(sequences, n, k, support_epsilon):
+    """The empirical initializer as a walk over the corpus with dicts.
+
+    Row x holds every clamped (x, y) pair seen at lags 1..k, valued by the
+    lag-1 count ratio or ``support_epsilon``, then divided by its sum taken
+    left to right.  Returns (per-row lists of (column, probability), number
+    of lag-1 pairs, number of clamped-only pairs).
+    """
+    lag1_counts = [dict() for _ in range(n)]
+    lag1_totals = [0] * n
+    support = [set() for _ in range(n)]
+    for seq in sequences:
+        for j in range(1, len(seq)):
+            src1, tgt = seq[j - 1], seq[j]
+            lag1_counts[src1][tgt] = lag1_counts[src1].get(tgt, 0) + 1
+            lag1_totals[src1] += 1
+            for i in range(1, k + 1):
+                support[seq[max(j - i, 0)]].add(tgt)
+    rows = []
+    lag1_pairs = clamped_only = 0
+    for x in range(n):
+        entries = []
+        for y in sorted(support[x]):
+            c = lag1_counts[x].get(y, 0)
+            if c:
+                entries.append((y, c / lag1_totals[x]))
+                lag1_pairs += 1
+            else:
+                entries.append((y, support_epsilon))
+                clamped_only += 1
+        total = sum(v for _, v in entries)
+        rows.append([(y, v / total) for y, v in entries])
+    return rows, lag1_pairs, clamped_only
+
+
 def ref_perplexity(w, P_dense, sequences):
     total, impossible = ref_log_likelihood(w, P_dense, sequences)
     T = sum(len(s) - 1 for s in sequences)

@@ -25,6 +25,7 @@ from conftest import (
     make_model,
     random_simplex,
     random_stochastic_matrix,
+    ref_floored_log_likelihood,
     ref_log_likelihood,
     ref_transition_distribution,
     worked_matrix,
@@ -275,12 +276,7 @@ def test_floor_smoothing_matches_dense_recomputation():
     got = core.log_likelihood(model, corpus, floor=floor)
     # Recompute naively: lift every state to the floor, renormalize.
     P = np.array([[0.0, 1.0], [0.5, 0.5]])
-    want = 0.0
-    for seq in [[0, 0], [1, 0, 1]]:
-        for j in range(1, len(seq)):
-            dist = ref_transition_distribution([1.0], P, seq[:j])
-            dist = np.maximum(dist, floor)
-            want += math.log(dist[seq[j]] / dist.sum())
+    want = ref_floored_log_likelihood([1.0], P, [[0, 0], [1, 0, 1]], floor)
     assert got.total == pytest.approx(want, rel=1e-12)
     assert got.impossible_transitions == 0
     assert core.perplexity(model, corpus, floor=floor) < math.inf
@@ -295,6 +291,72 @@ def test_floor_smoothing_covers_empty_rows():
         core.log_likelihood(model, corpus)
     got = core.log_likelihood(model, corpus, floor=core.EVALUATION_FLOOR)
     assert got.total == pytest.approx(math.log(0.5), abs=1e-9)
+
+
+def test_empty_row_error_names_first_source_in_position_order():
+    # Rows 1 and 2 are empty.  Position-major, lag-minor order reaches state
+    # 2 (lag 1 of position 2) before state 1 (lag 1 of position 3).
+    P = np.zeros((3, 3))
+    P[0, 1] = 1.0
+    model = make_model([0.5, 0.5], P)
+    with pytest.raises(EmptyRowError, match="state 2 "):
+        core.log_likelihood(model, make_corpus(model, [[0, 0], [0, 2, 1, 0]]))
+
+
+@st.composite
+def sparse_models(draw):
+    """Random model whose rows mix absent entries, explicit zeros and
+    positive entries; a row with no positive entry is stored empty, and lag
+    weights may be zero."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    raw_w = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    rows = []
+    for _ in range(n):
+        cells = draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))  # -1 is absent
+        mass = sum(v for v in cells if v > 0)
+        rows.append([(c, v / mass) for c, v in enumerate(cells) if v >= 0] if mass else [])
+    return LampModel(
+        w=HistoryDistribution.from_weights(np.array(raw_w) / sum(raw_w)),
+        P=SparseStochasticMatrix.from_rows(n, rows),
+        vocab=Vocabulary.from_size(n),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scoring_kernel_matches_dense_oracle(data):
+    model = data.draw(sparse_models())
+    seqs = data.draw(st.lists(
+        st.lists(st.integers(0, model.n - 1), min_size=1, max_size=6), min_size=1, max_size=4,
+    ))
+    corpus = make_corpus(model, seqs)
+    w, P = model.w.weights, model.P.dense()
+
+    def close(got, want):
+        return math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
+
+    floor = core.EVALUATION_FLOOR
+    floored = core.log_likelihood(model, corpus, floor=floor)
+    assert floored.impossible_transitions == 0
+    for got, seq in zip(floored.per_sequence, seqs):
+        assert close(got, ref_floored_log_likelihood(w, P, [seq], floor))
+
+    # Every state of a sequence but its last is the source of some scored
+    # position at some lag.
+    sources = {x for seq in seqs for x in seq[:-1]}
+    if sources & set(model.P.empty_rows()):
+        with pytest.raises(EmptyRowError):
+            core.log_likelihood(model, corpus)
+        return
+    plain = core.log_likelihood(model, corpus)
+    impossible = 0
+    for got, seq in zip(plain.per_sequence, seqs):
+        want, imp = ref_log_likelihood(w, P, [seq])
+        impossible += imp
+        assert got == -math.inf if imp else close(got, want)
+    assert plain.impossible_transitions == impossible
+    assert plain.total == sum(plain.per_sequence)
 
 
 def test_perplexity_worked_example():
