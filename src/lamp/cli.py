@@ -133,13 +133,15 @@ def _write_manifest(
 
 
 def _load_any_corpus(path: str) -> Corpus:
-    """Cache JSON if the file starts with '{', whitespace-token text otherwise."""
+    """Cache JSON if the file's first non-blank bytes are '{"', as every cache
+    writer emits them; whitespace-token text otherwise, so a text token may
+    start with '{'."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(64).lstrip()
     except OSError as exc:
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
-    if head.startswith(b"{"):
+    if head.startswith(b'{"'):
         return load_corpus_cache(path)
     return load_corpus(path)
 

@@ -7,7 +7,10 @@ reaching past the start of the history clamp to x_0:
 
     Pr[X_t = y | x_0..x_{t-1}] = sum_i w_i * P(x_{max(0, t-i)}, y)
 
-With w = (1, 0, ..., 0) this is an ordinary first-order Markov chain.
+With w = (1, 0, ..., 0) this is an ordinary first-order Markov chain.  The
+generalized model keeps a bank of matrices and lets lag i read the matrix
+lag_map[i]; the transition rule, the generator and the JSON format here
+serve both, while scoring and training need a single matrix.
 """
 
 from __future__ import annotations
@@ -346,19 +349,54 @@ class HistoryDistribution:
         return [float(v) for v in cum]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LampModel:
-    """A LAMP: lag distribution w, transition matrix P, token vocabulary."""
+    """A LAMP: lag distribution w, a bank of stochastic matrices, a 1-based
+    map sending each lag i in 1..k to the matrix scoring that lag, and the
+    token vocabulary.
+
+    ``LampModel(w, P, vocab)`` is the classic model: one matrix read at
+    every lag.  :meth:`per_lag` builds the generalized model whose lags may
+    read different matrices.
+    """
 
     w: HistoryDistribution
-    P: SparseStochasticMatrix
+    matrices: tuple[SparseStochasticMatrix, ...]
+    lag_map: tuple[int, ...]
     vocab: Vocabulary
 
-    def __post_init__(self) -> None:
-        if self.P.n != len(self.vocab):
-            raise DataError(
-                f"matrix has {self.P.n} states but vocabulary has {len(self.vocab)} tokens"
-            )
+    def __init__(self, w: HistoryDistribution, P: SparseStochasticMatrix, vocab: Vocabulary) -> None:
+        self._assign(w, (P,), (1,) * w.k, vocab)
+
+    @classmethod
+    def per_lag(
+        cls,
+        w: HistoryDistribution,
+        matrices: Sequence[SparseStochasticMatrix],
+        lag_map: Sequence[int],
+        vocab: Vocabulary,
+    ) -> "LampModel":
+        """Model whose lag i reads ``matrices[lag_map[i-1] - 1]``."""
+        model = cls.__new__(cls)
+        model._assign(w, tuple(matrices), tuple(int(j) for j in lag_map), vocab)
+        return model
+
+    def _assign(self, w, matrices, lag_map, vocab) -> None:
+        fields = {"w": w, "matrices": matrices, "lag_map": lag_map, "vocab": vocab}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        if not matrices:
+            raise DataError("model needs at least one transition matrix")
+        n = matrices[0].n
+        if any(m.n != n for m in matrices):
+            raise DataError("all transition matrices must share one state space")
+        if n != len(vocab):
+            raise DataError(f"matrix has {n} states but vocabulary has {len(vocab)} tokens")
+        if len(lag_map) != w.k:
+            raise DataError(f"lag map has {len(lag_map)} entries for {w.k} lags")
+        for j in lag_map:
+            if not 1 <= j <= len(matrices):
+                raise DataError(f"lag map entry {j} outside 1..{len(matrices)}")
 
     @property
     def k(self) -> int:
@@ -366,7 +404,25 @@ class LampModel:
 
     @property
     def n(self) -> int:
-        return self.P.n
+        return self.matrices[0].n
+
+    @property
+    def n_matrices(self) -> int:
+        return len(self.matrices)
+
+    @property
+    def P(self) -> SparseStochasticMatrix:
+        """The one matrix of a single-matrix model; scoring, training and
+        the chain analyses need one."""
+        if self.n_matrices != 1:
+            raise DataError(f"model has {self.n_matrices} matrices; this operation needs one")
+        return self.matrices[0]
+
+    def matrix_for_lag(self, i: int) -> SparseStochasticMatrix:
+        """Matrix scoring lag i (1-based)."""
+        if not 1 <= i <= self.k:
+            raise DataError(f"lag {i} outside 1..{self.k}")
+        return self.matrices[self.lag_map[i - 1] - 1]
 
 
 @dataclass(frozen=True)
@@ -480,7 +536,8 @@ def _check_vocab(model_vocab: Vocabulary, corpus_vocab: Vocabulary) -> None:
 def transition_distribution(model: LampModel, history: Sequence[int]) -> np.ndarray:
     """Next-state distribution given a nonempty history of state ids.
 
-    Lags that reach past the start of the history clamp to its first element.
+    Lags that reach past the start of the history clamp to its first element,
+    and lag i reads its row from the matrix mapped to it, also when clamped.
     Entries older than k steps never influence the result.
     """
     if len(history) == 0:
@@ -494,7 +551,7 @@ def transition_distribution(model: LampModel, history: Sequence[int]) -> np.ndar
     w = model.w.weights
     for i in range(1, model.k + 1):
         src = int(hist[L - i]) if i <= L else int(hist[0])
-        cols, probs = model.P.row(src)
+        cols, probs = model.matrix_for_lag(i).row(src)
         if cols.size == 0:
             raise EmptyRowError(f"state {src} has no outgoing transitions")
         out[cols] += w[i - 1] * probs
@@ -560,7 +617,8 @@ def log_likelihood(
     positions where lags clamp to the first element.  Passing
     ``floor=EVALUATION_FLOOR`` enables floor smoothing so that no scored
     transition has probability zero.  Without it, a scored source state with
-    an empty row raises :class:`EmptyRowError`.
+    an empty row raises :class:`EmptyRowError`.  A model with several
+    matrices raises :class:`DataError`.
     """
     _check_vocab(model.vocab, corpus.vocab)
     positions = ScoredPositions(corpus, model.k)
@@ -599,16 +657,18 @@ def perplexity(model: LampModel, corpus: Corpus, floor: float | None = None) -> 
 # Generation
 
 
-def _generate_ids(
-    w: HistoryDistribution,
-    samplers_per_lag: list[tuple[list[list[int]], list[list[float]]]],
-    start: int,
-    length: int,
-    seed: int,
-) -> np.ndarray:
-    """Shared sampling loop: one lag draw and one row draw per step."""
+def generate(model: LampModel, start: int, length: int, seed: int) -> np.ndarray:
+    """Sample a sequence of ``length`` state ids beginning with ``start``.
+
+    Each step draws a lag from w, takes the clamped historical state at that
+    lag, and samples the next state from that state's row in the matrix
+    mapped to the drawn lag.  Deterministic for a fixed seed.
+    """
+    if not 0 <= start < model.n:
+        raise DataError(f"start state {start} out of range")
     if length < 1:
         raise DataError("length must be at least 1")
+    samplers = [model.matrix_for_lag(i)._samplers for i in range(1, model.k + 1)]
     rng = np.random.default_rng(seed)
     seq = [start]
     if length == 1:
@@ -618,12 +678,12 @@ def _generate_ids(
     # extends a shorter one without changing its prefix.
     u = rng.random((m, 2))
     u_lag, u_row = u[:, 0], u[:, 1]
-    cum_w = w._cum
+    cum_w = model.w._cum
     for t in range(m):
         lag = bisect.bisect_right(cum_w, u_lag[t]) + 1
         pos = len(seq)
         src = seq[pos - lag] if lag <= pos else seq[0]
-        col_lists, cum_lists = samplers_per_lag[lag - 1]
+        col_lists, cum_lists = samplers[lag - 1]
         cum = cum_lists[src]
         if not cum:
             raise EmptyRowError(f"state {src} has no outgoing transitions")
@@ -631,66 +691,76 @@ def _generate_ids(
     return np.asarray(seq, dtype=np.int64)
 
 
-def generate(model: LampModel, start: int, length: int, seed: int) -> np.ndarray:
-    """Sample a sequence of ``length`` state ids beginning with ``start``.
-
-    Each step draws a lag from w, takes the clamped historical state at that
-    lag, and samples the next state from that state's P row.  Deterministic
-    for a fixed seed.
-    """
-    if not 0 <= start < model.n:
-        raise DataError(f"start state {start} out of range")
-    samplers = [model.P._samplers] * model.k
-    return _generate_ids(model.w, samplers, start, length, seed)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
 
-def model_to_dict(model: LampModel) -> dict:
-    """JSON-ready document: {"k", "w", "n", "vocab", "matrix"} with the matrix
-    flattened to [row, col, prob] triples in row-major order."""
+def _triples(m: SparseStochasticMatrix) -> list:
+    """A matrix flattened to [row, col, prob] triples in row-major order."""
     triples = []
-    for x in range(model.n):
-        cols, probs = model.P.row(x)
+    for x in range(m.n):
+        cols, probs = m.row(x)
         triples.extend([int(x), int(c), float(p)] for c, p in zip(cols, probs))
+    return triples
+
+
+def _matrix(n: int, triples) -> SparseStochasticMatrix:
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    try:
+        for entry in triples:
+            r, c, p = int(entry[0]), int(entry[1]), float(entry[2])
+            if not (0 <= r < n and 0 <= c < n):
+                raise DataError(f"matrix entry ({r}, {c}) out of range")
+            rows[r].append((c, p))
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed matrix entry in model document: {exc}") from exc
+    return SparseStochasticMatrix.from_rows(n, rows)
+
+
+def model_to_dict(model: LampModel) -> dict:
+    """JSON-ready document {"k", "w", "n", "vocab"} plus, for a single-matrix
+    model, "matrix" as [row, col, prob] triples in row-major order, and
+    otherwise "matrices" (one triple list per matrix) and "lag_map"."""
     doc = {
         "k": model.k,
         "w": [float(v) for v in model.w.weights],
         "n": model.n,
         "vocab": list(model.vocab.tokens),
-        "matrix": triples,
     }
+    if model.n_matrices == 1:
+        doc["matrix"] = _triples(model.matrices[0])
+    else:
+        doc["matrices"] = [_triples(m) for m in model.matrices]
+        doc["lag_map"] = [int(j) for j in model.lag_map]
     if model.vocab.rare_token is not None:
         doc["rare_token"] = model.vocab.rare_token
     return doc
 
 
 def model_from_dict(doc: dict) -> LampModel:
+    """Read either document shape written by :func:`model_to_dict`."""
+    if not isinstance(doc, dict) or ("matrix" in doc) == ("matrices" in doc):
+        raise DataError('model document needs exactly one of "matrix" and "matrices"')
     try:
         k = int(doc["k"])
         w = [float(v) for v in doc["w"]]
         n = int(doc["n"])
         tokens = [str(t) for t in doc["vocab"]]
-        triples = doc["matrix"]
+        if "matrix" in doc:
+            all_triples, lag_map = [doc["matrix"]], [1] * k
+        else:
+            all_triples, lag_map = doc["matrices"], [int(j) for j in doc["lag_map"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model document: {exc}") from exc
     if len(w) != k:
         raise DataError(f"model document declares k={k} but has {len(w)} lag weights")
     if len(tokens) != n:
         raise DataError(f"model document declares n={n} but has {len(tokens)} tokens")
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for entry in triples:
-        r, c, p = int(entry[0]), int(entry[1]), float(entry[2])
-        if not (0 <= r < n and 0 <= c < n):
-            raise DataError(f"matrix entry ({r}, {c}) out of range")
-        rows[r].append((c, p))
-    vocab = Vocabulary.from_tokens(tokens, doc.get("rare_token"))
-    return LampModel(
-        w=HistoryDistribution.from_weights(w),
-        P=SparseStochasticMatrix.from_rows(n, rows),
-        vocab=vocab,
+    return LampModel.per_lag(
+        HistoryDistribution.from_weights(w),
+        [_matrix(n, triples) for triples in all_triples],
+        lag_map,
+        Vocabulary.from_tokens(tokens, doc.get("rare_token")),
     )
 
 
@@ -708,8 +778,4 @@ def load_model(path: str) -> LampModel:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    if "matrices" in doc:
-        raise DataError(
-            f"{path} stores a per-lag generalized model; load it with the glamp module"
-        )
     return model_from_dict(doc)

@@ -1,17 +1,12 @@
-"""Per-lag transition matrices: each history lag may be scored and sampled
-through its own stochastic matrix, selected by a lag-to-matrix map.
-
-The single-matrix model is the special case where every lag maps to the
-same matrix; all operations here reduce bitwise to their single-matrix
-counterparts in that case.  The module also provides the mixture matrix
-(the lag-weighted average of the mapped matrices, whose stationary vector
-is the process's limiting state distribution) and an exact lift of the
-process to a first-order chain over k-tuples of states.
+"""Long-run views of a model whose lags may read different matrices (see
+:meth:`lamp.core.LampModel.per_lag`): the mixture matrix, the lag-weighted
+average of the mapped matrices, whose stationary vector is the process's
+limiting state distribution; and an exact lift of the process to a
+first-order chain over k-tuples of states.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,130 +16,35 @@ import numpy as np
 from lamp.core import (
     DataError,
     EmptyRowError,
-    HistoryDistribution,
     LampModel,
     SparseStochasticMatrix,
-    Vocabulary,
-    _generate_ids,
+    generate,
+    load_model,
+    transition_distribution,
 )
 
 __all__ = [
-    "GlampModel",
     "LiftedChain",
     "LIFT_STATE_GUARD",
-    "from_lamp",
-    "glamp_transition_distribution",
-    "glamp_generate",
     "mixture_matrix",
     "lift_to_kth_order",
-    "glamp_model_to_dict",
-    "glamp_model_from_dict",
-    "save_glamp_model",
+    "GlampModel",
+    "glamp_transition_distribution",
+    "glamp_generate",
     "load_glamp_model",
 ]
 
 #: The lifted chain materializes up to n^k tuple states; refuse larger lifts.
 LIFT_STATE_GUARD = 100_000
 
-
-@dataclass(frozen=True)
-class GlampModel:
-    """Lag distribution w, a bank of stochastic matrices, and a 1-based map
-    sending each lag i in 1..k to the matrix scoring that lag."""
-
-    w: HistoryDistribution
-    matrices: tuple[SparseStochasticMatrix, ...]
-    lag_map: tuple[int, ...]
-    vocab: Vocabulary
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrices", tuple(self.matrices))
-        object.__setattr__(self, "lag_map", tuple(int(j) for j in self.lag_map))
-        if not self.matrices:
-            raise DataError("model needs at least one transition matrix")
-        n = self.matrices[0].n
-        if any(m.n != n for m in self.matrices):
-            raise DataError("all transition matrices must share one state space")
-        if len(self.vocab) != n:
-            raise DataError(
-                f"vocabulary size {len(self.vocab)} does not match matrix size {n}"
-            )
-        if len(self.lag_map) != self.w.k:
-            raise DataError(
-                f"lag map has {len(self.lag_map)} entries for {self.w.k} lags"
-            )
-        for j in self.lag_map:
-            if not 1 <= j <= len(self.matrices):
-                raise DataError(f"lag map entry {j} outside 1..{len(self.matrices)}")
-
-    @property
-    def k(self) -> int:
-        return self.w.k
-
-    @property
-    def n(self) -> int:
-        return self.matrices[0].n
-
-    @property
-    def n_matrices(self) -> int:
-        return len(self.matrices)
-
-    def matrix_for_lag(self, i: int) -> SparseStochasticMatrix:
-        """Matrix scoring lag i (1-based)."""
-        if not 1 <= i <= self.k:
-            raise DataError(f"lag {i} outside 1..{self.k}")
-        return self.matrices[self.lag_map[i - 1] - 1]
+# The per-lag names from before the model types merged; existing callers use them.
+GlampModel = LampModel.per_lag
+glamp_transition_distribution = transition_distribution
+glamp_generate = generate
+load_glamp_model = load_model
 
 
-def from_lamp(model: LampModel) -> GlampModel:
-    """View a single-matrix model as the per-lag model mapping every lag to
-    its one matrix."""
-    return GlampModel(
-        w=model.w,
-        matrices=(model.P,),
-        lag_map=(1,) * model.k,
-        vocab=model.vocab,
-    )
-
-
-def glamp_transition_distribution(model: GlampModel, history: Sequence[int]) -> np.ndarray:
-    """Next-state distribution given a nonempty history of state ids.
-
-    Identical to the single-matrix rule except that lag i reads its row from
-    matrix lag_map[i].  The matrix choice follows the lag even when the lag
-    reaches past the start of the history and the source clamps to the first
-    element.  Accumulation order matches the single-matrix routine, so the
-    one-matrix case reduces bitwise.
-    """
-    if len(history) == 0:
-        raise DataError("history must contain at least one state")
-    n = model.n
-    hist = np.asarray(history, dtype=np.int64)
-    if hist.min() < 0 or hist.max() >= n:
-        raise DataError("history contains a state id outside the vocabulary")
-    out = np.zeros(n)
-    L = len(hist)
-    w = model.w.weights
-    for i in range(1, model.k + 1):
-        src = int(hist[L - i]) if i <= L else int(hist[0])
-        cols, probs = model.matrix_for_lag(i).row(src)
-        if cols.size == 0:
-            raise EmptyRowError(f"state {src} has no outgoing transitions")
-        out[cols] += w[i - 1] * probs
-    return out
-
-
-def glamp_generate(model: GlampModel, start: int, length: int, seed: int) -> np.ndarray:
-    """Sample a sequence of state ids; each step's row draw uses the matrix
-    mapped to the drawn lag.  Deterministic for a fixed seed and bitwise
-    identical to the single-matrix generator when there is one matrix."""
-    if not 0 <= start < model.n:
-        raise DataError(f"start state {start} out of range")
-    samplers = [model.matrices[j - 1]._samplers for j in model.lag_map]
-    return _generate_ids(model.w, samplers, start, length, seed)
-
-
-def mixture_matrix(model: GlampModel) -> SparseStochasticMatrix:
+def mixture_matrix(model: LampModel) -> SparseStochasticMatrix:
     """Lag-weighted average of the mapped matrices.
 
     The process's limiting state distribution is the stationary vector of
@@ -183,7 +83,7 @@ class LiftedChain:
 
 
 def lift_to_kth_order(
-    model: GlampModel, start_states: Sequence[int] | None = None
+    model: LampModel, start_states: Sequence[int] | None = None
 ) -> LiftedChain:
     """Materialize the tuple chain reachable from repeated-symbol starts.
 
@@ -242,83 +142,3 @@ def lift_to_kth_order(
         rows.append(entries)
     Q = SparseStochasticMatrix.from_rows(len(states), rows)
     return LiftedChain(n=n, states=tuple(states), index=index, Q=Q)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def glamp_model_to_dict(model: GlampModel) -> dict:
-    """JSON-ready document; differs from the single-matrix format by storing
-    "matrices" (a list of [row, col, prob] triple lists) and "lag_map"."""
-    mats = []
-    for m in model.matrices:
-        triples = []
-        for x in range(m.n):
-            cols, probs = m.row(x)
-            triples.extend([int(x), int(c), float(p)] for c, p in zip(cols, probs))
-        mats.append(triples)
-    doc = {
-        "k": model.k,
-        "w": [float(v) for v in model.w.weights],
-        "n": model.n,
-        "vocab": list(model.vocab.tokens),
-        "lag_map": [int(j) for j in model.lag_map],
-        "matrices": mats,
-    }
-    if model.vocab.rare_token is not None:
-        doc["rare_token"] = model.vocab.rare_token
-    return doc
-
-
-def glamp_model_from_dict(doc: dict) -> GlampModel:
-    try:
-        k = int(doc["k"])
-        w = [float(v) for v in doc["w"]]
-        n = int(doc["n"])
-        tokens = [str(t) for t in doc["vocab"]]
-        lag_map = [int(j) for j in doc["lag_map"]]
-        mats_triples = doc["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed model document: {exc}") from exc
-    if len(w) != k:
-        raise DataError(f"model document declares k={k} but has {len(w)} lag weights")
-    if len(tokens) != n:
-        raise DataError(f"model document declares n={n} but has {len(tokens)} tokens")
-    matrices = []
-    for triples in mats_triples:
-        rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for entry in triples:
-            r, c, p = int(entry[0]), int(entry[1]), float(entry[2])
-            if not (0 <= r < n and 0 <= c < n):
-                raise DataError(f"matrix entry ({r}, {c}) out of range")
-            rows[r].append((c, p))
-        matrices.append(SparseStochasticMatrix.from_rows(n, rows))
-    vocab = Vocabulary.from_tokens(tokens, doc.get("rare_token"))
-    return GlampModel(
-        w=HistoryDistribution.from_weights(w),
-        matrices=tuple(matrices),
-        lag_map=tuple(lag_map),
-        vocab=vocab,
-    )
-
-
-def save_glamp_model(model: GlampModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(glamp_model_to_dict(model), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
-def load_glamp_model(path: str) -> GlampModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    if "matrices" not in doc:
-        raise DataError(
-            f"{path} stores a single-matrix model; load it with the core loader"
-        )
-    return glamp_model_from_dict(doc)

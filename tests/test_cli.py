@@ -10,7 +10,15 @@ import pytest
 
 import lamp
 from lamp.cli import main
-from lamp.core import generate, load_model
+from lamp.core import (
+    HistoryDistribution,
+    LampModel,
+    SparseStochasticMatrix,
+    Vocabulary,
+    generate,
+    load_model,
+    save_model,
+)
 from lamp.data import load_corpus_cache
 from lamp.baselines import load_ngram
 from lamp.learn import empirical_transition_matrix
@@ -31,8 +39,6 @@ def write_corpus_text(tmp_path, text, name="corpus.txt"):
 
 
 def save_worked_model(tmp_path, w=(0.6, 0.4), name="model.json"):
-    from lamp.core import save_model
-
     model = make_model(w, worked_matrix())
     path = tmp_path / name
     save_model(model, str(path))
@@ -49,42 +55,76 @@ def test_help_exits_zero(capsys):
     assert "usage" in out
 
 
-def test_no_command_is_usage_error(capsys):
-    code, _, err = run(capsys, [])
-    assert code == 1
-    assert "error" in err
-
-
-def test_unknown_flag_is_usage_error(capsys, tmp_path):
-    code, _, _ = run(capsys, ["train", "x", "--bogus"])
-    assert code == 1
-
-
-def test_missing_corpus_exits_two(capsys, tmp_path):
-    code, _, err = run(
-        capsys,
-        ["train", str(tmp_path / "nope.txt"), "--output", str(tmp_path / "m.json"), "--k", "2"],
+def save_two_matrix_model(tmp_path):
+    """A two-lag model whose second lag reads a swap matrix."""
+    model = LampModel.per_lag(
+        HistoryDistribution.from_weights([0.5, 0.5]),
+        (
+            SparseStochasticMatrix.from_dense(worked_matrix()),
+            SparseStochasticMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        ),
+        (1, 2),
+        Vocabulary.from_size(2),
     )
-    assert code == 2
-    assert "data error" in err
+    path = tmp_path / "two.json"
+    save_model(model, str(path))
+    return str(path)
 
 
-def test_missing_model_exits_two(capsys, tmp_path):
-    corpus = write_corpus_text(tmp_path, "a b a\n")
-    code, _, _ = run(
-        capsys,
-        ["evaluate", str(tmp_path / "no model.json"), corpus, "--output", str(tmp_path / "e.json")],
-    )
-    assert code == 2
+def save_edited_worked_model(tmp_path, edit):
+    """The worked model's document after ``edit`` changes it in place."""
+    path, _ = save_worked_model(tmp_path)
+    doc = json.loads(open(path).read())
+    edit(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
 
 
-def test_bad_delta_exits_two(capsys, tmp_path):
-    model_path, _ = save_worked_model(tmp_path)
-    code, _, _ = run(
-        capsys,
-        ["analyze", "mixing", model_path, "--output", str(tmp_path / "o.json"), "--delta", "-1"],
-    )
-    assert code == 2
+def worked_corpus(tmp_path):
+    return write_corpus_text(tmp_path, "s0 s1 s0 s0\n")
+
+
+#: (id, argv builder, exit code).  Every failing command names its class of
+#: error on stderr.
+EXIT_CODES = [
+    ("no-command", lambda t: [], 1),
+    ("unknown-flag", lambda t: ["train", "x", "--output", str(t / "m.json"), "--k", "2",
+                                "--bogus"], 1),
+    ("train-threads", lambda t: ["train", worked_corpus(t), "--output", str(t / "m.json"),
+                                 "--k", "2", "--threads", "2"], 1),
+    ("missing-corpus", lambda t: ["train", str(t / "nope.txt"), "--output", str(t / "m.json"),
+                                  "--k", "2"], 2),
+    ("missing-model", lambda t: ["evaluate", str(t / "no model.json"), worked_corpus(t),
+                                 "--output", str(t / "e.json")], 2),
+    ("model-not-json", lambda t: ["evaluate", write_corpus_text(t, "not json\n", name="m.json"),
+                                  worked_corpus(t), "--output", str(t / "e.json")], 2),
+    ("model-short-triple", lambda t: ["evaluate", save_edited_worked_model(
+        t, lambda doc: doc["matrix"][0].pop()), worked_corpus(t), "--output", str(t / "e.json")], 2),
+    ("model-both-shapes", lambda t: ["evaluate", save_edited_worked_model(
+        t, lambda doc: doc.update(matrices=[doc["matrix"]], lag_map=[1, 1])), worked_corpus(t),
+        "--output", str(t / "e.json")], 2),
+    ("unknown-token-no-rare", lambda t: ["evaluate", save_worked_model(t)[0],
+                                         write_corpus_text(t, "s0 zzz s1\n"),
+                                         "--output", str(t / "e.json")], 2),
+    ("bad-delta", lambda t: ["analyze", "mixing", save_worked_model(t)[0],
+                             "--output", str(t / "o.json"), "--delta", "-1"], 2),
+    ("evaluate-two-matrix", lambda t: ["evaluate", save_two_matrix_model(t), worked_corpus(t),
+                                       "--output", str(t / "e.json")], 2),
+    ("stationary-two-matrix", lambda t: ["analyze", "stationary", save_two_matrix_model(t),
+                                         "--output", str(t / "o.json")], 2),
+    ("generate-two-matrix", lambda t: ["generate", save_two_matrix_model(t),
+                                       "--output", str(t / "g.json")], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv_for, expected", [pytest.param(f, c, id=name) for name, f, c in EXIT_CODES]
+)
+def test_exit_code_map(capsys, tmp_path, argv_for, expected):
+    code, _, err = run(capsys, argv_for(tmp_path))
+    assert code == expected
+    assert {0: "", 1: "error", 2: "data error"}[code] in err
 
 
 def test_module_entry_point_runs():
@@ -183,6 +223,15 @@ def test_train_weight_only_never_touches_matrix(capsys, tmp_path):
     assert {r["block"] for r in records} == {"init", "w"}
 
 
+def test_train_reads_text_whose_first_token_starts_with_a_brace(capsys, tmp_path):
+    # Only '{"' marks a corpus cache; a text token may start with '{'.
+    corpus_path = write_corpus_text(tmp_path, "{x a b\na b a\n", name="c.txt")
+    out = str(tmp_path / "m.json")
+    code, _, err = run(capsys, ["train", corpus_path, "--output", out, "--k", "2"])
+    assert code == 0, err
+    assert "{x" in load_model(out).vocab.tokens
+
+
 def test_train_accepts_cache_input(capsys, tmp_path):
     corpus_path = write_corpus_text(tmp_path, "a b a b a\n")
     cache = str(tmp_path / "cache.json")
@@ -198,8 +247,6 @@ def test_train_accepts_cache_input(capsys, tmp_path):
 
 
 def test_evaluate_uniform_model_has_perplexity_vocab_size(capsys, tmp_path):
-    from lamp.core import save_model
-
     model = make_model((1.0,), np.full((5, 5), 0.2))
     model_path = str(tmp_path / "uniform.json")
     save_model(model, model_path)
@@ -226,18 +273,7 @@ def test_evaluate_worked_example(capsys, tmp_path):
     assert doc["scored_transitions"] == 2
 
 
-def test_evaluate_vocab_mismatch_exits_two(capsys, tmp_path):
-    model_path, _ = save_worked_model(tmp_path)
-    corpus_path = write_corpus_text(tmp_path, "s0 zzz s1\n")
-    code, _, _ = run(
-        capsys, ["evaluate", model_path, corpus_path, "--output", str(tmp_path / "e.json")]
-    )
-    assert code == 2
-
-
 def test_evaluate_floor_toggles_impossible_transitions(capsys, tmp_path):
-    from lamp.core import save_model
-
     model = make_model((1.0,), [[1.0, 0.0], [0.5, 0.5]])
     model_path = str(tmp_path / "hard.json")
     save_model(model, model_path)
@@ -325,8 +361,6 @@ def test_analyze_stationary_worked_example(capsys, tmp_path):
 
 
 def test_analyze_stationary_non_ergodic_exits_three(capsys, tmp_path):
-    from lamp.core import save_model
-
     model = make_model((1.0,), [[1.0, 0.0], [0.0, 1.0]])
     model_path = str(tmp_path / "frozen.json")
     save_model(model, model_path)

@@ -304,22 +304,29 @@ def test_empty_row_error_names_first_source_in_position_order():
 
 
 @st.composite
-def sparse_models(draw):
+def sparse_models(draw, max_matrices=1):
     """Random model whose rows mix absent entries, explicit zeros and
     positive entries; a row with no positive entry is stored empty, and lag
-    weights may be zero."""
+    weights may be zero.  With ``max_matrices`` > 1 the lags may read
+    different matrices."""
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, 4))
     raw_w = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
-    rows = []
-    for _ in range(n):
-        cells = draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))  # -1 is absent
-        mass = sum(v for v in cells if v > 0)
-        rows.append([(c, v / mass) for c, v in enumerate(cells) if v >= 0] if mass else [])
-    return LampModel(
-        w=HistoryDistribution.from_weights(np.array(raw_w) / sum(raw_w)),
-        P=SparseStochasticMatrix.from_rows(n, rows),
-        vocab=Vocabulary.from_size(n),
+    matrices = []
+    for _ in range(draw(st.integers(1, max_matrices))):
+        rows = []
+        for _ in range(n):
+            cells = draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))  # -1 is absent
+            mass = sum(v for v in cells if v > 0)
+            rows.append([(c, v / mass) for c, v in enumerate(cells) if v >= 0] if mass else [])
+        matrices.append(SparseStochasticMatrix.from_rows(n, rows))
+    lag_map = draw(st.lists(st.integers(1, len(matrices)), min_size=k, max_size=k))
+    tokens = [f"s{i}" for i in range(n)]
+    return LampModel.per_lag(
+        HistoryDistribution.from_weights(np.array(raw_w) / sum(raw_w)),
+        matrices,
+        lag_map,
+        Vocabulary.from_tokens(tokens, draw(st.none() | st.sampled_from(tokens))),
     )
 
 
@@ -357,6 +364,28 @@ def test_scoring_kernel_matches_dense_oracle(data):
         assert got == -math.inf if imp else close(got, want)
     assert plain.impossible_transitions == impossible
     assert plain.total == sum(plain.per_sequence)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=sparse_models(max_matrices=3))
+def test_model_document_round_trip(model):
+    doc = core.model_to_dict(model)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    back = core.model_from_dict(json.loads(text))
+    assert np.array_equal(back.w.weights, model.w.weights)
+    assert back.lag_map == model.lag_map
+    assert back.vocab == model.vocab
+    assert back.n_matrices == model.n_matrices
+    for got, want in zip(back.matrices, model.matrices):
+        for x in range(model.n):
+            assert np.array_equal(got.row_cols[x], want.row_cols[x])
+            assert np.array_equal(got.row_probs[x], want.row_probs[x])
+    keys = {"k", "w", "n", "vocab"} | ({"rare_token"} if model.vocab.rare_token else set())
+    shape = {"matrix"} if model.n_matrices == 1 else {"matrices", "lag_map"}
+    assert set(doc) == keys | shape
+    # Explicit zeros and zero lag weights are kept, so a reload writes the
+    # same bytes.
+    assert json.dumps(core.model_to_dict(back), sort_keys=True, separators=(",", ":")) == text
 
 
 def test_perplexity_worked_example():
@@ -506,6 +535,15 @@ def test_model_document_validation():
     bad = dict(good, matrix=[[0, 7, 1.0]])
     with pytest.raises(DataError):
         core.model_from_dict(bad)
+
+
+def test_saved_model_bytes_are_frozen(tmp_path):
+    path = tmp_path / "model.json"
+    core.save_model(worked_model(), str(path))
+    assert path.read_bytes() == (
+        b'{"k":2,"matrix":[[0,0,0.9],[0,1,0.1],[1,0,0.2],[1,1,0.8]],'
+        b'"n":2,"vocab":["s0","s1"],"w":[0.6,0.4]}\n'
+    )
 
 
 def test_load_model_rejects_per_lag_documents(tmp_path):

@@ -1,5 +1,5 @@
-"""Tests for the per-lag matrix model: transition rule, generation, mixture
-matrix, the exact k-tuple lift, and serialization."""
+"""Tests for models whose lags read different matrices: the transition rule,
+generation, the mixture matrix, the exact k-tuple lift, and serialization."""
 
 import json
 from collections import Counter
@@ -18,29 +18,20 @@ from lamp.core import (
     Vocabulary,
     generate,
     load_model,
+    model_from_dict,
+    model_to_dict,
     save_model,
     transition_distribution,
 )
 from lamp.analysis import is_ergodic, stationary_distribution
-from lamp.glamp import (
-    GlampModel,
-    from_lamp,
-    glamp_generate,
-    glamp_model_from_dict,
-    glamp_model_to_dict,
-    glamp_transition_distribution,
-    lift_to_kth_order,
-    load_glamp_model,
-    mixture_matrix,
-    save_glamp_model,
-)
+from lamp.glamp import lift_to_kth_order, mixture_matrix
 
 
 def worked_glamp():
     """Two lags, two matrices: lag 1 reads a fair-coin matrix, lag 2 a swap."""
     flat = np.array([[0.5, 0.5], [0.5, 0.5]])
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return GlampModel(
+    return LampModel.per_lag(
         w=HistoryDistribution.from_weights([0.5, 0.5]),
         matrices=(
             SparseStochasticMatrix.from_dense(flat),
@@ -56,11 +47,22 @@ def random_glamp(rng, n, k, n_matrices):
         SparseStochasticMatrix.from_dense(random_stochastic_matrix(rng, n, min_entry=0.05))
         for _ in range(n_matrices)
     )
-    return GlampModel(
+    return LampModel.per_lag(
         w=HistoryDistribution.from_weights(random_simplex(rng, k)),
         matrices=mats,
         lag_map=tuple(int(j) for j in rng.integers(1, n_matrices + 1, size=k)),
         vocab=Vocabulary.from_size(n),
+    )
+
+
+def same_matrix_twice(rng, model):
+    """The single-matrix model as a two-matrix one whose matrices are the
+    same, with the lags spread over both at random."""
+    return LampModel.per_lag(
+        model.w,
+        (model.P, model.P),
+        tuple(int(j) for j in rng.integers(1, 3, size=model.k)),
+        model.vocab,
     )
 
 
@@ -78,18 +80,18 @@ class TestTransitionDistribution:
     def test_worked_two_lag_history(self):
         model = worked_glamp()
         assert np.array_equal(
-            glamp_transition_distribution(model, [0, 1]), [0.25, 0.75]
+            transition_distribution(model, [0, 1]), [0.25, 0.75]
         )
         assert np.array_equal(
-            glamp_transition_distribution(model, [1, 0]), [0.75, 0.25]
+            transition_distribution(model, [1, 0]), [0.75, 0.25]
         )
 
     def test_clamped_history_keeps_per_lag_matrices(self):
         # A length-1 history clamps both lags to the same source, but lag 2
         # still reads the swap matrix.
         model = worked_glamp()
-        assert np.array_equal(glamp_transition_distribution(model, [0]), [0.25, 0.75])
-        assert np.array_equal(glamp_transition_distribution(model, [1]), [0.75, 0.25])
+        assert np.array_equal(transition_distribution(model, [0]), [0.25, 0.75])
+        assert np.array_equal(transition_distribution(model, [1]), [0.75, 0.25])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
@@ -98,7 +100,7 @@ class TestTransitionDistribution:
             k = int(rng.integers(1, 5))
             model = random_glamp(rng, n, k, int(rng.integers(1, 4)))
             history = [int(x) for x in rng.integers(0, n, size=int(rng.integers(1, 6)))]
-            got = glamp_transition_distribution(model, history)
+            got = transition_distribution(model, history)
             want = ref_glamp_dist(
                 model.w.weights,
                 [m.dense() for m in model.matrices],
@@ -116,25 +118,25 @@ class TestTransitionDistribution:
             history = [int(x) for x in rng.integers(0, n, size=int(rng.integers(1, 7)))]
             assert np.array_equal(
                 transition_distribution(model, history),
-                glamp_transition_distribution(from_lamp(model), history),
+                transition_distribution(same_matrix_twice(rng, model), history),
             )
 
     def test_validation(self):
         model = worked_glamp()
         with pytest.raises(DataError):
-            glamp_transition_distribution(model, [])
+            transition_distribution(model, [])
         with pytest.raises(DataError):
-            glamp_transition_distribution(model, [2])
+            transition_distribution(model, [2])
 
     def test_empty_row_raises(self):
-        model = GlampModel(
+        model = LampModel.per_lag(
             w=HistoryDistribution.from_weights([1.0]),
             matrices=(SparseStochasticMatrix.from_rows(2, [[(1, 1.0)], []]),),
             lag_map=(1,),
             vocab=Vocabulary.from_size(2),
         )
         with pytest.raises(EmptyRowError):
-            glamp_transition_distribution(model, [1])
+            transition_distribution(model, [1])
 
 
 class TestGenerate:
@@ -145,13 +147,13 @@ class TestGenerate:
             model = make_model(random_simplex(rng, 3), random_stochastic_matrix(rng, n))
             assert np.array_equal(
                 generate(model, 0, 200, seed),
-                glamp_generate(from_lamp(model), 0, 200, seed),
+                generate(same_matrix_twice(rng, model), 0, 200, seed),
             )
 
     def test_prefix_extension(self):
         model = worked_glamp()
-        short = glamp_generate(model, 0, 100, seed=5)
-        long = glamp_generate(model, 0, 300, seed=5)
+        short = generate(model, 0, 100, seed=5)
+        long = generate(model, 0, 300, seed=5)
         assert np.array_equal(long[:100], short)
 
     def test_row_draw_follows_the_drawn_lag(self):
@@ -160,7 +162,7 @@ class TestGenerate:
         cycle = np.zeros((3, 3))
         for x in range(3):
             cycle[x, (x + 1) % 3] = 1.0
-        model = GlampModel(
+        model = LampModel.per_lag(
             w=HistoryDistribution.from_weights([0.0, 1.0]),
             matrices=(
                 SparseStochasticMatrix.from_dense(np.full((3, 3), 1.0 / 3.0)),
@@ -169,12 +171,12 @@ class TestGenerate:
             lag_map=(1, 2),
             vocab=Vocabulary.from_size(3),
         )
-        seq = glamp_generate(model, 0, 9, seed=0)
+        seq = generate(model, 0, 9, seed=0)
         assert np.array_equal(seq, [0, 1, 1, 2, 2, 0, 0, 1, 1])
 
     def test_start_validation(self):
         with pytest.raises(DataError):
-            glamp_generate(worked_glamp(), 2, 10, seed=0)
+            generate(worked_glamp(), 2, 10, seed=0)
 
 
 class TestMixtureMatrix:
@@ -184,7 +186,7 @@ class TestMixtureMatrix:
 
     def test_zero_weight_lag_drops_out(self):
         model = worked_glamp()
-        first_only = GlampModel(
+        first_only = LampModel.per_lag(
             w=HistoryDistribution.from_weights([1.0, 0.0]),
             matrices=model.matrices,
             lag_map=(1, 2),
@@ -194,7 +196,7 @@ class TestMixtureMatrix:
 
     def test_single_matrix_mixture_is_that_matrix(self):
         rng = np.random.default_rng(6)
-        model = from_lamp(make_model(random_simplex(rng, 3), random_stochastic_matrix(rng, 4)))
+        model = make_model(random_simplex(rng, 3), random_stochastic_matrix(rng, 4))
         assert np.allclose(mixture_matrix(model).dense(), model.matrices[0].dense(), atol=1e-12)
 
 
@@ -227,7 +229,7 @@ class TestLift:
         # From (i, i) both lags read row i, so the self-loop probability of
         # the doubled state equals the matrix's own self-loop at i.
         eps = 0.2
-        model = from_lamp(make_model([0.5, 0.5], cycle_matrix(4, eps)))
+        model = make_model([0.5, 0.5], cycle_matrix(4, eps))
         lifted = lift_to_kth_order(model)
         q = lifted.Q.dense()
         for i in range(4):
@@ -238,7 +240,7 @@ class TestLift:
         # A periodic mixture does not force a periodic lift: with two lags
         # the doubled states add detours of coprime length, so the lifted
         # walk over a pure cycle is ergodic even though the cycle is not.
-        model = from_lamp(make_model([0.5, 0.5], cycle_matrix(6, 0.0)))
+        model = make_model([0.5, 0.5], cycle_matrix(6, 0.0))
         assert not is_ergodic(model.matrices[0]).ergodic
         lifted = lift_to_kth_order(model)
         assert is_ergodic(lifted.Q).ergodic
@@ -247,16 +249,16 @@ class TestLift:
         dense = np.zeros((4, 4))
         dense[:2, :2] = [[0.6, 0.4], [0.3, 0.7]]
         dense[2:, 2:] = [[0.2, 0.8], [0.5, 0.5]]
-        model = from_lamp(make_model([0.5, 0.5], dense))
+        model = make_model([0.5, 0.5], dense)
         assert is_ergodic(mixture_matrix(model)).reason == "reducible"
         lifted = lift_to_kth_order(model)
         assert is_ergodic(lifted.Q).reason == "reducible"
 
     def test_pure_first_order_weights_inherit_periodicity(self):
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        one_lag = from_lamp(make_model([1.0], swap))
+        one_lag = make_model([1.0], swap)
         assert is_ergodic(lift_to_kth_order(one_lag).Q).reason == "periodic"
-        two_lag = from_lamp(make_model([1.0, 0.0], swap))
+        two_lag = make_model([1.0, 0.0], swap)
         assert not is_ergodic(lift_to_kth_order(two_lag).Q).ergodic
 
     def test_stationary_marginal_matches_mixture(self):
@@ -274,7 +276,7 @@ class TestLift:
     def test_lifted_walk_reproduces_trigram_statistics(self):
         model = worked_glamp()
         steps = 200_000
-        direct = glamp_generate(model, 0, steps, seed=11)
+        direct = generate(model, 0, steps, seed=11)
         lifted = lift_to_kth_order(model)
         walk_model = LampModel(
             w=HistoryDistribution.from_weights([1.0]),
@@ -293,7 +295,7 @@ class TestLift:
             assert abs(direct_freqs.get(gram, 0.0) - walk_freqs.get(gram, 0.0)) <= 0.01
 
     def test_state_count_guard(self):
-        model = GlampModel(
+        model = LampModel.per_lag(
             w=HistoryDistribution.uniform(4),
             matrices=(SparseStochasticMatrix.from_dense(np.full((25, 25), 0.04)),),
             lag_map=(1, 1, 1, 1),
@@ -323,8 +325,8 @@ class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(13)
         model = random_glamp(rng, 4, 3, 2)
-        doc = glamp_model_to_dict(model)
-        back = glamp_model_from_dict(doc)
+        doc = model_to_dict(model)
+        back = model_from_dict(doc)
         assert np.array_equal(back.w.weights, model.w.weights)
         assert back.lag_map == model.lag_map
         assert back.vocab.tokens == model.vocab.tokens
@@ -334,58 +336,64 @@ class TestSerialization:
     def test_save_load_file(self, tmp_path):
         model = worked_glamp()
         path = tmp_path / "model.json"
-        save_glamp_model(model, str(path))
+        save_model(model, str(path))
         text = path.read_text(encoding="utf-8")
         assert text.endswith("\n")
         doc = json.loads(text)
         assert set(doc) == {"k", "w", "n", "vocab", "lag_map", "matrices"}
-        back = load_glamp_model(str(path))
+        back = load_model(str(path))
         assert back.lag_map == (1, 2)
         assert np.array_equal(back.matrices[1].dense(), [[0.0, 1.0], [1.0, 0.0]])
 
-    def test_core_loader_rejects_per_lag_documents(self, tmp_path):
-        path = tmp_path / "model.json"
-        save_glamp_model(worked_glamp(), str(path))
-        with pytest.raises(DataError):
-            load_model(str(path))
+    def test_one_loader_reads_both_shapes(self, tmp_path):
+        single = make_model([0.6, 0.4], np.array([[0.9, 0.1], [0.2, 0.8]]))
+        for model, key in ((single, "matrix"), (worked_glamp(), "matrices")):
+            path = tmp_path / f"{key}.json"
+            save_model(model, str(path))
+            assert key in json.loads(path.read_text(encoding="utf-8"))
+            back = load_model(str(path))
+            assert back.lag_map == model.lag_map
+            assert [m.dense().tolist() for m in back.matrices] == [
+                m.dense().tolist() for m in model.matrices
+            ]
 
-    def test_per_lag_loader_rejects_single_matrix_documents(self, tmp_path):
-        model = make_model([0.6, 0.4], np.array([[0.9, 0.1], [0.2, 0.8]]))
-        path = tmp_path / "model.json"
-        save_model(model, str(path))
-        with pytest.raises(DataError):
-            load_glamp_model(str(path))
+    def test_one_matrix_document_loads_as_single_matrix_model(self):
+        doc = model_to_dict(worked_glamp())
+        doc["matrices"], doc["lag_map"] = doc["matrices"][:1], [1, 1]
+        model = model_from_dict(doc)
+        assert model.n_matrices == 1
+        assert set(model_to_dict(model)) == {"k", "w", "n", "vocab", "matrix"}
 
     def test_malformed_document(self):
-        doc = glamp_model_to_dict(worked_glamp())
+        doc = model_to_dict(worked_glamp())
         del doc["lag_map"]
         with pytest.raises(DataError):
-            glamp_model_from_dict(doc)
+            model_from_dict(doc)
 
 
 class TestValidation:
     def test_lag_map_range(self):
         model = worked_glamp()
         with pytest.raises(DataError):
-            GlampModel(model.w, model.matrices, (1, 3), model.vocab)
+            LampModel.per_lag(model.w, model.matrices, (1, 3), model.vocab)
         with pytest.raises(DataError):
-            GlampModel(model.w, model.matrices, (0, 1), model.vocab)
+            LampModel.per_lag(model.w, model.matrices, (0, 1), model.vocab)
 
     def test_lag_map_length(self):
         model = worked_glamp()
         with pytest.raises(DataError):
-            GlampModel(model.w, model.matrices, (1,), model.vocab)
+            LampModel.per_lag(model.w, model.matrices, (1,), model.vocab)
 
     def test_matrix_sizes_must_agree(self):
         model = worked_glamp()
         odd = SparseStochasticMatrix.from_dense(np.eye(3))
         with pytest.raises(DataError):
-            GlampModel(model.w, (model.matrices[0], odd), (1, 2), model.vocab)
+            LampModel.per_lag(model.w, (model.matrices[0], odd), (1, 2), model.vocab)
 
     def test_vocab_size_must_match(self):
         model = worked_glamp()
         with pytest.raises(DataError):
-            GlampModel(model.w, model.matrices, (1, 2), Vocabulary.from_size(3))
+            LampModel.per_lag(model.w, model.matrices, (1, 2), Vocabulary.from_size(3))
 
     def test_matrix_for_lag_bounds(self):
         model = worked_glamp()
@@ -393,10 +401,17 @@ class TestValidation:
         with pytest.raises(DataError):
             model.matrix_for_lag(3)
 
-    def test_from_lamp_fields(self):
-        base = make_model([0.6, 0.4], np.array([[0.9, 0.1], [0.2, 0.8]]))
-        model = from_lamp(base)
-        assert model.k == 2 and model.n == 2 and model.n_matrices == 1
-        assert model.lag_map == (1, 1)
-        assert model.matrices[0] is base.P
-        assert model.vocab is base.vocab
+    def test_classic_constructor_fields(self):
+        w = HistoryDistribution.from_weights([0.6, 0.4])
+        P = SparseStochasticMatrix.from_dense(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        vocab = Vocabulary.from_size(2)
+        for model in (LampModel(w, P, vocab), LampModel(w=w, P=P, vocab=vocab)):
+            assert model.k == 2 and model.n == 2 and model.n_matrices == 1
+            assert model.matrices == (P,)
+            assert model.lag_map == (1, 1)
+            assert model.P is P
+            assert model.vocab is vocab
+
+    def test_P_needs_a_single_matrix(self):
+        with pytest.raises(DataError):
+            worked_glamp().P
