@@ -11,7 +11,6 @@ uniform distribution, so every conditional is strictly positive.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +24,8 @@ from lamp.core import (
     LogLikelihood,
     Vocabulary,
     _check_vocab,
+    _read_json,
+    _write_json,
 )
 
 __all__ = [
@@ -299,17 +300,8 @@ def ngram_from_dict(doc: dict) -> NgramModel:
 
 
 def save_ngram(model: NgramModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ngram_to_dict(model), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(ngram_to_dict(model), path)
 
 
 def load_ngram(path: str) -> NgramModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    return ngram_from_dict(doc)
+    return ngram_from_dict(_read_json(path, "model file"))

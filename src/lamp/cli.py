@@ -31,6 +31,7 @@ from lamp.core import (
     HistoryDistribution,
     NumericError,
     Vocabulary,
+    _write_json,
     generate,
     load_model,
     log_likelihood,
@@ -83,12 +84,6 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(value) -> str:
     """Render a value exactly as it appears in the JSON output."""
     return json.dumps(value)
-
-
-def _write_json(doc, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
 
 
 def _sha256(path: str) -> str:

@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,7 +73,7 @@ class VocabularyMismatch(DataError):
 
 
 class EmptyRowError(NumericError):
-    """A state with no outgoing transitions was queried during evaluation."""
+    """A state with no outgoing transitions was drawn from or queried."""
 
 
 class NonErgodicError(NumericError):
@@ -141,62 +142,80 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SparseStochasticMatrix:
-    """Row-stochastic matrix stored as per-row sorted (column, probability) arrays.
+    """Row-stochastic matrix in compressed sparse row storage.
 
-    Rows may be empty (a state with no observed outgoing transition); empty
-    rows are valid storage but raise :class:`EmptyRowError` when queried by
-    evaluation or generation.  Non-empty rows must sum to 1 within 1e-9 and
-    every stored probability must be nonnegative.
+    Row x holds the strictly increasing columns ``cols[indptr[x]:indptr[x+1]]``
+    with the matching ``probs``.  The three arrays are stored read-only;
+    :meth:`from_csr` copies them first.  Rows may be empty (a state with no
+    observed outgoing transition): scoring gives an empty row zero mass,
+    while generation and the transition rule raise :class:`EmptyRowError`
+    when they must draw from one.  Non-empty rows must sum to 1 within
+    ``ROW_SUM_TOL`` and every stored probability must be finite and
+    nonnegative.
     """
 
     n: int
-    row_cols: tuple[np.ndarray, ...]
-    row_probs: tuple[np.ndarray, ...]
+    indptr: np.ndarray
+    cols: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise DataError("matrix must have at least one state")
-        if len(self.row_cols) != self.n or len(self.row_probs) != self.n:
-            raise DataError("row arrays must have length n")
-        for x, (cols, probs) in enumerate(zip(self.row_cols, self.row_probs)):
-            if cols.shape != probs.shape:
-                raise DataError(f"row {x}: column and probability arrays differ in length")
-            if cols.size == 0:
-                continue
-            if np.any(cols < 0) or np.any(cols >= self.n):
-                raise DataError(f"row {x}: column index out of range")
-            if np.any(np.diff(cols) <= 0):
-                raise DataError(f"row {x}: columns must be strictly increasing")
-            if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-                raise DataError(f"row {x}: probabilities must be finite and nonnegative")
-            s = float(probs.sum())
-            if abs(s - 1.0) > ROW_SUM_TOL:
-                raise DataError(f"row {x}: probabilities sum to {s!r}, expected 1 within {ROW_SUM_TOL}")
-
-    @classmethod
-    def from_rows(cls, n: int, rows: Sequence[Iterable[tuple[int, float]]]) -> "SparseStochasticMatrix":
-        """Build from per-row iterables of (column, probability) pairs."""
-        row_cols, row_probs = [], []
-        for entries in rows:
-            entries = sorted(entries)
-            cols = _as_readonly(np.array([c for c, _ in entries], dtype=np.int64))
-            probs = _as_readonly(np.array([p for _, p in entries], dtype=np.float64))
-            row_cols.append(cols)
-            row_probs.append(probs)
-        return cls(n, tuple(row_cols), tuple(row_probs))
+        for name, dtype in (("indptr", np.int64), ("cols", np.int64), ("probs", np.float64)):
+            object.__setattr__(self, name, _as_readonly(np.asarray(getattr(self, name), dtype=dtype)))
+        n, indptr, cols, probs = self.n, self.indptr, self.cols, self.probs
+        if indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+            raise DataError(f"indptr must hold n + 1 = {n + 1} nondecreasing offsets from 0")
+        if cols.ndim != 1 or cols.shape != probs.shape or indptr[-1] != cols.size:
+            raise DataError("column and probability arrays differ in length")
+        row = self._entry_rows
+        not_increasing = np.zeros(cols.size, dtype=bool)
+        not_increasing[1:] = (row[1:] == row[:-1]) & (np.diff(cols) <= 0)
+        sums = np.bincount(row, weights=probs, minlength=n)
+        checks = (  # in the order each row is checked; each lists its bad rows ascending
+            ("column index out of range", row[(cols < 0) | (cols >= n)]),
+            ("columns must be strictly increasing", row[not_increasing]),
+            ("probabilities must be finite and nonnegative", row[(probs < 0.0) | ~np.isfinite(probs)]),
+            (None, np.flatnonzero((np.diff(indptr) > 0) & (np.abs(sums - 1.0) > ROW_SUM_TOL))),
+        )
+        bad = [(int(rows[0]), i, reason) for i, (reason, rows) in enumerate(checks) if rows.size]
+        if bad:  # name the first bad row and the first check it fails
+            x, _, reason = min(bad)
+            if reason is None:
+                s = float(self.row(x)[1].sum())
+                reason = f"probabilities sum to {s!r}, expected 1 within {ROW_SUM_TOL}"
+            raise DataError(f"row {x}: {reason}")
 
     @classmethod
     def from_csr(
         cls, n: int, indptr: np.ndarray, cols: np.ndarray, probs: np.ndarray
     ) -> "SparseStochasticMatrix":
         """Build from flat storage: row x holds ``cols[indptr[x]:indptr[x+1]]``
-        (strictly increasing) with the matching ``probs``."""
-        bounds = indptr[1:-1]
-        return cls(
-            n,
-            tuple(_as_readonly(c) for c in np.split(cols, bounds)),
-            tuple(_as_readonly(p) for p in np.split(probs, bounds)),
-        )
+        (strictly increasing) with the matching ``probs``.  The matrix keeps
+        read-only copies, so the caller may keep writing to its arrays."""
+        return cls(n, np.array(indptr), np.array(cols), np.array(probs))
+
+    @classmethod
+    def _from_entries(
+        cls, n: int, rows: np.ndarray, cols: np.ndarray, probs: np.ndarray
+    ) -> "SparseStochasticMatrix":
+        """Build from integer (row, col) entries in any order, with rows in
+        0..n-1.  The stable sort keeps a repeated (row, col) pair adjacent,
+        so validation reports it."""
+        order = np.lexsort((cols, rows))
+        return cls(n, np.searchsorted(rows[order], np.arange(n + 1)), cols[order], probs[order])
+
+    @classmethod
+    def from_rows(cls, n: int, rows: Sequence[Sequence[tuple[int, float]]]) -> "SparseStochasticMatrix":
+        """Build from per-row sequences of (column, probability) pairs."""
+        if len(rows) != n:
+            raise DataError("row arrays must have length n")
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        # Streams the scalars: no per-entry Python objects or lists are made.
+        flat = chain.from_iterable(chain.from_iterable(rows))
+        pairs = np.fromiter(flat, dtype=np.float64, count=2 * int(sizes.sum())).reshape(-1, 2)
+        return cls._from_entries(n, np.repeat(np.arange(n), sizes), pairs[:, 0].astype(np.int64), pairs[:, 1])
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseStochasticMatrix":
@@ -204,13 +223,15 @@ class SparseStochasticMatrix:
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise DataError("dense matrix must be square")
         n = dense.shape[0]
-        rows = [[(int(c), float(dense[x, c])) for c in np.nonzero(dense[x])[0]] for x in range(n)]
-        return cls.from_rows(n, rows)
+        rows, cols = np.nonzero(dense)  # row-major, columns ascending
+        return cls(n, np.searchsorted(rows, np.arange(n + 1)), cols, dense[rows, cols])
 
     def row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (columns, probabilities) views of row x."""
         if not 0 <= x < self.n:
             raise DataError(f"state id {x} out of range for matrix of size {self.n}")
-        return self.row_cols[x], self.row_probs[x]
+        lo, hi = self.indptr[x], self.indptr[x + 1]
+        return self.cols[lo:hi], self.probs[lo:hi]
 
     def prob(self, x: int, y: int) -> float:
         cols, probs = self.row(x)
@@ -221,75 +242,62 @@ class SparseStochasticMatrix:
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        for x in range(self.n):
-            out[x, self.row_cols[x]] = self.row_probs[x]
+        out[self._entry_rows, self.cols] = self.probs
         return out
 
     def empty_rows(self) -> list[int]:
-        return [x for x in range(self.n) if self.row_cols[x].size == 0]
+        return np.flatnonzero(np.diff(self.indptr) == 0).tolist()
 
     @property
     def support_size(self) -> int:
-        return sum(int(c.size) for c in self.row_cols)
+        return int(self.cols.size)
 
-    # Cached flat views used by vectorised lookups and left-multiplication.
-
-    @cached_property
-    def indptr(self) -> np.ndarray:
-        """Row offsets into the flat support storage: row x occupies
-        ``indptr[x]:indptr[x+1]``."""
-        out = np.zeros(self.n + 1, dtype=np.int64)
-        out[1:] = np.cumsum([c.size for c in self.row_cols])
-        return out
+    # Lazy views derived from the flat storage.
 
     @cached_property
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        return rows, np.concatenate(self.row_cols), np.concatenate(self.row_probs)
+    def row_cols(self) -> tuple[np.ndarray, ...]:
+        """Read-only per-row column views."""
+        return tuple(np.split(self.cols, self.indptr[1:-1]))
+
+    @cached_property
+    def row_probs(self) -> tuple[np.ndarray, ...]:
+        """Read-only per-row probability views."""
+        return tuple(np.split(self.probs, self.indptr[1:-1]))
+
+    @cached_property
+    def _entry_rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
     @cached_property
     def _pair_keys(self) -> np.ndarray:
-        rows, cols, _ = self._flat
-        return rows * self.n + cols  # sorted because rows are visited in order and cols ascend
+        return self._entry_rows * self.n + self.cols  # sorted: rows ascend, then columns
 
     def pair_indices(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-        """Indices into flat support storage for (src, tgt) pairs, -1 if absent."""
+        """Indices into the flat storage for (src, tgt) pairs, -1 if absent."""
         keys = src.astype(np.int64) * self.n + tgt.astype(np.int64)
-        pos = np.searchsorted(self._pair_keys, keys)
-        pos = np.minimum(pos, max(self._pair_keys.size - 1, 0))
         if self._pair_keys.size == 0:
             return np.full(keys.shape, -1, dtype=np.int64)
-        hit = self._pair_keys[pos] == keys
-        return np.where(hit, pos, -1)
+        pos = np.minimum(np.searchsorted(self._pair_keys, keys), self._pair_keys.size - 1)
+        return np.where(self._pair_keys[pos] == keys, pos, -1)
 
     def lookup_pairs(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         """Vectorised P(src, tgt); zero for pairs outside the support."""
-        _, _, probs = self._flat
-        idx = self.pair_indices(src, tgt)
-        out = np.zeros(idx.shape)
-        hit = idx >= 0
-        out[hit] = probs[idx[hit]]
-        return out
+        return np.append(self.probs, 0.0)[self.pair_indices(src, tgt)]  # index -1 reads the 0
 
     def left_multiply(self, pi: np.ndarray) -> np.ndarray:
         """Row-vector product pi @ P without densifying."""
-        rows, cols, probs = self._flat
-        out = np.zeros(self.n)
-        np.add.at(out, cols, pi[rows] * probs)
-        return out
+        return np.bincount(self.cols, weights=pi[self._entry_rows] * self.probs, minlength=self.n)
 
     @cached_property
     def _samplers(self) -> tuple[list[list[int]], list[list[float]]]:
-        """Per-row column lists and cumulative probabilities for bisect sampling."""
-        col_lists: list[list[int]] = []
-        cum_lists: list[list[float]] = []
-        for cols, probs in zip(self.row_cols, self.row_probs):
-            cum = np.cumsum(probs)
-            if cum.size:
-                cum[-1] = 1.0  # guard against row sums a few ulp below 1
-            col_lists.append([int(c) for c in cols])
-            cum_lists.append([float(v) for v in cum])
-        return col_lists, cum_lists
+        """Per-row column lists and cumulative probabilities for bisect
+        sampling.  Each row's last cumulative value is pinned to 1, against
+        row sums a few ulp below 1."""
+        cums = [np.cumsum(probs) for probs in self.row_probs]
+        for cum in cums:
+            cum[-1:] = 1.0
+        return [cols.tolist() for cols in self.row_cols], [cum.tolist() for cum in cums]
 
 
 @dataclass(frozen=True)
@@ -538,7 +546,9 @@ def transition_distribution(model: LampModel, history: Sequence[int]) -> np.ndar
 
     Lags that reach past the start of the history clamp to its first element,
     and lag i reads its row from the matrix mapped to it, also when clamped.
-    Entries older than k steps never influence the result.
+    Entries older than k steps never influence the result.  Lags of zero
+    weight are skipped; an empty row read at a positive-weight lag raises
+    :class:`EmptyRowError`.
     """
     if len(history) == 0:
         raise DataError("history must contain at least one state")
@@ -550,6 +560,8 @@ def transition_distribution(model: LampModel, history: Sequence[int]) -> np.ndar
     L = len(hist)
     w = model.w.weights
     for i in range(1, model.k + 1):
+        if w[i - 1] == 0.0:
+            continue
         src = int(hist[L - i]) if i <= L else int(hist[0])
         cols, probs = model.matrix_for_lag(i).row(src)
         if cols.size == 0:
@@ -576,8 +588,7 @@ def _floored_probabilities(
     summed per (position, column) key, one chunk of positions at a time.
     """
     P, n, k = model.P, model.n, model.k
-    _, cols, probs = P._flat
-    indptr, w = P.indptr, model.w.weights
+    indptr, cols, probs, w = P.indptr, P.cols, P.probs, model.w.weights
     sizes = np.diff(indptr)[positions.src]  # stored entries per (position, lag)
     ends = np.cumsum(sizes.sum(axis=1))
     out = np.empty(positions.T)
@@ -616,17 +627,13 @@ def log_likelihood(
     Every position j >= 1 of every sequence is scored, including the early
     positions where lags clamp to the first element.  Passing
     ``floor=EVALUATION_FLOOR`` enables floor smoothing so that no scored
-    transition has probability zero.  Without it, a scored source state with
-    an empty row raises :class:`EmptyRowError`.  A model with several
-    matrices raises :class:`DataError`.
+    transition has probability zero.  Without it, an empty row contributes
+    zero mass, and a position whose mixture probability is zero counts as
+    impossible.  A model with several matrices raises :class:`DataError`.
     """
     _check_vocab(model.vocab, corpus.vocab)
     positions = ScoredPositions(corpus, model.k)
     if floor is None:
-        src = positions.src.ravel()
-        empty = np.flatnonzero(np.diff(model.P.indptr)[src] == 0)
-        if empty.size:  # the first empty source row, position-major, lag-minor
-            raise EmptyRowError(f"state {int(src[empty[0]])} has no outgoing transitions")
         p = positions.lag_probabilities(model.P) @ model.w.weights
     else:
         p = _floored_probabilities(model, positions, floor)
@@ -697,24 +704,28 @@ def generate(model: LampModel, start: int, length: int, seed: int) -> np.ndarray
 
 def _triples(m: SparseStochasticMatrix) -> list:
     """A matrix flattened to [row, col, prob] triples in row-major order."""
-    triples = []
-    for x in range(m.n):
-        cols, probs = m.row(x)
-        triples.extend([int(x), int(c), float(p)] for c, p in zip(cols, probs))
-    return triples
+    return list(map(list, zip(m._entry_rows.tolist(), m.cols.tolist(), m.probs.tolist())))
 
 
 def _matrix(n: int, triples) -> SparseStochasticMatrix:
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    """Parse [row, col, prob] triples in any order.  Row and column indices
+    must be integers in 0..n-1; a repeated (row, col) pair is refused."""
     try:
-        for entry in triples:
-            r, c, p = int(entry[0]), int(entry[1]), float(entry[2])
-            if not (0 <= r < n and 0 <= c < n):
-                raise DataError(f"matrix entry ({r}, {c}) out of range")
-            rows[r].append((c, p))
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        entries = np.asarray(triples, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed matrix entry in model document: {exc}") from exc
-    return SparseStochasticMatrix.from_rows(n, rows)
+    if entries.size and (entries.ndim != 2 or entries.shape[1] != 3):
+        raise DataError("malformed matrix entry in model document: expected [row, col, prob] triples")
+    entries = entries.reshape(-1, 3)  # an empty list too
+    index = entries[:, :2]
+    integral = index == np.floor(index)  # false for nan; inf fails the range test
+    bad = np.flatnonzero(~(integral & (index >= 0) & (index < n)).all(axis=1))
+    if bad.size:
+        r, c = index[bad[0]]
+        reason = "out of range" if integral[bad[0]].all() else "has a non-integral index"
+        raise DataError(f"matrix entry ({r:.15g}, {c:.15g}) {reason}")
+    rows, cols = index.astype(np.int64).T
+    return SparseStochasticMatrix._from_entries(n, rows, cols, entries[:, 2])
 
 
 def model_to_dict(model: LampModel) -> dict:
@@ -764,18 +775,29 @@ def model_from_dict(doc: dict) -> LampModel:
     )
 
 
-def save_model(model: LampModel, path: str) -> None:
+def _write_json(doc, path: str) -> None:
+    """Write a document as compact JSON with sorted keys and a trailing
+    newline, so equal documents give equal bytes."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
+
+
+def save_model(model: LampModel, path: str) -> None:
+    _write_json(model_to_dict(model), path)
+
+
+def _read_json(path: str, what: str):
+    """Parse a JSON file; an unreadable or malformed file is a DataError
+    naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def load_model(path: str) -> LampModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+    return model_from_dict(_read_json(path, "model file"))

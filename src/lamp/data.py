@@ -5,13 +5,12 @@ and a JSON cache for preprocessed corpora.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from lamp.core import Corpus, DataError, Vocabulary
+from lamp.core import Corpus, DataError, Vocabulary, _read_json, _write_json
 
 __all__ = [
     "LoadReport",
@@ -97,19 +96,11 @@ def save_corpus_cache(corpus: Corpus, path: str) -> None:
     }
     if corpus.vocab.rare_token is not None:
         doc["rare_token"] = corpus.vocab.rare_token
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def load_corpus_cache(path: str) -> Corpus:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read corpus cache {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"corpus cache {path} is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "corpus cache")
     try:
         tokens = [str(t) for t in doc["vocab"]]
         sequences = doc["sequences"]

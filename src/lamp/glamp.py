@@ -117,7 +117,10 @@ def lift_to_kth_order(
             index[h] = len(states)
             states.append(h)
             queue.append(h)
-    rows: list[list[tuple[int, float]]] = []
+    # Q in flat form: row s, the next-tuple law of states[s], has q_sizes[s] entries.
+    q_sizes: list[int] = []
+    q_cols: list[int] = []
+    q_probs: list[float] = []
     while queue:
         h = queue.popleft()
         acc: dict[int, float] = {}
@@ -131,14 +134,17 @@ def lift_to_kth_order(
             for c, p in zip(cols, probs):
                 if p > 0.0:
                     acc[int(c)] = acc.get(int(c), 0.0) + wi * float(p)
-        entries: list[tuple[int, float]] = []
-        for y, p in acc.items():
+        for y in acc:
             nxt = h[1:] + (y,)
             if nxt not in index:
                 index[nxt] = len(states)
                 states.append(nxt)
                 queue.append(nxt)
-            entries.append((index[nxt], p))
-        rows.append(entries)
-    Q = SparseStochasticMatrix.from_rows(len(states), rows)
+            q_cols.append(index[nxt])
+        q_probs.extend(acc.values())
+        q_sizes.append(len(acc))
+    m = len(states)
+    Q = SparseStochasticMatrix._from_entries(
+        m, np.repeat(np.arange(m), q_sizes), np.array(q_cols, dtype=np.int64), np.array(q_probs)
+    )
     return LiftedChain(n=n, states=tuple(states), index=index, Q=Q)

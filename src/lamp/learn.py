@@ -558,14 +558,12 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     w = HistoryDistribution.geometric(cfg.init_decay, cfg.k).weights.copy()
     stats = ScoredPositions(corpus, cfg.k)
     n = len(corpus.vocab)
-    row_cols = [P0.row_cols[x] for x in range(n)]
-    row_q = [P0.row_probs[x].copy() for x in range(n)]
-
-    def current_matrix() -> SparseStochasticMatrix:
-        return SparseStochasticMatrix.from_csr(n, P0.indptr, np.concatenate(row_cols), np.concatenate(row_q))
+    indptr, cols = P0.indptr, P0.cols
+    q = P0.probs.copy()  # every P half updates this flat array in place
+    blocks = np.flatnonzero(np.diff(indptr) > 1).tolist()  # rows with a choice to make
 
     def active_size() -> int:
-        return int(np.count_nonzero(w > 0)) + sum(int(np.count_nonzero(q > 0)) for q in row_q)
+        return int(np.count_nonzero(w > 0)) + int(np.count_nonzero(q > 0))
 
     matrix = P0
     A, denom = _mixture(stats, matrix, w)
@@ -595,27 +593,22 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
             if cfg.weight_only:
                 continue
             worst = 0.0
-            for x in range(n):
-                if row_cols[x].size <= 1:
-                    continue
-                inputs = _row_block_inputs(stats, x, row_cols[x], row_q[x], w, denom)
+            for x in blocks:
+                lo, hi = indptr[x], indptr[x + 1]
+                inputs = _row_block_inputs(stats, x, cols[lo:hi], q[lo:hi], w, denom)
                 if inputs is None:
                     continue
                 upos, m, cidx, base = inputs
-                obj = _RowObjective(base, m, cidx, int(row_cols[x].size), cfg.prior_count)
-                res = optimize_simplex_block(obj.value, obj.derivatives, row_q[x], cfg)
-                row_q[x] = res.point
+                obj = _RowObjective(base, m, cidx, int(hi - lo), cfg.prior_count)
+                res = optimize_simplex_block(obj.value, obj.derivatives, q[lo:hi], cfg)
+                q[lo:hi] = res.point
                 denom[upos] = base + m * res.point[cidx]
                 worst = max(worst, res.kkt_residual)
-            matrix = current_matrix()
+            matrix = SparseStochasticMatrix.from_csr(n, indptr, cols, q)
             A, denom = _mixture(stats, matrix, w)
             records.append(record("P", worst, time.perf_counter() - t0))
 
     if records[-1].log_likelihood < records[0].log_likelihood - 1e-9:
         raise NumericError("training decreased the log-likelihood; numeric failure")
-    model = LampModel(
-        w=HistoryDistribution(w),
-        P=matrix if not cfg.weight_only else P0,
-        vocab=corpus.vocab,
-    )
+    model = LampModel(w=HistoryDistribution(w), P=matrix, vocab=corpus.vocab)
     return model, TrainReport(tuple(records), final_model=model)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -101,6 +102,9 @@ EXIT_CODES = [
                                   worked_corpus(t), "--output", str(t / "e.json")], 2),
     ("model-short-triple", lambda t: ["evaluate", save_edited_worked_model(
         t, lambda doc: doc["matrix"][0].pop()), worked_corpus(t), "--output", str(t / "e.json")], 2),
+    ("model-fractional-index", lambda t: ["evaluate", save_edited_worked_model(
+        t, lambda doc: doc["matrix"][3].__setitem__(1, 1.5)), worked_corpus(t),
+        "--output", str(t / "e.json")], 2),
     ("model-both-shapes", lambda t: ["evaluate", save_edited_worked_model(
         t, lambda doc: doc.update(matrices=[doc["matrix"]], lag_map=[1, 1])), worked_corpus(t),
         "--output", str(t / "e.json")], 2),
@@ -223,6 +227,34 @@ def test_train_weight_only_never_touches_matrix(capsys, tmp_path):
     assert {r["block"] for r in records} == {"init", "w"}
 
 
+#: A corpus whose trained model keeps explicit zeros, a zero lag weight and
+#: the empty rows of d and e, which only end sequences.
+GOLDEN_CORPUS = (
+    "a b c a b c a b d\n"
+    "b c a b c a b c e\n"
+    "c a b c a a b c a b\n"
+    "a b c b a c a b c d\n"
+)
+
+
+def test_train_writes_frozen_bytes(capsys, tmp_path):
+    corpus_path = write_corpus_text(tmp_path, GOLDEN_CORPUS)
+    out = tmp_path / "model.json"
+    code, _, err = run(capsys, ["train", corpus_path, "--output", str(out), "--k", "3",
+                                "--rounds", "2.5"])
+    assert code == 0, err
+    doc = json.loads(out.read_text())
+    assert doc["w"][-1] == 0.0
+    assert [0, 3, 0.0] in doc["matrix"]
+    assert {t[0] for t in doc["matrix"]} == {0, 1, 2}
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("model.json", "model.report.jsonl")}
+    assert digests == {
+        "model.json": "dcad9a0d6efa0862972102356f5c14e398e9c542df2def0c5c6084517d110354",
+        "model.report.jsonl": "4373c32df0d00eb38d5dc5109094bfa7e38f2f78d019238e756291aaa507473b",
+    }
+
+
 def test_train_reads_text_whose_first_token_starts_with_a_brace(capsys, tmp_path):
     # Only '{"' marks a corpus cache; a text token may start with '{'.
     corpus_path = write_corpus_text(tmp_path, "{x a b\na b a\n", name="c.txt")
@@ -294,6 +326,27 @@ def test_evaluate_floor_toggles_impossible_transitions(capsys, tmp_path):
     doc2 = json.loads(open(out2).read())
     assert doc2["perplexity"] == pytest.approx(1e10)
     assert doc2["floor"] == 1e-10
+
+
+def test_evaluate_held_out_empty_row_is_impossible(capsys, tmp_path):
+    # c only ends training sequences, so its trained row is empty: held-out
+    # scoring gives it zero mass, while sampling from it is a numeric error.
+    model_path = str(tmp_path / "m.json")
+    train = write_corpus_text(tmp_path, "a b c\na b a b c\n")
+    code, _, err = run(capsys, ["train", train, "--output", model_path, "--k", "2"])
+    assert code == 0, err
+    out = tmp_path / "eval.json"
+    held_out = write_corpus_text(tmp_path, "c a b\n", name="test.txt")
+    code, stdout, err = run(capsys, ["evaluate", model_path, held_out, "--output", str(out)])
+    assert code == 0, err
+    assert '"perplexity":Infinity' in out.read_text()
+    doc = json.loads(out.read_text())
+    assert (doc["impossible_transitions"], doc["scored_transitions"]) == (1, 2)
+    assert stdout.startswith("evaluate: perplexity=Infinity impossible=1 ")
+    code, _, err = run(capsys, ["generate", model_path, "--start", "c",
+                                "--output", str(tmp_path / "g.json")])
+    assert code == 3
+    assert "state 2 has no outgoing transitions" in err
 
 
 # ---------------------------------------------------------------------------

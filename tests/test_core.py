@@ -69,15 +69,80 @@ def test_vocabulary_validation():
         Vocabulary.from_tokens(["a"]).token(5)
 
 
-def test_matrix_validation():
-    with pytest.raises(DataError):
-        SparseStochasticMatrix.from_rows(2, [[(0, 0.5), (1, 0.6)], [(0, 1.0)]])
-    with pytest.raises(DataError):
-        SparseStochasticMatrix.from_rows(2, [[(0, -0.1), (1, 1.1)], [(0, 1.0)]])
-    with pytest.raises(DataError):
-        SparseStochasticMatrix.from_rows(2, [[(0, 0.5), (0, 0.5)], [(0, 1.0)]])
-    with pytest.raises(DataError):
-        SparseStochasticMatrix.from_rows(2, [[(5, 1.0)], [(0, 1.0)]])
+def rows_matrix(n, rows):
+    return lambda: SparseStochasticMatrix.from_rows(n, rows)
+
+
+def csr_matrix(n, indptr, cols, probs):
+    return lambda: SparseStochasticMatrix.from_csr(
+        n, np.array(indptr), np.array(cols), np.array(probs, dtype=float)
+    )
+
+
+def loaded_matrix(triples):
+    doc = {"k": 1, "w": [1.0], "n": 2, "vocab": ["s0", "s1"], "matrix": triples}
+    return lambda: core.model_from_dict(doc)
+
+
+#: (id, builder of a bad matrix, expected DataError message).  Rows name the
+#: first bad row; within a row the checks run in the order length, range,
+#: strictly increasing, finite and nonnegative, row sum.
+BAD_MATRICES = [
+    ("no-states", csr_matrix(0, [0], [], []), "at least one state"),
+    ("row-count", rows_matrix(3, [[(0, 1.0)], [(1, 1.0)]]), "row arrays must have length n"),
+    ("indptr-length", csr_matrix(2, [0, 1], [0], [1.0]), r"indptr must hold n \+ 1 = 3"),
+    ("indptr-decreasing", csr_matrix(2, [0, 2, 1], [0, 1], [0.5, 0.5]), "nondecreasing offsets"),
+    ("array-lengths", csr_matrix(2, [0, 1, 2], [0, 1], [1.0, 1.0, 0.0]), "differ in length"),
+    ("column-range", rows_matrix(2, [[(5, 1.0)], [(0, 1.0)]]), "^row 0: column index out of range"),
+    ("negative-column", csr_matrix(2, [0, 1, 2], [0, -1], [1.0, 1.0]), "^row 1: column index out of range"),
+    ("repeated-column", rows_matrix(2, [[(0, 0.5), (0, 0.5)], [(0, 1.0)]]),
+     "^row 0: columns must be strictly increasing"),
+    ("decreasing-columns", csr_matrix(2, [0, 0, 2], [1, 0], [0.5, 0.5]),
+     "^row 1: columns must be strictly increasing"),
+    ("negative-prob", rows_matrix(2, [[(0, -0.1), (1, 1.1)], [(0, 1.0)]]),
+     "^row 0: probabilities must be finite and nonnegative"),
+    ("nan-prob", csr_matrix(2, [0, 1, 2], [0, 1], [1.0, float("nan")]),
+     "^row 1: probabilities must be finite and nonnegative"),
+    ("row-sum", rows_matrix(2, [[(0, 0.5), (1, 0.6)], [(0, 1.0)]]),
+     "^row 0: probabilities sum to 1.1, expected 1 within 1e-09"),
+    ("first-bad-row-wins", rows_matrix(3, [[(0, 1.0)], [(0, 0.5)], [(7, 1.0)]]),
+     "^row 1: probabilities sum to 0.5"),
+    ("range-before-sign", rows_matrix(2, [[(9, -1.0), (1, 2.0)], [(0, 1.0)]]),
+     "^row 0: column index out of range"),
+    ("loader-fractional-index", loaded_matrix([[0, 0.5, 1.0], [1, 0, 1.0]]),
+     r"matrix entry \(0, 0.5\) has a non-integral index"),
+    ("loader-out-of-range", loaded_matrix([[0, 0, 1.0], [1, 7, 1.0]]),
+     r"matrix entry \(1, 7\) out of range"),
+    ("loader-negative-row", loaded_matrix([[-1, 0, 1.0]]), r"matrix entry \(-1, 0\) out of range"),
+    ("loader-nan-index", loaded_matrix([[0, 0, 1.0], [None, 0, 1.0]]), "non-integral index"),
+    ("loader-short-triple", loaded_matrix([[0, 0, 1.0], [1, 0]]), "malformed matrix entry"),
+    ("loader-repeated-pair", loaded_matrix([[1, 0, 1.0], [0, 1, 0.5], [0, 1, 0.5]]),
+     "^row 0: columns must be strictly increasing"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", [pytest.param(b, m, id=name) for name, b, m in BAD_MATRICES]
+)
+def test_matrix_validation(build, message):
+    with pytest.raises(DataError, match=message):
+        build()
+
+
+def test_loader_orders_triples_and_keeps_explicit_zeros():
+    model = loaded_matrix([[1, 1, 0.75], [0, 1, 0.0], [1, 0, 0.25], [0, 0, 1.0]])()
+    assert core.model_to_dict(model)["matrix"] == [
+        [0, 0, 1.0], [0, 1, 0.0], [1, 0, 0.25], [1, 1, 0.75]
+    ]
+
+
+def test_matrix_storage_is_read_only_and_never_aliased():
+    cols, probs = np.array([1, 0, 1]), np.array([1.0, 0.25, 0.75])
+    m = SparseStochasticMatrix.from_csr(2, np.array([0, 1, 3]), cols, probs)
+    probs[0] = 0.5  # the caller keeps a writable buffer
+    assert m.prob(0, 1) == 1.0
+    for arr in (m.indptr, m.cols, m.probs, *m.row(1), m.row_cols[1], m.row_probs[1]):
+        assert not arr.flags.writeable
 
 
 def test_matrix_accessors_and_empty_rows():
@@ -213,6 +278,14 @@ def test_transition_distribution_errors():
         core.transition_distribution(holey, [1])
 
 
+def test_transition_distribution_skips_zero_weight_lags():
+    # Row 1 is empty and only the zero-weight lag 2 reads it.
+    holey = make_model([1.0, 0.0], np.array([[0.0, 1.0], [0.0, 0.0]]))
+    np.testing.assert_array_equal(core.transition_distribution(holey, [1, 0]), [0.0, 1.0])
+    with pytest.raises(EmptyRowError):
+        core.transition_distribution(holey, [0, 1])
+
+
 # ---------------------------------------------------------------------------
 # log_likelihood and perplexity
 
@@ -283,24 +356,29 @@ def test_floor_smoothing_matches_dense_recomputation():
 
 
 def test_floor_smoothing_covers_empty_rows():
-    # State 1 has no outgoing transitions: plain evaluation refuses, the
-    # floored evaluation treats the row as all zeros and still normalizes.
+    # State 1 has no outgoing transitions: both evaluations treat its row as
+    # all zeros.  Plain scoring counts the position as impossible, floored
+    # scoring still normalizes.
     model = make_model([1.0], np.array([[0.0, 1.0], [0.0, 0.0]]))
     corpus = make_corpus(model, [[1, 0]])
-    with pytest.raises(EmptyRowError):
-        core.log_likelihood(model, corpus)
+    plain = core.log_likelihood(model, corpus)
+    assert (plain.total, plain.impossible_transitions) == (-math.inf, 1)
+    assert plain.perplexity() == math.inf
     got = core.log_likelihood(model, corpus, floor=core.EVALUATION_FLOOR)
     assert got.total == pytest.approx(math.log(0.5), abs=1e-9)
 
 
-def test_empty_row_error_names_first_source_in_position_order():
-    # Rows 1 and 2 are empty.  Position-major, lag-minor order reaches state
-    # 2 (lag 1 of position 2) before state 1 (lag 1 of position 3).
+def test_empty_rows_contribute_zero_mass():
+    # Rows 1 and 2 are empty.  A position is impossible only when every
+    # positive-weight lag reads an empty row or misses the target: (0, 2, 1, 0)
+    # scores 0->2 at 0.5 * 0 + 0.5 * 0, 2->1 at 0.5 * 0 + 0.5 * P(0, 1) = 0.5,
+    # and 1->0 from the empty rows 1 and 2.
     P = np.zeros((3, 3))
     P[0, 1] = 1.0
     model = make_model([0.5, 0.5], P)
-    with pytest.raises(EmptyRowError, match="state 2 "):
-        core.log_likelihood(model, make_corpus(model, [[0, 0], [0, 2, 1, 0]]))
+    got = core.log_likelihood(model, make_corpus(model, [[0, 1], [0, 2, 1, 0]]))
+    assert got.per_sequence == (0.0, -math.inf)
+    assert (got.scored_transitions, got.impossible_transitions) == (4, 2)
 
 
 @st.composite
@@ -349,13 +427,7 @@ def test_scoring_kernel_matches_dense_oracle(data):
     for got, seq in zip(floored.per_sequence, seqs):
         assert close(got, ref_floored_log_likelihood(w, P, [seq], floor))
 
-    # Every state of a sequence but its last is the source of some scored
-    # position at some lag.
-    sources = {x for seq in seqs for x in seq[:-1]}
-    if sources & set(model.P.empty_rows()):
-        with pytest.raises(EmptyRowError):
-            core.log_likelihood(model, corpus)
-        return
+    # Empty rows contribute zero mass, as in the dense oracle.
     plain = core.log_likelihood(model, corpus)
     impossible = 0
     for got, seq in zip(plain.per_sequence, seqs):
