@@ -4,14 +4,21 @@ Covers stationary distributions, ergodicity classification, exact mixing
 times by dense powering, simulation of the exponent (renewal) process that
 drives the model's equilibrium behavior, Bernstein-type constants, and the
 resulting mixing-time bound for the history-mixture process.
+
+Ergodicity is a breadth-first search over the CSR arrays, forwards and over
+the reversed edges, with the period taken as one gcd over all edges.  The
+mixing time brackets the first crossing of delta with giant steps of P^8,
+finds it with unit steps by P, and certifies it with giant-step probes (see
+:func:`mixing_time`).  It can depart from a stepwise search over
+P^t = P^(t-1) P only where d(t) ties delta to within rounding, about 1 ulp.
+The analyses that need an ergodic matrix name its first empty row, when it
+has one, as the cause.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -22,6 +29,7 @@ from lamp.core import (
     NonErgodicError,
     NumericError,
     SparseStochasticMatrix,
+    _row_entries,
     generate,
 )
 
@@ -49,6 +57,12 @@ MIXING_STATE_GUARD = 2000
 #: Hard cap on powering steps before declaring non-convergence.
 _MIXING_HORIZON = 1_000_000
 
+#: Powers of P per giant step of the mixing-time search: three squarings.
+_GIANT_STEP = 8
+
+#: Entries per row block when total variation is taken over a dense power.
+_TV_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class ErgodicityReport:
@@ -64,23 +78,18 @@ class ErgodicityReport:
             raise DataError("ergodic flag inconsistent with reason")
 
 
-def _positive_adjacency(P: SparseStochasticMatrix) -> list[np.ndarray]:
-    """Out-neighbour lists over entries with strictly positive probability."""
-    return [
-        cols[probs > 0.0] for cols, probs in zip(P.row_cols, P.row_probs)
-    ]
-
-
-def _bfs_levels(adj: list[Iterable[int]], n: int, root: int = 0) -> np.ndarray:
+def _levels(indptr: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Breadth-first distance from state 0 over a CSR digraph, -1 where
+    unreachable; one vectorized step per frontier."""
     level = np.full(n, -1, dtype=np.int64)
-    level[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(int(v))
+    level[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        nbrs = cols[_row_entries(indptr, frontier)[1]]
+        frontier = np.unique(nbrs[level[nbrs] < 0])
+        level[frontier] = depth
     return level
 
 
@@ -88,29 +97,56 @@ def is_ergodic(P: SparseStochasticMatrix) -> ErgodicityReport:
     """Classify the support digraph of P.
 
     Irreducibility is strong connectivity of the positive-probability edge
-    set; aperiodicity is a period of 1, computed as the gcd of
+    set: every state is reached from state 0 forwards and backwards.
+    Aperiodicity is a period of 1, computed as the gcd of
     level(u) + 1 - level(v) over all edges (u, v) with BFS levels from
     state 0.
     """
     n = P.n
-    adj = _positive_adjacency(P)
-    forward = _bfs_levels(adj, n)
+    src, dst = P._entry_rows, P.cols
+    positive = P.probs > 0.0
+    if not positive.all():  # stored zeros are not edges; copy only then
+        src, dst = src[positive], dst[positive]
+    forward = _levels(np.searchsorted(src, np.arange(n + 1)), dst, n)
     if np.any(forward < 0):
         return ErgodicityReport(False, "reducible")
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        for v in adj[u]:
-            radj[int(v)].append(u)
-    backward = _bfs_levels(radj, n)
+    into = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
+    backward = _levels(into, src[np.argsort(dst, kind="stable")], n)
     if np.any(backward < 0):
         return ErgodicityReport(False, "reducible")
-    period = 0
-    for u in range(n):
-        for v in adj[u]:
-            period = math.gcd(period, int(forward[u]) + 1 - int(forward[v]))
-    if period != 1:
+    gap = forward[src]  # level(u) + 1 - level(v) over the edges (u, v), in place
+    gap += 1
+    gap -= forward[dst]
+    if np.gcd.reduce(gap) != 1:
         return ErgodicityReport(False, "periodic")
     return ErgodicityReport(True, "ergodic")
+
+
+def _require_ergodic(P: SparseStochasticMatrix) -> None:
+    """Raise NonErgodicError unless P is ergodic, naming the first empty row
+    when there is one."""
+    empty = np.flatnonzero(np.diff(P.indptr) == 0)
+    if empty.size:
+        x = int(empty[0])
+        raise NonErgodicError(
+            f"matrix is not ergodic: state {x} has no outgoing transitions", empty_state=x
+        )
+    report = is_ergodic(P)
+    if not report.ergodic:
+        raise NonErgodicError(f"matrix is not ergodic: {report.reason}")
+
+
+def _power_iteration(
+    P: SparseStochasticMatrix, tol: float = 1e-12, max_iters: int = 500_000
+) -> np.ndarray:
+    """:func:`stationary_distribution` for a P already known to be ergodic."""
+    pi = np.full(P.n, 1.0 / P.n)
+    for _ in range(max_iters):
+        nxt = P.left_multiply(pi)
+        if float(np.abs(nxt - pi).sum()) <= tol:
+            return nxt / nxt.sum()
+        pi = nxt
+    raise NumericError(f"power iteration did not reach {tol} in {max_iters} iterations")
 
 
 def stationary_distribution(
@@ -125,61 +161,90 @@ def stationary_distribution(
     """
     if tol <= 0.0:
         raise DataError("tol must be positive")
-    report = is_ergodic(P)
-    if not report.ergodic:
-        raise NonErgodicError(f"matrix is not ergodic: {report.reason}")
-    pi = np.full(P.n, 1.0 / P.n)
-    for _ in range(max_iters):
-        nxt = P.left_multiply(pi)
-        if float(np.abs(nxt - pi).sum()) <= tol:
-            return nxt / nxt.sum()
-        pi = nxt
-    raise NumericError(f"power iteration did not reach {tol} in {max_iters} iterations")
+    _require_ergodic(P)
+    return _power_iteration(P, tol, max_iters)
+
+
+def _worst_tv(M: np.ndarray, pi: np.ndarray, buf: np.ndarray) -> float:
+    """max_z TV(M[z], pi), a block of rows at a time; each row's sum is the
+    same pairwise sum as over the whole matrix."""
+    rows = buf.shape[0]
+    worst = 0.0
+    for lo in range(0, M.shape[0], rows):
+        block = buf[: min(rows, M.shape[0] - lo)]
+        np.subtract(M[lo:lo + rows], pi, out=block)
+        np.abs(block, out=block)
+        worst = max(worst, float(block.sum(axis=1).max()))
+    return 0.5 * worst
 
 
 def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
-    """Smallest t with worst-start total variation TV(P^t(z, .), pi) <= delta.
+    """Smallest t with worst-start total variation d(t) = max_z TV(P^t(z, .), pi) <= delta.
 
-    TV is never expanded by a further P step, so the first crossing time is
-    the mixing time; powering continues past it until TV falls to delta/10
-    (or a 10 * n * t horizon) to certify that the threshold stays satisfied.
+    d(t) never increases with t, so the first crossing time is the mixing
+    time, and it is bracketed by giant steps of G = P^8 (three squarings):
+    the search walks P^8, P^16, ... to the first power with d <= delta,
+    then takes unit steps by P from the last giant step whose d was above
+    delta (from P^0 = I if none).  From the crossing it resumes giant steps
+    to certify that the threshold stays satisfied: every probe must have
+    d <= delta, and certification ends once d <= delta/10 or t reaches the
+    10 * n * t horizon.  At most four dense n x n buffers are
+    live (P, G and two ping-pong powers); TV is taken a row block at a time.
+
+    The powers are formed in a different order from the stepwise products
+    P^t = P^(t-1) P, so d(t) may differ from theirs by rounding: the result
+    can differ from the stepwise search only where d(t) ties delta to
+    within that rounding, about 1 ulp.
     """
     if delta <= 0.0:
         raise DataError("delta must be positive")
-    if P.n > MIXING_STATE_GUARD:
+    n = P.n
+    if n > MIXING_STATE_GUARD:
         raise DataError(
             f"dense mixing-time computation is limited to n <= {MIXING_STATE_GUARD}"
         )
-    report = is_ergodic(P)
-    if not report.ergodic:
-        raise NonErgodicError(f"matrix is not ergodic: {report.reason}")
+    _require_ergodic(P)
     if delta >= 1.0:
         return 0
-    pi = stationary_distribution(P)
-    dense = P.dense()
-    M = np.eye(P.n)
+    pi = _power_iteration(P)
+    buf = np.empty((max(1, _TV_BLOCK // n), n))
+    step = P.dense()
+    giant, a, b = np.empty_like(step), np.empty_like(step), np.empty_like(step)
+    np.matmul(step, step, out=a)
+    np.matmul(a, a, out=b)
+    np.matmul(b, b, out=giant)
 
-    def tv(mat: np.ndarray) -> float:
-        return 0.5 * float(np.max(np.abs(mat - pi).sum(axis=1)))
-
-    t = 0
-    t_first = None
-    while True:
-        if t_first is None and t > _MIXING_HORIZON:
+    # Search: lo holds P^base (None for I) and hi P^(base + 8), ping-ponging a and b.
+    base, lo, hi = 0, None, b
+    np.copyto(hi, giant)
+    while _worst_tv(hi, pi, buf) > delta:
+        if base > _MIXING_HORIZON:
             raise NumericError("mixing-time horizon exceeded")
-        M = M @ dense
-        t += 1
-        d = tv(M)
-        if t_first is None:
-            if d <= delta:
-                t_first = t
-        else:
-            if d > delta:
-                raise NumericError(
-                    "total variation rose back above delta during certification"
-                )
-            if d <= delta / 10.0 or t >= 10 * P.n * t_first:
-                return t_first
+        base += _GIANT_STEP
+        free = a if lo is None else lo
+        np.matmul(hi, giant, out=free)
+        lo, hi = hi, free
+    # Unit steps by P from P^base to the first crossing, then giant steps from
+    # it; each product goes to the spare buffer (b is free while cur is P).
+    if lo is None:
+        cur, spare = step, a
+    else:
+        np.matmul(lo, step, out=hi)
+        cur, spare = hi, lo
+    t, d = base + 1, _worst_tv(cur, pi, buf)
+    while d > delta:
+        np.matmul(cur, step, out=spare)
+        cur, spare = spare, (b if cur is step else cur)
+        t, d = t + 1, _worst_tv(cur, pi, buf)
+    t_first = t
+    while d > delta / 10.0 and t < 10 * n * t_first:
+        np.matmul(cur, giant, out=spare)
+        cur, spare = spare, (b if cur is step else cur)
+        t += _GIANT_STEP
+        d = _worst_tv(cur, pi, buf)
+        if d > delta:
+            raise NumericError("total variation rose back above delta during certification")
+    return t_first
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +293,16 @@ def _simulate_exponent_matrix(
     """
     if t_max < 1:
         raise DataError("t_max must be at least 1")
-    m = len(seeds)
     cum = np.asarray(w._cum)
-    lags = np.empty((m, max(t_max - 1, 0)), dtype=np.int64)
+    out = np.empty((len(seeds), t_max), dtype=np.int64)
     for r, seed in enumerate(seeds):
         u = np.random.default_rng(seed).random(t_max - 1)
-        lags[r] = np.searchsorted(cum, u, side="right") + 1
-    e = np.zeros((m, t_max + 1), dtype=np.int64)
-    e[:, 1] = 1
-    rows = np.arange(m)
-    for t in range(2, t_max + 1):
-        back = np.maximum(t - lags[:, t - 2], 0)  # e_s = 0 for s <= 0
-        e[:, t] = e[rows, back] + 1
-    return e[:, 1:]
+        # e holds k zeros for e_s, s <= 0, then e_1 = 1; e[-lag] is e_{t - lag}.
+        e = [0] * w.k + [1]
+        for lag in (np.searchsorted(cum, u, side="right") + 1).tolist():
+            e.append(e[-lag] + 1)
+        out[r] = e[w.k:]
+    return out
 
 
 def simulate_exponent_process(w: HistoryDistribution, t_max: int, seed: int) -> ExponentTrace:
@@ -377,9 +439,7 @@ def empirical_state_distribution(
         raise DataError("steps must be at least 1")
     if burn_in < 0:
         raise DataError("burn_in must be nonnegative")
-    report = is_ergodic(model.P)
-    if not report.ergodic:
-        raise NonErgodicError(f"matrix is not ergodic: {report.reason}")
+    _require_ergodic(model.P)
     counts = np.zeros(model.n)
     if many_runs:
         for i in range(steps):

@@ -17,6 +17,7 @@ divergence, undefined quantities).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -29,6 +30,7 @@ from lamp.core import (
     DataError,
     EVALUATION_FLOOR,
     HistoryDistribution,
+    NonErgodicError,
     NumericError,
     Vocabulary,
     _write_json,
@@ -283,12 +285,27 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _naming_empty_state(vocab: Vocabulary):
+    """Re-raise a NonErgodicError caused by an empty row with the state's token."""
+    try:
+        yield
+    except NonErgodicError as exc:
+        if exc.empty_state is None:
+            raise
+        token = vocab.token(exc.empty_state)
+        raise NonErgodicError(
+            f"matrix is not ergodic: state {token!r} has no outgoing transitions", exc.empty_state
+        ) from None
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     sub = args.analyze_command
     if sub == "stationary":
         model = load_model(args.model)
-        pi = stationary_distribution(model.P, tol=args.tol)
+        with _naming_empty_state(model.vocab):
+            pi = stationary_distribution(model.P, tol=args.tol)
         doc = {"model": args.model, "tol": args.tol, "stationary": [float(p) for p in pi]}
         _write_json(doc, args.output)
         summary = {"stationary": doc["stationary"]}
@@ -296,7 +313,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"analyze stationary: pi={_fmt(doc['stationary'])} -> {args.output}")
     elif sub == "mixing":
         model = load_model(args.model)
-        t_mix = mixing_time(model.P, args.delta)
+        with _naming_empty_state(model.vocab):
+            t_mix = mixing_time(model.P, args.delta)
         doc = {"model": args.model, "delta": args.delta, "mixing_time": t_mix}
         _write_json(doc, args.output)
         summary = {"mixing_time": t_mix, "delta": args.delta}
@@ -338,7 +356,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     else:  # bound
         model = load_model(args.model)
-        bound = lamp_mixing_bound(model.w, model.P, args.delta, args.epsilon, args.T)
+        with _naming_empty_state(model.vocab):
+            bound = lamp_mixing_bound(model.w, model.P, args.delta, args.epsilon, args.T)
         doc = {"model": args.model, **asdict(bound)}
         _write_json(doc, args.output)
         summary = {"bound": bound.bound, "confidence": bound.confidence}

@@ -77,7 +77,15 @@ class EmptyRowError(NumericError):
 
 
 class NonErgodicError(NumericError):
-    """An operation that requires an ergodic matrix received a non-ergodic one."""
+    """An operation that requires an ergodic matrix received a non-ergodic one.
+
+    ``empty_state`` is the first state with no outgoing transitions when
+    that is the cause, else None.
+    """
+
+    def __init__(self, message: str, empty_state: int | None = None) -> None:
+        super().__init__(message)
+        self.empty_state = empty_state
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +146,17 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every stored entry of the CSR rows ``rows``, in order: (owner, entry),
+    where ``entry`` indexes the flat storage and ``owner`` the position in
+    ``rows`` whose row holds it."""
+    counts = indptr[rows + 1] - indptr[rows]
+    owner = np.repeat(np.arange(rows.size), counts)
+    entry = np.repeat(indptr[rows] - (np.cumsum(counts) - counts), counts)
+    entry += np.arange(entry.size)
+    return owner, entry
 
 
 @dataclass(frozen=True)
@@ -596,11 +615,8 @@ def _floored_probabilities(
     while start < positions.T:
         base = ends[start - 1] if start else 0
         stop = max(int(np.searchsorted(ends, base + _FLOOR_CHUNK, side="right")), start + 1)
-        src = positions.src[start:stop].ravel()
-        counts = sizes[start:stop].ravel()
-        owner = np.repeat(np.arange(src.size), counts)  # (position, lag) of each gathered entry
-        offset = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-        entry = indptr[src][owner] + offset
+        # owner is the (position, lag) of each gathered entry
+        owner, entry = _row_entries(indptr, positions.src[start:stop].ravel())
         keys, inverse = np.unique((owner // k) * n + cols[entry], return_inverse=True)
         # bincount adds each column's terms in lag order, as the mixture does.
         acc = np.bincount(inverse, weights=w[owner % k] * probs[entry], minlength=keys.size)

@@ -3,11 +3,16 @@
 average of the mapped matrices, whose stationary vector is the process's
 limiting state distribution; and an exact lift of the process to a
 first-order chain over k-tuples of states.
+
+The lift walks base-n tuple codes breadth first, a chunk of states at a
+time, and still numbers the states exactly as a one-state-at-a-time FIFO
+walk would: in order of discovery, where a state's successors are met lag
+by lag (lag 1 first) and by ascending column within a lag.  Each entry of
+Q sums its per-lag terms in lag order, so Q is the same to the last bit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +23,7 @@ from lamp.core import (
     EmptyRowError,
     LampModel,
     SparseStochasticMatrix,
+    _row_entries,
     generate,
     load_model,
     transition_distribution,
@@ -36,6 +42,9 @@ __all__ = [
 
 #: The lifted chain materializes up to n^k tuple states; refuse larger lifts.
 LIFT_STATE_GUARD = 100_000
+
+#: Tuple states expanded per step of the lift's breadth-first walk.
+_LIFT_CHUNK = 256
 
 # The per-lag names from before the model types merged; existing callers use them.
 GlampModel = LampModel.per_lag
@@ -76,10 +85,8 @@ class LiftedChain:
         dist = np.asarray(dist, dtype=float)
         if dist.shape != (len(self.states),):
             raise DataError("distribution length does not match the state list")
-        out = np.zeros(self.n)
-        for s, h in enumerate(self.states):
-            out[h[-1]] += dist[s]
-        return out
+        newest = np.fromiter((h[-1] for h in self.states), dtype=np.int64, count=len(self.states))
+        return np.bincount(newest, weights=dist, minlength=self.n)
 
 
 def lift_to_kth_order(
@@ -90,8 +97,9 @@ def lift_to_kth_order(
     A history tuple (x_1, ..., x_k) steps to (x_2, ..., x_k, y) with
     probability sum_i w_i * M_{f(i)}(x_{k+1-i}, y), the same rule the
     sequence process applies.  Only tuples reachable from the given start
-    symbols (default: all of them) are materialized, in BFS discovery
-    order.
+    symbols (default: all of them) are materialized, numbered in FIFO
+    discovery order (see the module docstring).  An empty row read at a
+    positive-weight lag raises :class:`EmptyRowError`.
     """
     k, n = model.k, model.n
     if n**k > LIFT_STATE_GUARD:
@@ -108,43 +116,56 @@ def lift_to_kth_order(
             if not 0 <= x < n:
                 raise DataError(f"start state {x} out of range")
     w = model.w.weights
-    index: dict = {}
-    states: list[tuple[int, ...]] = []
-    queue: deque = deque()
-    for x in starts:
-        h = (x,) * k
-        if h not in index:
-            index[h] = len(states)
-            states.append(h)
-            queue.append(h)
-    # Q in flat form: row s, the next-tuple law of states[s], has q_sizes[s] entries.
-    q_sizes: list[int] = []
-    q_cols: list[int] = []
-    q_probs: list[float] = []
-    while queue:
-        h = queue.popleft()
-        acc: dict[int, float] = {}
-        for i in range(1, k + 1):
-            wi = float(w[i - 1])
-            if wi == 0.0:
-                continue
-            cols, probs = model.matrix_for_lag(i).row(h[k - i])
-            if cols.size == 0:
-                raise EmptyRowError(f"state {h[k - i]} has no outgoing transitions")
-            for c, p in zip(cols, probs):
-                if p > 0.0:
-                    acc[int(c)] = acc.get(int(c), 0.0) + wi * float(p)
-        for y in acc:
-            nxt = h[1:] + (y,)
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-                queue.append(nxt)
-            q_cols.append(index[nxt])
-        q_probs.extend(acc.values())
-        q_sizes.append(len(acc))
-    m = len(states)
-    Q = SparseStochasticMatrix._from_entries(
-        m, np.repeat(np.arange(m), q_sizes), np.array(q_cols, dtype=np.int64), np.array(q_probs)
-    )
-    return LiftedChain(n=n, states=tuple(states), index=index, Q=Q)
+    lags = [i for i in range(1, k + 1) if w[i - 1] != 0.0]
+    place = n ** np.arange(k, dtype=np.int64)  # lag i reads the digit of place n^(i-1)
+    top = n ** (k - 1)
+    codes = np.empty(n**k, dtype=np.int64)  # codes[s]: base-n code of states[s]
+    first = np.array(list(dict.fromkeys(starts)), dtype=np.int64) * int(place.sum())
+    m = first.size
+    codes[:m] = first
+    id_of = np.full(n**k, -1, dtype=np.int64)
+    id_of[first] = np.arange(m)
+    q_sizes, q_cols, q_probs = [], [], []
+    done = 0
+    while done < m:  # states in id order, a chunk at a time; new ids follow m
+        chunk = codes[done:min(m, done + _LIFT_CHUNK)]
+        # Every positive (state, lag, column) term, lag-major for now.
+        state, col, term, empty = [], [], [], []
+        for i in lags:
+            mat = model.matrix_for_lag(i)
+            x = chunk // place[i - 1] % n
+            empty.append(mat.indptr[x + 1] == mat.indptr[x])
+            owner, entry = _row_entries(mat.indptr, x)
+            keep = mat.probs[entry] > 0.0
+            state.append(owner[keep])
+            col.append(mat.cols[entry[keep]])
+            term.append(w[i - 1] * mat.probs[entry[keep]])
+        empty = np.stack(empty, axis=1)  # (state, lag), in the order a FIFO walk reads rows
+        if empty.any():
+            s, j = divmod(int(np.argmax(empty)), len(lags))
+            x = chunk[s] // place[lags[j] - 1] % n
+            raise EmptyRowError(f"state {x} has no outgoing transitions")
+        order = np.argsort(np.concatenate(state), kind="stable")
+        state, col, term = (np.concatenate(a)[order] for a in (state, col, term))
+        # Unseen next tuples get ids in order of first appearance, as a FIFO walk gives them.
+        nxt = chunk[state] % top * n + col
+        unseen = nxt[id_of[nxt] < 0]
+        new, at = np.unique(unseen, return_index=True)
+        new = new[np.argsort(at)]
+        id_of[new] = np.arange(m, m + new.size)
+        codes[m:m + new.size] = new
+        m += new.size
+        # Each (state, y) probability sums its per-lag terms in lag order;
+        # each row of Q lists its targets by id.
+        _, at, group = np.unique(state * n + col, return_index=True, return_inverse=True)
+        row, target = state[at], id_of[nxt[at]]
+        order = np.lexsort((target, row))
+        q_sizes.append(np.bincount(row, minlength=chunk.size))
+        q_cols.append(target[order])
+        q_probs.append(np.bincount(group, weights=term)[order])
+        done += chunk.size
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(q_sizes))))
+    Q = SparseStochasticMatrix(m, indptr, np.concatenate(q_cols), np.concatenate(q_probs))
+    digits = codes[:m, None] // place[::-1] % n  # oldest symbol first
+    states = tuple(map(tuple, digits.tolist()))
+    return LiftedChain(n=n, states=states, index=dict(zip(states, range(m))), Q=Q)

@@ -194,6 +194,30 @@ def _mixture(
 # Empirical transition matrix
 
 
+def _empirical_matrix(
+    stats: ScoredPositions, support_epsilon: float
+) -> tuple[SparseStochasticMatrix, int, int]:
+    """The empirical matrix of a prebuilt position table, with its numbers
+    of lag-1 and clamped-only support pairs."""
+    n = stats.n
+    lag1_keys, lag1_counts = np.unique(stats.src[:, 0] * n + stats.tgt, return_counts=True)
+    lag1_totals = np.bincount(stats.src[:, 0], minlength=n)
+    keys = np.unique(stats.src * n + stats.tgt[:, None])  # row-major, columns ascending
+    rows, cols = np.divmod(keys, n)
+    count = np.zeros(keys.size, dtype=np.int64)
+    count[np.searchsorted(keys, lag1_keys)] = lag1_counts  # lag-1 pairs are support pairs
+    lag1 = count > 0
+    # Every support row is the lag-1 source of some position, so its total is positive.
+    value = np.where(lag1, count / lag1_totals[rows], support_epsilon)
+    # bincount adds each row's entries left to right, so the row sums (and
+    # the normalized rows) are bit-identical to a sequential sum.
+    total = np.bincount(rows, weights=value, minlength=n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    matrix = SparseStochasticMatrix.from_csr(n, indptr, cols, value / total[rows])
+    lag1_pairs = int(np.count_nonzero(lag1))
+    return matrix, lag1_pairs, int(keys.size) - lag1_pairs
+
+
 def empirical_transition_matrix(
     corpus: Corpus,
     k: int,
@@ -212,24 +236,8 @@ def empirical_transition_matrix(
         raise DataError("k must be at least 1")
     if support_epsilon <= 0.0:
         raise DataError("support_epsilon must be positive")
-    n = len(corpus.vocab)
     stats = ScoredPositions(corpus, k)
-    lag1_keys, lag1_counts = np.unique(stats.src[:, 0] * n + stats.tgt, return_counts=True)
-    lag1_totals = np.bincount(stats.src[:, 0], minlength=n)
-    keys = np.unique(stats.src * n + stats.tgt[:, None])  # row-major, columns ascending
-    rows, cols = np.divmod(keys, n)
-    count = np.zeros(keys.size, dtype=np.int64)
-    count[np.searchsorted(keys, lag1_keys)] = lag1_counts  # lag-1 pairs are support pairs
-    lag1 = count > 0
-    # Every support row is the lag-1 source of some position, so its total is positive.
-    value = np.where(lag1, count / lag1_totals[rows], support_epsilon)
-    # bincount adds each row's entries left to right, so the row sums (and
-    # the normalized rows) are bit-identical to a sequential sum.
-    total = np.bincount(rows, weights=value, minlength=n)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    matrix = SparseStochasticMatrix.from_csr(n, indptr, cols, value / total[rows])
-    lag1_pairs = int(np.count_nonzero(lag1))
-    clamped_only = int(keys.size) - lag1_pairs
+    matrix, lag1_pairs, clamped_only = _empirical_matrix(stats, support_epsilon)
     if not return_report:
         return matrix
     report = EmpiricalMatrixReport(
@@ -554,9 +562,9 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     """
     if corpus.total_transitions < 1:
         raise DataError("training requires at least one scored transition")
-    P0 = empirical_transition_matrix(corpus, cfg.k, cfg.support_epsilon)
-    w = HistoryDistribution.geometric(cfg.init_decay, cfg.k).weights.copy()
     stats = ScoredPositions(corpus, cfg.k)
+    P0 = _empirical_matrix(stats, cfg.support_epsilon)[0]
+    w = HistoryDistribution.geometric(cfg.init_decay, cfg.k).weights.copy()
     n = len(corpus.vocab)
     indptr, cols = P0.indptr, P0.cols
     q = P0.probs.copy()  # every P half updates this flat array in place

@@ -6,14 +6,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import cycle_matrix, make_model, random_stochastic_matrix, worked_matrix
+from conftest import (
+    cycle_matrix,
+    make_model,
+    random_stochastic_matrix,
+    ref_exponents,
+    ref_is_ergodic,
+    ref_mixing_time,
+    worked_matrix,
+)
 
 from lamp.core import (
     DataError,
     HistoryDistribution,
+    LampModel,
     NonErgodicError,
     SparseStochasticMatrix,
+    Vocabulary,
 )
 from lamp.analysis import (
     ErgodicityReport,
@@ -97,6 +109,24 @@ class TestErgodicity:
         with pytest.raises(DataError):
             ErgodicityReport(False, "nonsense")
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_python_bfs_oracle(self, data):
+        # Edges run from class c to class c + 1 mod d, so d > 1 allows a
+        # periodic chain; rows may be empty or hold explicit zeros.
+        n = data.draw(st.integers(1, 9))
+        d = data.draw(st.integers(1, 3))
+        cls = data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+        rows = []
+        for x in range(n):
+            targets = [y for y in range(n) if cls[y] == (cls[x] + 1) % d]
+            cells = data.draw(st.lists(st.integers(-2, 3), min_size=len(targets),
+                                       max_size=len(targets)))
+            mass = sum(v for v in cells if v > 0)
+            rows.append([(y, v / mass) for y, v in zip(targets, cells) if v >= 0] if mass else [])
+        P = SparseStochasticMatrix.from_rows(n, rows)
+        assert is_ergodic(P).reason == ref_is_ergodic(P)
+
 
 class TestStationaryDistribution:
     def test_worked_matrix(self):
@@ -178,6 +208,44 @@ class TestMixingTime:
         with pytest.raises(NonErgodicError):
             mixing_time(P, 0.01)
 
+    @pytest.mark.parametrize("low, high, ring, common", [
+        (1, 1, (0.0, 0.3), (0.8, 1.0)),
+        (2, 8, (0.0, 0.6), (0.0, 0.0)),
+        (17, 10_000, (0.9, 0.98), (0.0, 0.0)),
+    ])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_stepwise_oracle(self, low, high, ring, common, data):
+        # Each case draws chains whose stepwise mixing time lies in
+        # [low, high]: one step, within the first giant step, and past two.
+        # A ring of weight r mixes slowly, a common row shared with weight c
+        # mixes in one step, and random rows mix in a few.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        n = data.draw(st.integers(2, 8))
+        delta = data.draw(st.floats(0.005, 0.3))
+        r, c = data.draw(st.floats(*ring)), data.draw(st.floats(*common))
+        noise = random_stochastic_matrix(rng, n, min_entry=0.05)
+        dense = r * np.roll(np.eye(n), 1, axis=1) + (1.0 - r) * noise
+        dense = (1.0 - c) * dense + c * rng.dirichlet(np.ones(n))
+        P = SparseStochasticMatrix.from_dense(dense)
+        expected = ref_mixing_time(P, delta)
+        assume(low <= expected <= high)
+        assert mixing_time(P, delta) == expected
+
+    def test_empty_row_is_named(self):
+        P = SparseStochasticMatrix.from_rows(3, [[(1, 1.0)], [(0, 0.5), (1, 0.5)], []])
+        model = LampModel(HistoryDistribution.from_weights([0.5, 0.5]), P, Vocabulary.from_size(3))
+        for analysis in (
+            lambda: stationary_distribution(P),
+            lambda: mixing_time(P, 0.1),
+            lambda: lamp_mixing_bound(model.w, P, 0.1, 1.0, 10),
+            lambda: empirical_state_distribution(model, steps=10, burn_in=0, seed=0),
+        ):
+            with pytest.raises(NonErgodicError, match="state 2 has no outgoing") as info:
+                analysis()
+            assert info.value.empty_state == 2
+        assert is_ergodic(P).reason == "reducible"
+
     def test_invalid_delta(self):
         P = SparseStochasticMatrix.from_dense(worked_matrix())
         with pytest.raises(DataError):
@@ -196,6 +264,22 @@ class TestExponentProcess:
         short = simulate_exponent_process(w, 300, seed=9)
         long = simulate_exponent_process(w, 800, seed=9)
         assert np.array_equal(long.exponents[:300], short.exponents)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw=st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(any),
+        t_max=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(raw=[1, 1], t_max=1, seed=0)
+    @example(raw=[1, 1], t_max=2, seed=0)
+    def test_matches_fancy_indexing_oracle(self, raw, t_max, seed):
+        w = HistoryDistribution.from_weights(np.array(raw) / sum(raw))
+        trace = simulate_exponent_process(w, t_max, seed)
+        assert np.array_equal(trace.exponents, ref_exponents(w, t_max, seed))
+        batch = simulate_exponent_processes(w, t_max, 3, seed)
+        for i in range(3):
+            assert np.array_equal(batch[i], ref_exponents(w, t_max, seed ^ i))
 
     def test_batch_rows_match_scalar_seeds(self):
         w = HistoryDistribution.from_weights([0.6, 0.4])

@@ -86,8 +86,17 @@ def worked_corpus(tmp_path):
     return write_corpus_text(tmp_path, "s0 s1 s0 s0\n")
 
 
-#: (id, argv builder, exit code).  Every failing command names its class of
-#: error on stderr.
+def empty_row_model(tmp_path):
+    """A model trained with k = 2 on "a b c" / "a b a b c": c only ends
+    lines, so its row is empty."""
+    path = str(tmp_path / "m.json")
+    assert main(["train", write_corpus_text(tmp_path, "a b c\na b a b c\n"), "--output", path,
+                 "--k", "2"]) == 0
+    return path
+
+
+#: (id, argv from the test's tmp dir, exit code[, text stderr must hold]).
+#: Every failing command names its class of error on stderr.
 EXIT_CODES = [
     ("no-command", lambda t: [], 1),
     ("unknown-flag", lambda t: ["train", "x", "--output", str(t / "m.json"), "--k", "2",
@@ -119,16 +128,21 @@ EXIT_CODES = [
                                          "--output", str(t / "o.json")], 2),
     ("generate-two-matrix", lambda t: ["generate", save_two_matrix_model(t),
                                        "--output", str(t / "g.json")], 0),
+    ("stationary-empty-row", lambda t: ["analyze", "stationary", empty_row_model(t),
+                                        "--output", str(t / "o.json")], 3,
+     "state 'c' has no outgoing transitions"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv_for, expected", [pytest.param(f, c, id=name) for name, f, c in EXIT_CODES]
+    "argv_for, expected, names",
+    [pytest.param(f, c, *(names or [""]), id=name) for name, f, c, *names in EXIT_CODES],
 )
-def test_exit_code_map(capsys, tmp_path, argv_for, expected):
+def test_exit_code_map(capsys, tmp_path, argv_for, expected, names):
     code, _, err = run(capsys, argv_for(tmp_path))
     assert code == expected
-    assert {0: "", 1: "error", 2: "data error"}[code] in err
+    assert {0: "", 1: "error", 2: "data error", 3: "numeric error"}[code] in err
+    assert names in err
 
 
 def test_module_entry_point_runs():
@@ -494,6 +508,42 @@ def test_analyze_bound_worked_example(capsys, tmp_path):
     assert doc["C"] == pytest.approx(0.3, abs=1e-12)
     assert 1.0 - doc["confidence"] == pytest.approx(3.6105e-13, rel=1e-3)
     assert "bound=100" in stdout
+
+
+def ring_matrix(n):
+    """Ring with a skip edge and a self-loop: slow to mix, aperiodic."""
+    P = np.zeros((n, n))
+    for i in range(n):
+        P[i, (i + 1) % n] += 0.8
+        P[i, (i + 2) % n] += 0.15
+        P[i, i] += 0.05
+    return P
+
+
+def test_analyze_writes_frozen_bytes(capsys, tmp_path, monkeypatch):
+    # Relative paths: the documents record the model path.
+    monkeypatch.chdir(tmp_path)
+    save_model(make_model((0.7, 0.3), ring_matrix(8)), "ring.json")
+    commands = {
+        "pi.json": ["analyze", "stationary", "ring.json"],
+        "mix.json": ["analyze", "mixing", "ring.json", "--delta", "0.05"],
+        "bound.json": ["analyze", "bound", "ring.json", "--delta", "0.05", "--epsilon", "0.5",
+                       "--T", "20"],
+        "exp.json": ["analyze", "exponent", "--model", "ring.json", "--steps", "5000",
+                     "--seed", "3"],
+    }
+    for name, argv in commands.items():
+        code, _, err = run(capsys, argv + ["--output", name])
+        assert code == 0, err
+    assert json.loads((tmp_path / "mix.json").read_text())["mixing_time"] == 45
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in commands}
+    assert digests == {
+        "pi.json": "859073865e5137c7c839f15d7a3f72cd3ffaad93a3bde12389db56e1f3d00e2b",
+        "mix.json": "b5b2ea1ffdf438646b17afa4219892ca7ab6f689d10d662d36d9814bcc4f8f77",
+        "bound.json": "8b0510ba3e6973e0f52e0026bc98d7eafed2acf3a9588b3f04d5cedc87632c96",
+        "exp.json": "3858266e87a5a19e9161c69f89f2309a3e61cd21279ff27779c858524e371e00",
+    }
 
 
 # ---------------------------------------------------------------------------

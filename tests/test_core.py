@@ -28,6 +28,7 @@ from conftest import (
     ref_floored_log_likelihood,
     ref_log_likelihood,
     ref_transition_distribution,
+    sparse_models,
     worked_matrix,
 )
 
@@ -379,33 +380,6 @@ def test_empty_rows_contribute_zero_mass():
     got = core.log_likelihood(model, make_corpus(model, [[0, 1], [0, 2, 1, 0]]))
     assert got.per_sequence == (0.0, -math.inf)
     assert (got.scored_transitions, got.impossible_transitions) == (4, 2)
-
-
-@st.composite
-def sparse_models(draw, max_matrices=1):
-    """Random model whose rows mix absent entries, explicit zeros and
-    positive entries; a row with no positive entry is stored empty, and lag
-    weights may be zero.  With ``max_matrices`` > 1 the lags may read
-    different matrices."""
-    n = draw(st.integers(1, 5))
-    k = draw(st.integers(1, 4))
-    raw_w = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
-    matrices = []
-    for _ in range(draw(st.integers(1, max_matrices))):
-        rows = []
-        for _ in range(n):
-            cells = draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))  # -1 is absent
-            mass = sum(v for v in cells if v > 0)
-            rows.append([(c, v / mass) for c, v in enumerate(cells) if v >= 0] if mass else [])
-        matrices.append(SparseStochasticMatrix.from_rows(n, rows))
-    lag_map = draw(st.lists(st.integers(1, len(matrices)), min_size=k, max_size=k))
-    tokens = [f"s{i}" for i in range(n)]
-    return LampModel.per_lag(
-        HistoryDistribution.from_weights(np.array(raw_w) / sum(raw_w)),
-        matrices,
-        lag_map,
-        Vocabulary.from_tokens(tokens, draw(st.none() | st.sampled_from(tokens))),
-    )
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,8 +6,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cycle_matrix, make_model, random_simplex, random_stochastic_matrix
+from conftest import (
+    cycle_matrix,
+    make_model,
+    random_simplex,
+    random_stochastic_matrix,
+    ref_lift,
+    sparse_models,
+)
 
 from lamp.core import (
     DataError,
@@ -200,6 +209,15 @@ class TestMixtureMatrix:
         assert np.allclose(mixture_matrix(model).dense(), model.matrices[0].dense(), atol=1e-12)
 
 
+def assert_same_lift(lifted, states, indptr, cols, probs):
+    """The lift equals the reference's: state order, index and Q, bitwise."""
+    assert lifted.states == tuple(states)
+    assert lifted.index == {h: s for s, h in enumerate(states)}
+    assert np.array_equal(lifted.Q.indptr, indptr)
+    assert np.array_equal(lifted.Q.cols, cols)
+    assert lifted.Q.probs.tobytes() == probs.tobytes()
+
+
 class TestLift:
     def test_first_order_lift_equals_mixture(self):
         rng = np.random.default_rng(8)
@@ -314,6 +332,34 @@ class TestLift:
             lift_to_kth_order(model, start_states=[])
         with pytest.raises(DataError):
             lift_to_kth_order(model, start_states=[5])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_fifo_oracle(self, data):
+        model = data.draw(sparse_models(max_matrices=3))
+        starts = data.draw(st.none() | st.lists(st.integers(0, model.n - 1), min_size=1, max_size=4))
+        try:
+            states, indptr, cols, probs = ref_lift(
+                model, range(model.n) if starts is None else starts)
+        except LookupError as exc:
+            with pytest.raises(EmptyRowError, match=f"^{exc.args[0]}$"):
+                lift_to_kth_order(model, starts)
+            return
+        assert_same_lift(lift_to_kth_order(model, starts), states, indptr, cols, probs)
+
+    @pytest.mark.parametrize("n, k, n_matrices", [(7, 3, 2), (5, 4, 3), (20, 2, 1)])
+    def test_multi_chunk_lift_matches_fifo_oracle(self, n, k, n_matrices):
+        # More tuple states than one expansion chunk holds.
+        model = random_glamp(np.random.default_rng(n * k), n, k, n_matrices)
+        states, indptr, cols, probs = ref_lift(model, [3, 0, 3])
+        assert len(states) > 256
+        lifted = lift_to_kth_order(model, [3, 0, 3])
+        assert_same_lift(lifted, states, indptr, cols, probs)
+        pi = stationary_distribution(lifted.Q)
+        expected = np.zeros(n)
+        for h, p in zip(states, pi):
+            expected[h[-1]] += p
+        assert lifted.marginal_over_last(pi).tobytes() == expected.tobytes()
 
     def test_marginal_length_validation(self):
         lifted = lift_to_kth_order(worked_glamp())
