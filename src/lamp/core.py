@@ -511,15 +511,6 @@ class ScoredPositions:
         self.src = flat[np.maximum(at[:, None] - np.arange(1, k + 1), first[:, None])]
         self.T = int(self.tgt.size)
 
-    @cached_property
-    def row_positions(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per state x: (position indices, lag indices) of every (t, i) with
-        clamped source x.  Computed once per corpus."""
-        flat = self.src.ravel()  # position-major, lag minor
-        order = np.argsort(flat, kind="stable")
-        bounds = np.cumsum(np.bincount(flat, minlength=self.n))[:-1]
-        return [(idx // self.k, idx % self.k) for idx in np.split(order, bounds)]
-
     def lag_probabilities(self, P: SparseStochasticMatrix) -> np.ndarray:
         """The (T, k) matrix A with ``A[t, i-1] = P(src[t, i-1], tgt[t])``, so
         that ``A @ w`` is every position's mixture probability."""

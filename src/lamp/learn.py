@@ -6,6 +6,22 @@ Training therefore alternates block optimizations: each block (the w simplex,
 or one P row restricted to its support) is solved by a diagonal-Newton
 water-filling step inside a trust region, accepting a step only when the true
 objective does not decrease.
+
+A P half-round is one Gauss–Seidel sweep over the rows with more than one
+support entry, in ascending state order.  Each row's block sees the scored
+positions whose clamped source at some lag is that row, grouped by position:
+m is the group's total lag weight, and the row's term in the position's
+mixture probability is m * q[target].  These groups come from one flat
+layout built at the start of the half (``_block_layout``), because m depends
+on w.  Every row then reads the mixture probabilities as the sweep has left
+them, so a row sees the rows before it at their new values.  Before it calls
+the block solver, the sweep checks the row's KKT residual at its current
+point.  A row at or below ``kkt_tol`` is left as it is: the solver would stop
+there without a step.  The check evaluates the same expressions, in the same
+order, as the solver's first iteration, and a skipped row writes back the
+same mixture probabilities the solver's result would, so the trained bits
+are those of calling the solver on every row.  Only the time differs: in a
+half where every row is already optimal the sweep makes no solver call.
 """
 
 from __future__ import annotations
@@ -13,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -280,12 +296,10 @@ def grad_P(model: LampModel, corpus: Corpus) -> list[np.ndarray]:
     flat = np.zeros(model.P.support_size)
     if stats.T:
         _, denom = _mixture(stats, model.P, model.w.weights)
-        w = model.w.weights
-        inv = 1.0 / denom
-        for i in range(model.k):
-            idx = model.P.pair_indices(stats.src[:, i], stats.tgt)
-            hit = idx >= 0
-            np.add.at(flat, idx[hit], w[i] * inv[hit])
+        layout = _block_layout(stats, model.P, model.w.weights)
+        flat = np.bincount(
+            layout.entry, weights=layout.m / denom[layout.t], minlength=model.P.support_size
+        )
     return np.split(flat, model.P.indptr[1:-1])
 
 
@@ -301,10 +315,11 @@ def _kkt_residual(point: np.ndarray, grad: np.ndarray) -> float:
     it and the worst inactive violation above it.
     """
     active = point > 0.0
-    lam = float(grad[active].mean())
-    res = float(np.max(np.abs(grad[active] - lam)))
-    if np.any(~active):
-        res += max(0.0, float(np.max(grad[~active] - lam)))
+    on = grad[active]
+    lam = float(on.sum()) / on.size  # the same division np.mean makes
+    res = float(np.abs(on - lam).max())
+    if on.size < point.size:
+        res += max(0.0, float((grad[~active] - lam).max()))
     return res
 
 
@@ -326,14 +341,18 @@ def _water_fill(point: np.ndarray, grad: np.ndarray, hdiag: np.ndarray, radius: 
     lam_sat = grad - radius / slope  # below this the coordinate pins at +radius
 
     k = point.size
-    order = np.argsort(-np.concatenate([lam_enter, lam_sat]), kind="stable")
+    levels = np.concatenate([lam_enter, lam_sat])
+    order = np.argsort(-levels, kind="stable").tolist()
+    # The sweep runs on Python floats: scalar reads of lists cost far less
+    # than of arrays, and the arithmetic is the same.
+    levels, lo_, slope_, grad_ = levels.tolist(), lo.tolist(), slope.tolist(), grad.tolist()
     C = -float(lo.sum())  # contribution of clamped coordinates
     A = 0.0               # sum of slopes over unclamped coordinates
     G = 0.0               # sum of grad * slope over unclamped coordinates
     prev = math.inf
     lam_star = None
     for ev in order:
-        lam_e = float(lam_enter[ev] if ev < k else lam_sat[ev - k])
+        lam_e = levels[ev]
         if A > 0.0:
             cand = (C + G) / A
             if lam_e <= cand <= prev:
@@ -342,14 +361,14 @@ def _water_fill(point: np.ndarray, grad: np.ndarray, hdiag: np.ndarray, radius: 
         elif C == 0.0:
             lam_star = lam_e
             break
-        i = ev if ev < k else ev - k
         if ev < k:
-            C += float(lo[i])
-            A += float(slope[i])
-            G += float(grad[i]) * float(slope[i])
+            C += lo_[ev]
+            A += slope_[ev]
+            G += grad_[ev] * slope_[ev]
         else:
-            A -= float(slope[i])
-            G -= float(grad[i]) * float(slope[i])
+            i = ev - k
+            A -= slope_[i]
+            G -= grad_[i] * slope_[i]
             C += radius
         prev = lam_e
     if lam_star is None:
@@ -378,7 +397,7 @@ def optimize_simplex_block(
     p = np.asarray(point, dtype=np.float64).copy()
     if p.ndim != 1 or p.size == 0:
         raise DataError("block point must be a nonempty vector")
-    if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-9:
+    if (p < 0.0).any() or abs(float(p.sum()) - 1.0) > 1e-9:
         raise DataError("block point must lie on the probability simplex")
     if p.size == 1:
         p = np.array([1.0])
@@ -389,15 +408,18 @@ def optimize_simplex_block(
     radius = cfg.trust_init
     accepted = 0
     iterations = 0
+    residual = None  # KKT residual at p; None once p has moved since the last derivatives
     for _ in range(cfg.max_newton_iters):
-        g, h = derivatives(p)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-            raise NumericError("block derivatives are not finite")
-        if _kkt_residual(p, g) <= cfg.kkt_tol:
+        if residual is None:
+            g, h = derivatives(p)
+            if not (np.isfinite(g).all() and np.isfinite(h).all()):
+                raise NumericError("block derivatives are not finite")
+            residual = _kkt_residual(p, g)
+        if residual <= cfg.kkt_tol:
             break
         iterations += 1
         u = _water_fill(p, g, h, radius)
-        if float(np.max(np.abs(u))) < 1e-16:
+        if float(np.abs(u).max()) < 1e-16:
             break
         cand = p + u
         cand[cand < 0.0] = 0.0
@@ -407,12 +429,14 @@ def optimize_simplex_block(
             p, value = cand, cand_value
             accepted += 1
             radius = min(radius * cfg.trust_expand, 1.0)
+            residual = None
         else:
             radius *= cfg.trust_shrink
             if radius < 1e-14:
                 break
-    g, _ = derivatives(p)
-    return BlockResult(p, value, _kkt_residual(p, g), iterations, accepted)
+    if residual is None:
+        residual = _kkt_residual(p, derivatives(p)[0])
+    return BlockResult(p, value, residual, iterations, accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +491,19 @@ class _RowObjective:
 
     def value(self, q: np.ndarray) -> float:
         d = self.base + self.m * q[self.colidx]
-        if np.any(d <= 0.0):
+        if (d <= 0.0).any():
             return -math.inf
         v = float(np.log(d).sum())
         if self.prior:
-            if np.any(q <= 0.0):
+            if (q <= 0.0).any():
                 return -math.inf
             v += self.prior * float(np.log(q).sum())
         return v
 
     def derivatives(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = self.base + self.m * q[self.colidx]
+        return self._derivatives(q, self.base + self.m * q[self.colidx])
+
+    def _derivatives(self, q: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = self.m / d
         g = np.bincount(self.colidx, weights=r, minlength=self.size)
         h = -np.bincount(self.colidx, weights=r * r, minlength=self.size)
@@ -487,35 +513,58 @@ class _RowObjective:
             h = h - self.prior / (safe * safe)
         return g, h
 
+    def start_residual(self, q: np.ndarray, d: np.ndarray) -> float | None:
+        """KKT residual at the start point q, whose position terms
+        ``base + m * q[colidx]`` are d.
 
-def _row_block_inputs(
-    stats: ScoredPositions,
-    x: int,
-    cols: np.ndarray,
-    q: np.ndarray,
-    w: np.ndarray,
-    denom: np.ndarray,
-):
-    """(positions, m, colidx, base) for the row-x block, or None if the row
-    is untouched by the corpus under the current weights."""
-    pos_pairs, lag_pairs = stats.row_positions[x]
-    if pos_pairs.size == 0 or cols.size == 0:
-        return None
-    wvals = w[lag_pairs]
-    upos, inverse = np.unique(pos_pairs, return_inverse=True)
-    m = np.bincount(inverse, weights=wvals)
-    keep = m > 0.0
-    upos, m = upos[keep], m[keep]
-    if upos.size == 0:
-        return None
-    tgt = stats.tgt[upos]
-    cidx = np.searchsorted(cols, tgt)
-    on = (cidx < cols.size) & (cols[np.minimum(cidx, cols.size - 1)] == tgt)
-    upos, m, cidx = upos[on], m[on], cidx[on]
-    if upos.size == 0:
-        return None
-    base = denom[upos] - m * q[cidx]
-    return upos, m, cidx, base
+        None where ``optimize_simplex_block`` would raise at q: the value or
+        the derivatives are not finite.  (Its simplex check cannot fail on a
+        row of the trainer's P.)  Otherwise the residual has the bits
+        of the solver's first check, so when it is at most ``kkt_tol`` the
+        solver would return q unchanged with this residual.
+        """
+        if not d.min() > 0.0 or (self.prior and not q.min() > 0.0):  # NaN fails too
+            return None
+        g, h = self._derivatives(q, d)
+        if not (np.isfinite(g).all() and np.isfinite(h).all()):
+            return None
+        return _kkt_residual(q, g)
+
+
+class _BlockLayout(NamedTuple):
+    """Every row block's inputs, for all rows at once (see ``_block_layout``)."""
+
+    offsets: np.ndarray
+    t: np.ndarray
+    m: np.ndarray
+    entry: np.ndarray
+    col: np.ndarray
+
+
+def _block_layout(stats: ScoredPositions, P: SparseStochasticMatrix, w: np.ndarray) -> _BlockLayout:
+    """Group the (position, lag) pairs of the scored positions by their
+    clamped source row, then by position.
+
+    Row x's groups are ``offsets[x]:offsets[x+1]``, positions ascending.
+    ``t`` is each group's index into the scored positions and ``m`` its total
+    lag weight, summed in lag order; ``entry`` and ``col`` are the index of
+    (x, target) in P's flat storage and within row x.  Groups of zero weight,
+    or whose target lies outside the row's support, are dropped.  m depends
+    on w, so a layout serves one P half.
+    """
+    flat = stats.src.ravel()  # position-major, lag minor
+    order = np.argsort(flat, kind="stable")
+    rows = flat[order]
+    t, lag = np.divmod(order, stats.k)
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = (rows[1:] != rows[:-1]) | (t[1:] != t[:-1])
+    m = np.bincount(np.cumsum(start) - 1, weights=w[lag])  # adds each group left to right
+    rows, t = rows[start], t[start]
+    entry = P.pair_indices(rows, stats.tgt[t])
+    keep = (m > 0.0) & (entry >= 0)
+    rows, t, m, entry = rows[keep], t[keep], m[keep], entry[keep]
+    offsets = np.searchsorted(rows, np.arange(P.n + 1))
+    return _BlockLayout(offsets, t, m, entry, entry - P.indptr[rows])
 
 
 def optimize_row(model: LampModel, corpus: Corpus, state: int, cfg: TrainConfig) -> np.ndarray:
@@ -539,11 +588,12 @@ def optimize_row(model: LampModel, corpus: Corpus, state: int, cfg: TrainConfig)
     if stats.T == 0:
         return q
     _, denom = _mixture(stats, model.P, model.w.weights)
-    inputs = _row_block_inputs(stats, state, cols, q, model.w.weights, denom)
-    if inputs is None:
+    layout = _block_layout(stats, model.P, model.w.weights)
+    s, e = layout.offsets[state], layout.offsets[state + 1]
+    if s == e:
         return q
-    _, m, cidx, base = inputs
-    obj = _RowObjective(base, m, cidx, cols.size, cfg.prior_count)
+    upos, m, cidx = layout.t[s:e], layout.m[s:e], layout.col[s:e]
+    obj = _RowObjective(denom[upos] - m * q[cidx], m, cidx, cols.size, cfg.prior_count)
     return optimize_simplex_block(obj.value, obj.derivatives, q, cfg).point
 
 
@@ -557,8 +607,10 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     P starts from the empirical transition matrix and w from weights
     proportional to ``init_decay ** lag``.  Half-rounds alternate starting
     with w; with ``weight_only`` the P halves are skipped and the returned
-    matrix is exactly the empirical one.  The training log-likelihood never
-    decreases across recorded steps.
+    matrix is exactly the empirical one.  The objective the blocks ascend,
+    the log-likelihood plus ``prior_count * (sum(log w) + sum(log P))``,
+    never decreases across recorded steps; with ``prior_count`` 0 that is
+    the log-likelihood the records report.
     """
     if corpus.total_transitions < 1:
         raise DataError("training requires at least one scored transition")
@@ -568,10 +620,15 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     n = len(corpus.vocab)
     indptr, cols = P0.indptr, P0.cols
     q = P0.probs.copy()  # every P half updates this flat array in place
-    blocks = np.flatnonzero(np.diff(indptr) > 1).tolist()  # rows with a choice to make
+    has_choice = np.diff(indptr) > 1  # rows whose block has something to optimize
 
     def active_size() -> int:
         return int(np.count_nonzero(w > 0)) + int(np.count_nonzero(q > 0))
+
+    def objective(ll: float) -> float:
+        if not cfg.prior_count:
+            return ll
+        return ll + cfg.prior_count * (float(np.log(w).sum()) + float(np.log(q).sum()))
 
     matrix = P0
     A, denom = _mixture(stats, matrix, w)
@@ -589,6 +646,7 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
         )
 
     records = [record("init", None, 0.0)]
+    start = objective(records[0].log_likelihood)
     for half in range(cfg.half_iterations):
         t0 = time.perf_counter()
         if half % 2 == 0:
@@ -600,15 +658,25 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
         else:
             if cfg.weight_only:
                 continue
+            layout = _block_layout(stats, matrix, w)
+            rows = np.flatnonzero(has_choice & (np.diff(layout.offsets) > 0))
             worst = 0.0
-            for x in blocks:
-                lo, hi = indptr[x], indptr[x + 1]
-                inputs = _row_block_inputs(stats, x, cols[lo:hi], q[lo:hi], w, denom)
-                if inputs is None:
+            for lo, hi, s, e in zip(
+                indptr[rows].tolist(), indptr[rows + 1].tolist(),
+                layout.offsets[rows].tolist(), layout.offsets[rows + 1].tolist(),
+            ):
+                qx = q[lo:hi]
+                upos, m, cidx = layout.t[s:e], layout.m[s:e], layout.col[s:e]
+                mq = m * qx[cidx]
+                base = denom[upos] - mq
+                obj = _RowObjective(base, m, cidx, hi - lo, cfg.prior_count)
+                d = base + mq  # what obj evaluates at qx
+                residual = obj.start_residual(qx, d)
+                if residual is not None and residual <= cfg.kkt_tol:
+                    denom[upos] = d  # the bits the solver's unchanged point would write
+                    worst = max(worst, residual)
                     continue
-                upos, m, cidx, base = inputs
-                obj = _RowObjective(base, m, cidx, int(hi - lo), cfg.prior_count)
-                res = optimize_simplex_block(obj.value, obj.derivatives, q[lo:hi], cfg)
+                res = optimize_simplex_block(obj.value, obj.derivatives, qx, cfg)
                 q[lo:hi] = res.point
                 denom[upos] = base + m * res.point[cidx]
                 worst = max(worst, res.kkt_residual)
@@ -616,7 +684,7 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
             A, denom = _mixture(stats, matrix, w)
             records.append(record("P", worst, time.perf_counter() - t0))
 
-    if records[-1].log_likelihood < records[0].log_likelihood - 1e-9:
-        raise NumericError("training decreased the log-likelihood; numeric failure")
+    if objective(records[-1].log_likelihood) < start - 1e-9:
+        raise NumericError("training decreased its objective; numeric failure")
     model = LampModel(w=HistoryDistribution(w), P=matrix, vocab=corpus.vocab)
     return model, TrainReport(tuple(records), final_model=model)

@@ -5,9 +5,12 @@ The reference functions here are deliberately naive.  They work on dense
 numpy matrices and raw weight vectors, follow the defining equations term by
 term, and share no code with the package, so they can serve as oracles for
 the optimized implementations.  The chain-analysis references (the
-``ref_*`` functions at the end of this file) read matrices only through
+``ref_*`` functions after the instance builders) read matrices only through
 their row and dense accessors, and walk states one at a time in Python, in
-the order that fixes the package's state ids and sums.
+the order that fixes the package's state ids and sums.  The reference
+trainer at the end of this file is the P half-round as one block solve per
+row, with each row's inputs gathered by its own ``np.unique``; it fixes the
+bits the package's trainer must reproduce.
 """
 
 from __future__ import annotations
@@ -20,10 +23,21 @@ from hypothesis import strategies as st
 
 from lamp.core import (
     Corpus,
+    DataError,
     HistoryDistribution,
     LampModel,
+    NumericError,
+    ScoredPositions,
     SparseStochasticMatrix,
     Vocabulary,
+)
+from lamp.learn import (
+    BlockResult,
+    HalfIterationRecord,
+    TrainReport,
+    _denominators,
+    _empirical_matrix,
+    _mixture,
 )
 
 
@@ -357,3 +371,258 @@ def ref_exponents(w, t_max, seed):
     for t in range(2, t_max + 1):
         e[t] = e[max(t - lags[t - 2], 0)] + 1
     return e[1:]
+
+
+# ---------------------------------------------------------------------------
+# Reference trainer: a block solve for every row, inputs gathered row by row
+
+
+def ref_kkt_residual(point, grad):
+    """Simplex stationarity residual with the multiplier as np.mean."""
+    active = point > 0.0
+    lam = float(grad[active].mean())
+    res = float(np.max(np.abs(grad[active] - lam)))
+    if np.any(~active):
+        res += max(0.0, float(np.max(grad[~active] - lam)))
+    return res
+
+
+def ref_water_fill(point, grad, hdiag, radius):
+    """Water-filling step, sweeping the kinks with array reads."""
+    h = np.minimum(hdiag, -1e-8)
+    slope = -1.0 / h
+    lo = np.minimum(point, radius)
+    lam_enter = grad + lo / slope
+    lam_sat = grad - radius / slope
+    k = point.size
+    order = np.argsort(-np.concatenate([lam_enter, lam_sat]), kind="stable")
+    C, A, G = -float(lo.sum()), 0.0, 0.0
+    prev, lam_star = math.inf, None
+    for ev in order:
+        lam_e = float(lam_enter[ev] if ev < k else lam_sat[ev - k])
+        if A > 0.0:
+            cand = (C + G) / A
+            if lam_e <= cand <= prev:
+                lam_star = cand
+                break
+        elif C == 0.0:
+            lam_star = lam_e
+            break
+        i = ev if ev < k else ev - k
+        if ev < k:
+            C += float(lo[i])
+            A += float(slope[i])
+            G += float(grad[i]) * float(slope[i])
+        else:
+            A -= float(slope[i])
+            G -= float(grad[i]) * float(slope[i])
+            C += radius
+        prev = lam_e
+    if lam_star is None:
+        lam_star = (C + G) / A if A > 0.0 else prev
+    return np.clip((lam_star - grad) / h, -lo, radius)
+
+
+def ref_optimize_simplex_block(objective, derivatives, point, cfg):
+    """The trust-region water-filling solver, evaluating the derivatives at
+    the start of every iteration and once more at the exit."""
+    p = np.asarray(point, dtype=np.float64).copy()
+    if p.ndim != 1 or p.size == 0:
+        raise DataError("block point must be a nonempty vector")
+    if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-9:
+        raise DataError("block point must lie on the probability simplex")
+    if p.size == 1:
+        p = np.array([1.0])
+        return BlockResult(p, float(objective(p)), 0.0, 0, 0)
+    value = float(objective(p))
+    if not np.isfinite(value):
+        raise NumericError("block objective is not finite at the starting point")
+    radius, accepted, iterations = cfg.trust_init, 0, 0
+    for _ in range(cfg.max_newton_iters):
+        g, h = derivatives(p)
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+            raise NumericError("block derivatives are not finite")
+        if ref_kkt_residual(p, g) <= cfg.kkt_tol:
+            break
+        iterations += 1
+        u = ref_water_fill(p, g, h, radius)
+        if float(np.max(np.abs(u))) < 1e-16:
+            break
+        cand = p + u
+        cand[cand < 0.0] = 0.0
+        cand[int(np.argmax(cand))] -= float(cand.sum()) - 1.0
+        cand_value = float(objective(cand))
+        if cand_value >= value - 1e-12:
+            p, value = cand, cand_value
+            accepted += 1
+            radius = min(radius * cfg.trust_expand, 1.0)
+        else:
+            radius *= cfg.trust_shrink
+            if radius < 1e-14:
+                break
+    g, _ = derivatives(p)
+    return BlockResult(p, value, ref_kkt_residual(p, g), iterations, accepted)
+
+
+def _ref_simplex_objective(mixture, slopes, prior):
+    """(value, derivatives) of sum_j log(d_j) + prior * sum(log theta), where
+    d = mixture(theta) and slopes(d) gives the log terms' gradient and
+    diagonal curvature in theta."""
+
+    def value(theta):
+        d = mixture(theta)
+        if np.any(d <= 0.0):
+            return -math.inf
+        v = float(np.log(d).sum())
+        if prior:
+            if np.any(theta <= 0.0):
+                return -math.inf
+            v += prior * float(np.log(theta).sum())
+        return v
+
+    def derivatives(theta):
+        g, h = slopes(mixture(theta))
+        if prior:
+            safe = np.maximum(theta, 1e-12)
+            g = g + prior / safe
+            h = h - prior / (safe * safe)
+        return g, h
+
+    return value, derivatives
+
+
+def ref_weight_objective(A, prior):
+    def slopes(d):
+        r = 1.0 / d
+        return A.T @ r, -(A * A).T @ (r * r)
+
+    return _ref_simplex_objective(lambda w: A @ w, slopes, prior)
+
+
+def ref_row_objective(base, m, colidx, size, prior):
+    def slopes(d):
+        r = m / d
+        return (
+            np.bincount(colidx, weights=r, minlength=size),
+            -np.bincount(colidx, weights=r * r, minlength=size),
+        )
+
+    return _ref_simplex_objective(lambda q: base + m * q[colidx], slopes, prior)
+
+
+def ref_row_positions(stats):
+    """Per state x: (position indices, lag indices) of every (t, i) with
+    clamped source x, positions ascending, then lags."""
+    flat = stats.src.ravel()
+    order = np.argsort(flat, kind="stable")
+    bounds = np.cumsum(np.bincount(flat, minlength=stats.n))[:-1]
+    return [(idx // stats.k, idx % stats.k) for idx in np.split(order, bounds)]
+
+
+def ref_row_block_inputs(row_positions, stats, x, cols, q, w, denom):
+    """(positions, m, colidx, base) of row x's block, or None if no
+    position with positive lag weight reaches a support column of x."""
+    pos_pairs, lag_pairs = row_positions[x]
+    if pos_pairs.size == 0 or cols.size == 0:
+        return None
+    upos, inverse = np.unique(pos_pairs, return_inverse=True)
+    m = np.bincount(inverse, weights=w[lag_pairs])
+    keep = m > 0.0
+    upos, m = upos[keep], m[keep]
+    if upos.size == 0:
+        return None
+    tgt = stats.tgt[upos]
+    cidx = np.searchsorted(cols, tgt)
+    on = (cidx < cols.size) & (cols[np.minimum(cidx, cols.size - 1)] == tgt)
+    upos, m, cidx = upos[on], m[on], cidx[on]
+    if upos.size == 0:
+        return None
+    return upos, m, cidx, denom[upos] - m * q[cidx]
+
+
+def ref_grad_P(model, corpus):
+    """Per-row gradient of the log-likelihood in P's stored entries, as
+    bincount(colidx, m / mixture probability) over each row's block."""
+    stats = ScoredPositions(corpus, model.k)
+    w = model.w.weights
+    _, denom = _mixture(stats, model.P, w)
+    positions = ref_row_positions(stats)
+    out = []
+    for x in range(model.n):
+        cols, probs = model.P.row(x)
+        inputs = ref_row_block_inputs(positions, stats, x, cols, probs, w, denom)
+        if inputs is None:
+            out.append(np.zeros(cols.size))
+        else:
+            upos, m, cidx, _ = inputs
+            out.append(np.bincount(cidx, weights=m / denom[upos], minlength=cols.size))
+    return out
+
+
+def ref_optimize_row(model, corpus, state, cfg):
+    """One row's block solve with everything else fixed."""
+    cols, probs = model.P.row(state)
+    q = probs.copy()
+    if cols.size == 1:
+        return np.ones(1)
+    stats = ScoredPositions(corpus, model.k)
+    w = model.w.weights
+    _, denom = _mixture(stats, model.P, w)
+    inputs = ref_row_block_inputs(ref_row_positions(stats), stats, state, cols, q, w, denom)
+    if inputs is None:
+        return q
+    _, m, cidx, base = inputs
+    value, derivatives = ref_row_objective(base, m, cidx, cols.size, cfg.prior_count)
+    return ref_optimize_simplex_block(value, derivatives, q, cfg).point
+
+
+def ref_alternate_minimize(corpus, cfg):
+    """Alternating minimization with a block solve for every row of every
+    P half: w, then each row with more than one support entry in state
+    order, reading the mixture probabilities the sweep has left.  No
+    final guard.  Returns (model, report)."""
+    stats = ScoredPositions(corpus, cfg.k)
+    positions = ref_row_positions(stats)
+    P0 = _empirical_matrix(stats, cfg.support_epsilon)[0]
+    w = HistoryDistribution.geometric(cfg.init_decay, cfg.k).weights.copy()
+    n = len(corpus.vocab)
+    indptr, cols = P0.indptr, P0.cols
+    q = P0.probs.copy()
+    matrix = P0
+    A, denom = _mixture(stats, matrix, w)
+
+    def record(block, residual):
+        ll = float(np.log(denom).sum())
+        return HalfIterationRecord(
+            block, ll, float(np.exp(-ll / stats.T)), residual,
+            int(np.count_nonzero(w > 0)) + int(np.count_nonzero(q > 0)), 0.0,
+        )
+
+    records = [record("init", None)]
+    for half in range(cfg.half_iterations):
+        if half % 2 == 0:
+            value, derivatives = ref_weight_objective(A, cfg.prior_count)
+            res = ref_optimize_simplex_block(value, derivatives, w, cfg)
+            w = res.point
+            denom = _denominators(stats, A, w)
+            records.append(record("w", res.kkt_residual))
+        elif not cfg.weight_only:
+            worst = 0.0
+            for x in range(n):
+                lo, hi = indptr[x], indptr[x + 1]
+                if hi - lo < 2:
+                    continue
+                inputs = ref_row_block_inputs(positions, stats, x, cols[lo:hi], q[lo:hi], w, denom)
+                if inputs is None:
+                    continue
+                upos, m, cidx, base = inputs
+                value, derivatives = ref_row_objective(base, m, cidx, int(hi - lo), cfg.prior_count)
+                res = ref_optimize_simplex_block(value, derivatives, q[lo:hi], cfg)
+                q[lo:hi] = res.point
+                denom[upos] = base + m * res.point[cidx]
+                worst = max(worst, res.kkt_residual)
+            matrix = SparseStochasticMatrix.from_csr(n, indptr, cols, q)
+            A, denom = _mixture(stats, matrix, w)
+            records.append(record("P", worst))
+    model = LampModel(w=HistoryDistribution(w), P=matrix, vocab=corpus.vocab)
+    return model, TrainReport(tuple(records), final_model=model)

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lamp.learn as learn
 from lamp.core import (
     Corpus,
     DataError,
@@ -17,6 +20,7 @@ from lamp.core import (
     Vocabulary,
     generate,
     log_likelihood,
+    model_to_dict,
 )
 from lamp.learn import (
     TrainConfig,
@@ -35,8 +39,13 @@ from conftest import (
     random_simplex,
     random_stochastic_matrix,
     random_sequences,
+    ref_alternate_minimize,
     ref_empirical_rows,
+    ref_grad_P,
     ref_log_likelihood,
+    ref_optimize_row,
+    ref_optimize_simplex_block,
+    sparse_models,
     worked_matrix,
 )
 
@@ -561,3 +570,197 @@ class TestBlockConcavity:
                 vals.append(ref_log_likelihood(w, trial, seqs)[0])
             for left, mid, right in zip(vals, vals[1:], vals[2:]):
                 assert mid >= (left + right) / 2.0 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Bitwise agreement with the reference trainer
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the data or numeric error it raised."""
+    try:
+        return fn(*args)
+    except (DataError, NumericError) as exc:
+        return type(exc), str(exc)
+
+
+def model_bits(model):
+    return (
+        json.dumps(model_to_dict(model)),
+        model.w.weights.tobytes(),
+        model.P.indptr.tobytes(),
+        model.P.cols.tobytes(),
+        model.P.probs.tobytes(),
+    )
+
+
+def training_bits(result):
+    if isinstance(result[0], type):
+        return result
+    model, report = result
+    return model_bits(model), report.to_jsonl()
+
+
+@st.composite
+def training_cases(draw):
+    """Small corpora with lines of length 1, states that never start a
+    transition (empty rows) or have one successor (rows of size 1), and
+    configurations whose kkt_tol ranges from tight to loose enough that a
+    P half skips some rows and solves later ones."""
+    n = draw(st.integers(1, 5))
+    seqs = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=12), min_size=1, max_size=6))
+    seqs.append(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=12)))
+    cfg = TrainConfig(
+        k=draw(st.integers(1, 4)),
+        rounds=draw(st.integers(1, 6)) / 2.0,
+        kkt_tol=draw(st.sampled_from([1e-6, 1e-3, 0.1, 10.0])),
+        prior_count=draw(st.sampled_from([0.0, 0.5])),
+        init_decay=draw(st.sampled_from([0.01, 0.8, 5.0])),
+        max_newton_iters=draw(st.sampled_from([2, 100])),
+    )
+    return make_corpus(Vocabulary.from_size(n), seqs), cfg
+
+
+class TestReferenceTrainer:
+    @settings(max_examples=200, deadline=None)
+    @given(case=training_cases())
+    def test_training_matches_reference_bitwise(self, case):
+        corpus, cfg = case
+        got = training_bits(outcome(alternate_minimize, corpus, cfg))
+        assert got == training_bits(outcome(ref_alternate_minimize, corpus, cfg))
+
+    @pytest.mark.parametrize("seqs, k, rounds, kkt_tol", [
+        ([[0, 0, 1, 0, 1, 1, 0]], 3, 1.0, 0.1),
+        ([[2, 0, 0, 2, 0, 2, 2, 1, 2], [1, 2, 2, 0, 0, 1, 0, 1, 0]], 2, 2.0, 1.0),
+    ])
+    def test_skipped_row_rounds_mixture_like_the_solver(self, seqs, k, rounds, kkt_tol):
+        # A row skipped before a solved row in the same half: its rewrite
+        # (denom - m*q) + m*q differs from denom in the last bit at some
+        # position the solved row reads, and the solved row's result shows it.
+        corpus = make_corpus(Vocabulary.from_size(3), seqs)
+        cfg = TrainConfig(k=k, rounds=rounds, kkt_tol=kkt_tol, init_decay=5.0)
+        got = training_bits(alternate_minimize(corpus, cfg))
+        assert got == training_bits(ref_alternate_minimize(corpus, cfg))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_larger_corpus_matches_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        seqs = random_sequences(rng, 30, 25, 40, min_len=1)
+        corpus = make_corpus(Vocabulary.from_size(32), seqs)
+        for cfg in (TrainConfig(k=3, rounds=2.5), TrainConfig(k=2, rounds=2.0, kkt_tol=0.5, prior_count=0.5)):
+            got = training_bits(alternate_minimize(corpus, cfg))
+            assert got == training_bits(ref_alternate_minimize(corpus, cfg))
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=sparse_models(), data=st.data())
+    def test_grad_P_and_optimize_row_match_reference_bitwise(self, model, data):
+        seqs = data.draw(st.lists(st.lists(st.integers(0, model.n - 1), min_size=1, max_size=10), min_size=1, max_size=5))
+        corpus = make_corpus(model, seqs)
+        cfg = TrainConfig(k=model.k, kkt_tol=data.draw(st.sampled_from([1e-6, 0.1])),
+                          prior_count=data.draw(st.sampled_from([0.0, 0.5])))
+        got, want = outcome(grad_P, model, corpus), outcome(ref_grad_P, model, corpus)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+        for x in range(model.n):
+            if model.P.row_cols[x].size == 0:
+                continue
+            got, want = outcome(optimize_row, model, corpus, x, cfg), outcome(ref_optimize_row, model, corpus, x, cfg)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert got.tobytes() == want.tobytes()
+
+    def test_simplex_block_matches_reference_bitwise(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            k = int(rng.integers(2, 10))
+            c = rng.random(k) + 0.05
+            b = rng.normal(0.0, 2.0, size=k)
+
+            def value(p, c=c, b=b):
+                if np.any(p <= 0.0):
+                    return -math.inf
+                return float(c @ np.log(p) + b @ p)
+
+            def derivatives(p, c=c, b=b):
+                return c / p + b, -c / (p * p)
+
+            cfg = TrainConfig(k=1, kkt_tol=float(rng.choice([1e-9, 1e-3])),
+                              max_newton_iters=int(rng.choice([1, 3, 100])),
+                              trust_init=float(rng.choice([1e-3, 0.1, 1.0])))
+            start = random_simplex(rng, k)
+            got = optimize_simplex_block(value, derivatives, start, cfg)
+            want = ref_optimize_simplex_block(value, derivatives, start, cfg)
+            assert got.point.tobytes() == want.point.tobytes()
+            assert (got.value, got.kkt_residual, got.iterations, got.accepted_steps) == (
+                want.value, want.kkt_residual, want.iterations, want.accepted_steps)
+
+
+# ---------------------------------------------------------------------------
+# Rows at their optimum are skipped
+
+
+class TestRowSkip:
+    # k = 1 with a prior: rows separate, and each row's optimum has
+    # q_c proportional to count_c + prior.  Row 0's counts (1, 1) start it at
+    # that optimum; row 1's counts (2, 1) do not.  State 2 has no successor.
+    SEQS = [[0, 1], [0, 2], [1, 0], [1, 0], [1, 2]]
+
+    def traced_training(self, monkeypatch, cfg):
+        calls = []
+        solve = learn.optimize_simplex_block
+
+        def traced(objective, derivatives, point, cfg):
+            calls.append(np.array(point))
+            return solve(objective, derivatives, point, cfg)
+
+        monkeypatch.setattr(learn, "optimize_simplex_block", traced)
+        corpus = make_corpus(Vocabulary.from_size(3), self.SEQS)
+        return corpus, calls, alternate_minimize(corpus, cfg)
+
+    def test_converged_half_calls_no_block_solver(self, monkeypatch):
+        cfg = TrainConfig(k=1, rounds=2.5, prior_count=0.5)
+        corpus, calls, (model, report) = self.traced_training(monkeypatch, cfg)
+        # w, row 1, w, (no row), w: the second P half solves nothing.
+        assert [c.size for c in calls] == [1, 2, 1, 1]
+        assert [r.block for r in report.records] == ["init", "w", "P", "w", "P", "w"]
+        assert report.records[4].kkt_residual <= cfg.kkt_tol
+        assert training_bits((model, report)) == training_bits(ref_alternate_minimize(corpus, cfg))
+
+    def test_row_above_tolerance_after_skipped_row_is_solved(self, monkeypatch):
+        cfg = TrainConfig(k=1, rounds=1.0, prior_count=0.5)
+        corpus, calls, (model, report) = self.traced_training(monkeypatch, cfg)
+        start = empirical_transition_matrix(corpus, 1)
+        assert len(calls) == 2  # the w block, then row 1 alone
+        assert calls[1].tobytes() == start.row_probs[1].tobytes()
+        assert model.P.row_probs[0].tobytes() == start.row_probs[0].tobytes()
+        assert np.allclose(model.P.row_probs[1], [2.5 / 4.0, 1.5 / 4.0], atol=1e-6)
+        assert training_bits((model, report)) == training_bits(ref_alternate_minimize(corpus, cfg))
+
+
+# ---------------------------------------------------------------------------
+# Training with a prior
+
+
+def test_prior_training_guards_the_penalized_objective():
+    # The blocks ascend log-likelihood + prior * (sum log w + sum log P), so
+    # the plain log-likelihood may fall; that is not a numeric failure.
+    seqs = [
+        [0, 0, 0, 1, 1, 1],
+        [0, 1, 0, 0, 1, 0, 0],
+        [1, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0],
+        [0, 0, 0, 1, 1, 1, 1, 1, 1],
+    ]
+    corpus = make_corpus(Vocabulary.from_size(2), seqs)
+    cfg = TrainConfig(k=1, prior_count=0.5, init_decay=0.01, rounds=1.5)
+    model, report = alternate_minimize(corpus, cfg)
+    start = empirical_transition_matrix(corpus, 1)
+
+    def penalized(ll, w, P):
+        return ll + 0.5 * (float(np.log(w).sum()) + float(np.log(P.probs).sum()))
+
+    assert report.final_log_likelihood < report.initial_log_likelihood
+    assert penalized(report.final_log_likelihood, model.w.weights, model.P) >= penalized(
+        report.initial_log_likelihood, np.ones(1), start)
