@@ -159,7 +159,7 @@ def stationary_distribution(
     ||pi P - pi||_1 <= tol because left-multiplication by a stochastic
     matrix never expands L1 distances.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DataError("tol must be positive")
     _require_ergodic(P)
     return _power_iteration(P, tol, max_iters)
@@ -196,7 +196,7 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     can differ from the stepwise search only where d(t) ties delta to
     within that rounding, about 1 ulp.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DataError("delta must be positive")
     n = P.n
     if n > MIXING_STATE_GUARD:
@@ -361,7 +361,7 @@ def bernstein_constant(w: HistoryDistribution, epsilon: float) -> float:
 
         C(eps) = eps^2 E[w] / ((1 + eps) (2 Var[w] + (2/3) k eps E[w])).
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise DataError("epsilon must be positive")
     mu = w.mean
     var = max(w.variance, 0.0)

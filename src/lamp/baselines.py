@@ -7,14 +7,18 @@ which assigns zero probability to unseen events, and interpolated
 Kneser-Ney smoothing, which discounts seen events and backs off through
 shorter contexts down to a continuation unigram interpolated with the
 uniform distribution, so every conditional is strictly positive.
+
+As for the lagged model, events and scored positions come from
+:class:`lamp.core.ScoredPositions` and scores aggregate through
+:meth:`lamp.core.LogLikelihood.of_positions`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,8 +26,10 @@ from lamp.core import (
     Corpus,
     DataError,
     LogLikelihood,
+    ScoredPositions,
     Vocabulary,
     _check_vocab,
+    _find_sorted,
     _read_json,
     _write_json,
 )
@@ -41,22 +47,75 @@ __all__ = [
 ]
 
 
-def _count_events(corpus: Corpus, order: int) -> dict[tuple[int, ...], dict[int, int]]:
-    """Raw (context, next) counts under the truncated-context protocol.
+def _integers(values: list, low: float, high: float, what: str) -> np.ndarray:
+    """``values`` as an array, each an integer in [low, high); a number such
+    as 2.0 counts as the integer 2, and anything else is refused."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise DataError(f"every {what} must be an integer")
+    bad = np.flatnonzero(~((arr == np.floor(arr)) & (arr >= low) & (arr < high)))
+    if bad.size:
+        raise DataError(f"{what} {arr[bad[0]].item()!r} is not an integer in [{low}, {high})")
+    return arr
 
-    Position j of a sequence contributes one event with context
-    seq[j - m : j] where m = min(j, order), so contexts shorter than the
-    order appear only at sequence starts.
+
+def _trie(lags: np.ndarray, m: np.ndarray, n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Suffix trie of contexts given lag-first: row r has length ``m[r]`` and
+    its symbol at lag j in ``lags[r, j - 1]``.
+
+    A level-j node is keyed ``parent * n + symbol at lag j``, its parent being
+    the node of the length-(j-1) suffix, and numbered by its rank among its
+    level's sorted keys, so keys stay below (contexts x n) at any order.
+    Returns each level's sorted keys (level 0 holds the root, node 0) and
+    each row's node at its own level.
     """
+    node = np.zeros(m.size, dtype=np.int64)
+    levels = [np.zeros(1, dtype=np.int64)]
+    for j in range(1, lags.shape[1] + 1):
+        deep = np.flatnonzero(m >= j)
+        keys, node[deep] = np.unique(node[deep] * n + lags[deep, j - 1], return_inverse=True)
+        levels.append(keys)
+    return levels, node
+
+
+def _positions(corpus: Corpus, order: int) -> tuple[ScoredPositions, np.ndarray]:
+    """The corpus's scored positions, with lags up to the longest context
+    that occurs, and each position's context length min(pos, order)."""
+    longest = max((s.size for s in corpus.sequences), default=1) - 1
+    positions = ScoredPositions(corpus, max(min(order, longest), 0))
+    return positions, np.minimum(positions.pos, order)
+
+
+def _events(corpus: Corpus, order: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """Raw (context, next) counts: scored position j of a sequence contributes
+    one event with context seq[j - m : j] where m = min(j, order), so contexts
+    shorter than the order appear only at sequence starts."""
+    positions, m = _positions(corpus, order)
+    n = positions.n
+    _, node = _trie(positions.src, m, n)
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for seq in corpus.sequences:
-        ids = [int(x) for x in seq]
-        for j in range(1, len(ids)):
-            m = min(j, order)
-            ctx = tuple(ids[j - m : j])
-            targets = counts.setdefault(ctx, {})
-            targets[ids[j]] = targets.get(ids[j], 0) + 1
+    for j in range(1, positions.k + 1):
+        at = np.flatnonzero(m == j)
+        keys, first, c = np.unique(
+            node[at] * n + positions.tgt[at], return_index=True, return_counts=True
+        )
+        contexts = map(tuple, positions.src[at[first], j - 1 :: -1].tolist())
+        for ctx, y, count in zip(contexts, (keys % n).tolist(), c.tolist()):
+            counts.setdefault(ctx, {})[y] = count
     return counts
+
+
+class _Level(NamedTuple):
+    """The contexts of one length: their sorted trie keys, the sorted keys
+    ``node * n + next`` of their events, the events' counts followed by one
+    0.0 that a missing event (index -1) reads, and per node the sum of its
+    counts and its number of distinct next states."""
+
+    nodes: np.ndarray
+    events: np.ndarray
+    counts: np.ndarray
+    total: np.ndarray
+    distinct: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,7 +123,7 @@ class NgramModel:
     """Order-m conditional model over truncated contexts.
 
     ``counts`` holds the raw training events; smoothed tables are derived
-    from them on demand, so a serialized model reloads to identical
+    from them on construction, so a serialized model reloads to identical
     conditionals.
     """
 
@@ -85,173 +144,126 @@ class NgramModel:
             raise DataError("discount must lie strictly between 0 and 1")
         if not self.counts:
             raise DataError("model has no training events")
-        n = len(self.vocab)
-        for ctx, targets in self.counts.items():
-            if len(ctx) > self.order:
-                raise DataError(f"context {ctx} longer than the model order")
-            for y in (*ctx, *targets):
-                if not 0 <= int(y) < n:
-                    raise DataError(f"state id {y} outside the vocabulary")
+        self._tables  # building the tables validates the counts
 
     @property
     def n(self) -> int:
         return len(self.vocab)
 
     @cached_property
-    def _totals(self) -> dict[tuple[int, ...], int]:
-        return {ctx: sum(t.values()) for ctx, t in self.counts.items()}
+    def _tables(self) -> list[_Level]:
+        """Levels 0..(longest context) of the context trie, built from
+        ``counts``, which must hold contexts no longer than the order, each
+        with events, state ids of the vocabulary and positive integer counts.
 
-    @cached_property
-    def _kn_tables(self) -> list[dict[tuple[int, ...], dict[int, int]]]:
-        """Per-level event tables for Kneser-Ney.
-
-        Level ``order`` holds the raw full-context counts.  Each shorter
-        level holds continuation counts (the number of distinct one-symbol
-        left extensions seen at the level above) plus the raw counts of
-        truncated sequence-start events at that length, which have no left
-        extension and would otherwise vanish from the backoff chain.
+        Unsmoothed levels hold the raw events of their length.  Kneser-Ney's
+        deepest level holds the raw counts; each shorter level holds one
+        continuation count per distinct event of the level above, moved to
+        its parent node, plus the raw counts of truncated sequence-start
+        events at that length, which have no left extension and would
+        otherwise vanish from the backoff chain.
         """
-        raw: list[dict[tuple[int, ...], dict[int, int]]] = [
-            {} for _ in range(self.order + 1)
-        ]
-        for ctx, targets in self.counts.items():
-            raw[len(ctx)][ctx] = dict(targets)
-        tables = [dict() for _ in range(self.order + 1)]
-        tables[self.order] = raw[self.order]
-        for m in range(self.order - 1, -1, -1):
-            level: dict[tuple[int, ...], dict[int, int]] = {}
-            for ctx, targets in tables[m + 1].items():
-                suffix = ctx[1:]
-                dest = level.setdefault(suffix, {})
-                for y, c in targets.items():
-                    if c > 0:
-                        # ctx determines its first symbol, so each upper
-                        # context adds exactly one distinct left extension.
-                        dest[y] = dest.get(y, 0) + 1
-            for ctx, targets in raw[m].items():
-                dest = level.setdefault(ctx, {})
-                for y, c in targets.items():
-                    dest[y] = dest.get(y, 0) + c
-            tables[m] = level
-        return tables
+        n = self.n
+        contexts, targets = list(self.counts), list(self.counts.values())
+        m = np.fromiter(map(len, contexts), np.int64, len(contexts))
+        sizes = np.fromiter(map(len, targets), np.int64, len(targets))
+        if m.max() > self.order:
+            raise DataError(f"context {contexts[m.argmax()]} longer than the model order")
+        if sizes.min() == 0:
+            raise DataError(f"context {contexts[sizes.argmin()]} has no events")
+        ids = [*chain.from_iterable(contexts), *chain.from_iterable(targets)]
+        ids = _integers(ids, 0, n, "state id").astype(np.int64)
+        cs = _integers([c for t in targets for c in t.values()], 1, np.inf, "count")
+        owner = np.repeat(np.arange(m.size), m)
+        lags = np.zeros((m.size, int(m.max())), dtype=np.int64)
+        lags[owner, np.cumsum(m)[owner] - np.arange(owner.size) - 1] = ids[: owner.size]
+        nodes, own = _trie(lags, m, n)
+        context_of = np.repeat(np.arange(m.size), sizes)
+        keys, length = own[context_of] * n + ids[owner.size :], m[context_of]
+        levels: list[_Level] = []
+        for j in range(lags.shape[1], -1, -1):
+            events, counts = keys[length == j], cs[length == j].astype(np.float64)
+            if levels and self.smoothing == "kneser_ney":
+                upper = levels[-1].events
+                parent = nodes[j + 1][upper // n] // n
+                events = np.concatenate([parent * n + upper % n, events])
+                counts = np.concatenate([np.ones(upper.size), counts])
+            events, inverse = np.unique(events, return_inverse=True)
+            counts = np.bincount(inverse, weights=counts, minlength=events.size)
+            node = events // n
+            total = np.bincount(node, weights=counts, minlength=nodes[j].size)
+            distinct = np.bincount(node, minlength=nodes[j].size)
+            levels.append(_Level(nodes[j], events, np.append(counts, 0.0), total, distinct))
+        return levels[::-1]
 
-    @cached_property
-    def _kn_stats(self) -> list[dict[tuple[int, ...], tuple[int, int]]]:
-        """Per level: context -> (total count, distinct continuations)."""
-        return [
-            {ctx: (sum(t.values()), len(t)) for ctx, t in level.items()}
-            for level in self._kn_tables
-        ]
+    def _probabilities(self, lags: np.ndarray, m: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """P(y[r] | context r) for a batch of contexts given lag-first: row r
+        has length ``m[r]`` <= order and its symbol at lag j in
+        ``lags[r, j - 1]``.
+
+        All rows descend the trie together.  Kneser-Ney interpolates at every
+        level a row's context reaches, so an unseen context backs off without
+        discounting; the unsmoothed model takes the ratio at the row's own
+        level, 0.0 where that context has no events.
+        """
+        n, D = self.n, self.discount
+        kn = self.smoothing == "kneser_ney"
+        p = np.full(y.size, 1.0 / n) if kn else np.zeros(y.size)
+        rows, node = np.arange(y.size), np.zeros(y.size, dtype=np.int64)
+        for j, level in enumerate(self._tables):
+            if j:
+                deep = m[rows] >= j
+                rows, node = rows[deep], node[deep]
+                if not rows.size:
+                    break
+                at = _find_sorted(level.nodes, node * n + lags[rows, j - 1])
+                rows, node = rows[at >= 0], at[at >= 0]
+            here = slice(None) if kn else m[rows] == j
+            r, v = rows[here], node[here]
+            c, total = level.counts[_find_sorted(level.events, v * n + y[r])], level.total[v]
+            if kn:
+                p[r] = np.maximum(c - D, 0.0) / total + (D * level.distinct[v] / total) * p[r]
+            else:
+                p[r] = np.divide(c, total, out=np.zeros(c.size), where=total > 0)
+        return p
 
     def conditional(self, context: Sequence[int], y: int) -> float:
         """P(y | context), truncating the context to the model order."""
         y = int(y)
         if not 0 <= y < self.n:
             raise DataError(f"state id {y} outside the vocabulary")
-        ctx = tuple(int(c) for c in context)
-        if len(ctx) > self.order:
-            ctx = ctx[-self.order:]
-        for c in ctx:
-            if not 0 <= c < self.n:
-                raise DataError(f"state id {c} outside the vocabulary")
-        if self.smoothing == "none":
-            targets = self.counts.get(ctx)
-            if targets is None:
-                return 0.0
-            return targets.get(y, 0) / self._totals[ctx]
-        return self._kneser_ney(ctx, y)
-
-    def _kneser_ney(self, ctx: tuple[int, ...], y: int) -> float:
-        D = self.discount
-        tables, stats = self._kn_tables, self._kn_stats
-        total0, distinct0 = stats[0][()]
-        c0 = tables[0][()].get(y, 0)
-        p = max(c0 - D, 0.0) / total0 + (D * distinct0 / total0) * (1.0 / self.n)
-        for m in range(1, len(ctx) + 1):
-            sub = ctx[len(ctx) - m :]
-            entry = stats[m].get(sub)
-            if entry is None:
-                continue  # unseen context: back off without discounting
-            total, distinct = entry
-            c = tables[m][sub].get(y, 0)
-            p = max(c - D, 0.0) / total + (D * distinct / total) * p
-        return p
+        return float(self.distribution(context)[y])
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
-        """Full conditional distribution over the vocabulary."""
-        return np.array([self.conditional(context, y) for y in range(self.n)])
+        """Full conditional distribution over the vocabulary, truncating the
+        context to the model order."""
+        ctx = _integers(list(context)[-self.order :], 0, self.n, "state id").astype(np.int64)
+        lags = np.tile(ctx[::-1], (self.n, 1))
+        return self._probabilities(lags, np.full(self.n, ctx.size), np.arange(self.n))
 
 
 def fit_naive_ngram(corpus: Corpus, order: int) -> NgramModel:
     """Maximum-likelihood n-gram; unseen events get probability zero."""
-    if order < 1:
-        raise DataError("order must be at least 1")
-    if corpus.total_transitions == 0:
-        raise DataError("corpus has no scored transitions")
-    return NgramModel(
-        order=order,
-        smoothing="none",
-        discount=0.0,
-        vocab=corpus.vocab,
-        counts=_count_events(corpus, order),
-    )
+    return NgramModel(order, "none", 0.0, corpus.vocab, _events(corpus, order))
 
 
 def fit_kneser_ney(corpus: Corpus, order: int, discount: float = 0.75) -> NgramModel:
     """Interpolated Kneser-Ney n-gram with a fixed discount."""
-    if order < 1:
-        raise DataError("order must be at least 1")
-    if not 0.0 < discount < 1.0:
-        raise DataError("discount must lie strictly between 0 and 1")
-    if corpus.total_transitions == 0:
-        raise DataError("corpus has no scored transitions")
-    return NgramModel(
-        order=order,
-        smoothing="kneser_ney",
-        discount=discount,
-        vocab=corpus.vocab,
-        counts=_count_events(corpus, order),
-    )
+    return NgramModel(order, "kneser_ney", discount, corpus.vocab, _events(corpus, order))
 
 
 def ngram_log_likelihood(model: NgramModel, corpus: Corpus) -> LogLikelihood:
     """Natural-log likelihood under the shared scoring protocol: positions
     j = 1..len-1, context truncated at sequence starts."""
     _check_vocab(model.vocab, corpus.vocab)
-    per_sequence = []
-    total = 0.0
-    scored = 0
-    impossible = 0
-    for seq in corpus.sequences:
-        ids = [int(x) for x in seq]
-        ll = 0.0
-        for j in range(1, len(ids)):
-            m = min(j, model.order)
-            p = model.conditional(ids[j - m : j], ids[j])
-            scored += 1
-            if p <= 0.0:
-                impossible += 1
-                ll = -math.inf
-            elif ll != -math.inf:
-                ll += math.log(p)
-        per_sequence.append(ll)
-        total += ll
-    return LogLikelihood(
-        total=total,
-        per_sequence=tuple(per_sequence),
-        scored_transitions=scored,
-        impossible_transitions=impossible,
-    )
+    positions, m = _positions(corpus, model.order)
+    p = model._probabilities(positions.src, m, positions.tgt)
+    return LogLikelihood.of_positions(positions, p)
 
 
 def ngram_perplexity(model: NgramModel, corpus: Corpus) -> float:
     """exp(-L/T); +inf when any scored transition is impossible."""
-    ll = ngram_log_likelihood(model, corpus)
-    if ll.scored_transitions == 0:
-        raise DataError("perplexity requires at least one scored transition")
-    if ll.impossible_transitions > 0:
-        return math.inf
-    return math.exp(-ll.total / ll.scored_transitions)
+    return ngram_log_likelihood(model, corpus).perplexity()
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +273,11 @@ def ngram_perplexity(model: NgramModel, corpus: Corpus) -> float:
 def ngram_to_dict(model: NgramModel) -> dict:
     """JSON-ready document; events are stored as [context list, next, count]
     triples sorted for byte-stable output."""
-    triples = []
-    for ctx in sorted(model.counts):
-        for y in sorted(model.counts[ctx]):
-            triples.append([list(ctx), int(y), int(model.counts[ctx][y])])
+    triples = [
+        [list(ctx), int(y), int(c)]
+        for ctx in sorted(model.counts)
+        for y, c in sorted(model.counts[ctx].items())
+    ]
     doc = {
         "order": model.order,
         "smoothing": model.smoothing,
@@ -278,25 +291,21 @@ def ngram_to_dict(model: NgramModel) -> dict:
 
 
 def ngram_from_dict(doc: dict) -> NgramModel:
+    """Inverse of :func:`ngram_to_dict`; a repeated (context, next) pair is
+    refused, and the model checks every count and state id."""
+    counts: dict[tuple, dict] = {}
     try:
-        order = int(doc["order"])
-        smoothing = str(doc["smoothing"])
-        discount = float(doc["discount"])
-        tokens = [str(t) for t in doc["vocab"]]
-        triples = doc["counts"]
+        order, smoothing = int(doc["order"]), str(doc["smoothing"])
+        discount, tokens = float(doc["discount"]), [str(t) for t in doc["vocab"]]
+        for ctx, y, c in doc["counts"]:
+            targets = counts.setdefault(tuple(ctx), {})
+            if y in targets:
+                raise DataError(f"repeated n-gram event {[ctx, y]!r}")
+            targets[y] = c
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed n-gram document: {exc}") from exc
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for entry in triples:
-        ctx, y, c = tuple(int(v) for v in entry[0]), int(entry[1]), int(entry[2])
-        counts.setdefault(ctx, {})[y] = c
-    return NgramModel(
-        order=order,
-        smoothing=smoothing,
-        discount=discount,
-        vocab=Vocabulary.from_tokens(tokens, doc.get("rare_token")),
-        counts=counts,
-    )
+    vocab = Vocabulary.from_tokens(tokens, doc.get("rare_token"))
+    return NgramModel(order, smoothing, discount, vocab, counts)
 
 
 def save_ngram(model: NgramModel, path: str) -> None:

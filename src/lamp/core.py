@@ -159,6 +159,15 @@ def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return owner, entry
 
 
+def _find_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Index of each of ``keys`` (any shape) in the ascending ``sorted_keys``,
+    or -1 where it is absent."""
+    if sorted_keys.size == 0:
+        return np.full(keys.shape, -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return np.where(sorted_keys[at] == keys, at, -1)
+
+
 @dataclass(frozen=True)
 class SparseStochasticMatrix:
     """Row-stochastic matrix in compressed sparse row storage.
@@ -294,11 +303,7 @@ class SparseStochasticMatrix:
 
     def pair_indices(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         """Indices into the flat storage for (src, tgt) pairs, -1 if absent."""
-        keys = src.astype(np.int64) * self.n + tgt.astype(np.int64)
-        if self._pair_keys.size == 0:
-            return np.full(keys.shape, -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self._pair_keys, keys), self._pair_keys.size - 1)
-        return np.where(self._pair_keys[pos] == keys, pos, -1)
+        return _find_sorted(self._pair_keys, src.astype(np.int64) * self.n + tgt.astype(np.int64))
 
     def lookup_pairs(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         """Vectorised P(src, tgt); zero for pairs outside the support."""
@@ -490,8 +495,8 @@ class ScoredPositions:
     target ``tgt[t]`` and ``src[t, i-1]`` its source at lag i, clamped to the
     sequence's first state.  Positions run in sequence order, then in order
     within each sequence.  This table is the one place the package derives
-    per-position mixture terms from: scoring, the empirical initializer and
-    the trainer all read it.
+    per-position terms from: scoring, the empirical initializer, the trainer
+    and the n-gram baselines all read it.
     """
 
     def __init__(self, corpus: Corpus, k: int) -> None:
@@ -529,6 +534,17 @@ class LogLikelihood:
     per_sequence: tuple[float, ...]
     scored_transitions: int
     impossible_transitions: int
+
+    @classmethod
+    def of_positions(cls, positions: ScoredPositions, p: np.ndarray) -> LogLikelihood:
+        """Sum the logs of ``p``, one probability per scored position, per
+        sequence in position order; every scorer aggregates through here."""
+        impossible = p <= 0.0
+        per_seq = np.zeros(positions.n_sequences)
+        np.add.at(per_seq, positions.seq_id, np.log(np.where(impossible, 1.0, p)))
+        per_seq[positions.seq_id[impossible]] = -math.inf
+        per_sequence = tuple(per_seq.tolist())
+        return cls(float(sum(per_sequence)), per_sequence, positions.T, int(impossible.sum()))
 
     def perplexity(self) -> float:
         """exp(-total / scored_transitions), or +inf when any scored
@@ -616,11 +632,7 @@ def _floored_probabilities(
         norm = (np.bincount(local, weights=np.maximum(acc, floor), minlength=m)
                 + (n - np.bincount(local, minlength=m)) * floor)
         want = np.arange(m) * n + positions.tgt[start:stop]
-        at = np.searchsorted(keys, want)
-        hit = at < keys.size
-        hit[hit] = keys[at[hit]] == want[hit]
-        at_tgt = np.zeros(m)
-        at_tgt[hit] = acc[at[hit]]
+        at_tgt = np.append(acc, 0.0)[_find_sorted(keys, want)]  # index -1 reads the 0
         out[start:stop] = np.maximum(at_tgt, floor) / norm
         start = stop
     return out
@@ -644,17 +656,7 @@ def log_likelihood(
         p = positions.lag_probabilities(model.P) @ model.w.weights
     else:
         p = _floored_probabilities(model, positions, floor)
-    impossible = p <= 0.0
-    per_seq = np.zeros(positions.n_sequences)
-    np.add.at(per_seq, positions.seq_id, np.log(np.where(impossible, 1.0, p)))
-    per_seq[positions.seq_id[impossible]] = -math.inf
-    per_sequence = tuple(per_seq.tolist())
-    return LogLikelihood(
-        total=float(sum(per_sequence)),
-        per_sequence=per_sequence,
-        scored_transitions=positions.T,
-        impossible_transitions=int(impossible.sum()),
-    )
+    return LogLikelihood.of_positions(positions, p)
 
 
 def perplexity(model: LampModel, corpus: Corpus, floor: float | None = None) -> float:

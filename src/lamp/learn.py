@@ -90,6 +90,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DataError("k must be at least 1")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DataError(f"{name} must be finite")
         halves = self.rounds * 2.0
         if abs(halves - round(halves)) > 1e-9 or round(halves) < 1:
             raise DataError("rounds must be a positive multiple of 0.5")

@@ -7,10 +7,12 @@ term, and share no code with the package, so they can serve as oracles for
 the optimized implementations.  The chain-analysis references (the
 ``ref_*`` functions after the instance builders) read matrices only through
 their row and dense accessors, and walk states one at a time in Python, in
-the order that fixes the package's state ids and sums.  The reference
-trainer at the end of this file is the P half-round as one block solve per
-row, with each row's inputs gathered by its own ``np.unique``; it fixes the
-bits the package's trainer must reproduce.
+the order that fixes the package's state ids and sums.  The n-gram
+references count and score one position at a time through dict-of-dict
+tables, in the expression order that fixes the baselines' bits.  The
+reference trainer at the end of this file is the P half-round as one block
+solve per row, with each row's inputs gathered by its own ``np.unique``; it
+fixes the bits the package's trainer must reproduce.
 """
 
 from __future__ import annotations
@@ -245,6 +247,74 @@ def sparse_models(draw, max_matrices=1):
         lag_map,
         Vocabulary.from_tokens(tokens, draw(st.none() | st.sampled_from(tokens))),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference n-gram baselines: per-position walks over dict-of-dict tables
+
+
+def ref_ngram_counts(sequences, order):
+    """Raw (context, next) counts: position j of a sequence contributes one
+    event with context seq[j - m : j], m = min(j, order)."""
+    counts = {}
+    for seq in sequences:
+        for j in range(1, len(seq)):
+            m = min(j, order)
+            targets = counts.setdefault(tuple(seq[j - m : j]), {})
+            targets[seq[j]] = targets.get(seq[j], 0) + 1
+    return counts
+
+
+def ref_ngram_conditional(counts, order, smoothing, discount, n):
+    """P(y | ctx) for a context already truncated to the order, by dict
+    lookups in the package's expression order.
+
+    Unsmoothed: the count ratio of the context, 0.0 for an unseen one.
+    Kneser-Ney: level ``order`` holds the raw counts, each shorter level one
+    count per distinct left extension of the level above plus its own raw
+    sequence-start counts; the recursion interpolates upward from the
+    uniform law and skips contexts a level does not hold.
+    """
+    if smoothing == "none":
+        totals = {ctx: sum(t.values()) for ctx, t in counts.items()}
+
+        def ratio(ctx, y):
+            targets = counts.get(tuple(ctx))
+            return 0.0 if targets is None else targets.get(y, 0) / totals[tuple(ctx)]
+
+        return ratio
+    raw = [{} for _ in range(order + 1)]
+    for ctx, targets in counts.items():
+        raw[len(ctx)][ctx] = dict(targets)
+    tables = [{} for _ in range(order + 1)]
+    tables[order] = raw[order]
+    for m in range(order - 1, -1, -1):
+        level = {}
+        for ctx, targets in tables[m + 1].items():
+            dest = level.setdefault(ctx[1:], {})
+            for y in targets:
+                dest[y] = dest.get(y, 0) + 1
+        for ctx, targets in raw[m].items():
+            dest = level.setdefault(ctx, {})
+            for y, c in targets.items():
+                dest[y] = dest.get(y, 0) + c
+        tables[m] = level
+    stats = [{ctx: (sum(t.values()), len(t)) for ctx, t in level.items()} for level in tables]
+
+    def kneser_ney(ctx, y):
+        ctx = tuple(ctx)
+        D = discount
+        total0, distinct0 = stats[0][()]
+        p = max(tables[0][()].get(y, 0) - D, 0.0) / total0 + (D * distinct0 / total0) * (1.0 / n)
+        for m in range(1, len(ctx) + 1):
+            sub = ctx[len(ctx) - m :]
+            if sub not in stats[m]:
+                continue
+            total, distinct = stats[m][sub]
+            p = max(tables[m][sub].get(y, 0) - D, 0.0) / total + (D * distinct / total) * p
+        return p
+
+    return kneser_ney
 
 
 # ---------------------------------------------------------------------------

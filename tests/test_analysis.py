@@ -163,6 +163,8 @@ class TestStationaryDistribution:
         P = SparseStochasticMatrix.from_dense(worked_matrix())
         with pytest.raises(DataError):
             stationary_distribution(P, tol=0.0)
+        with pytest.raises(DataError):
+            stationary_distribution(P, tol=math.nan)
 
 
 class TestMixingTime:
@@ -250,6 +252,9 @@ class TestMixingTime:
         P = SparseStochasticMatrix.from_dense(worked_matrix())
         with pytest.raises(DataError):
             mixing_time(P, 0.0)
+        with pytest.raises(DataError):
+            mixing_time(P, math.nan)
+        assert mixing_time(P, math.inf) == 0
 
 
 class TestExponentProcess:
@@ -415,6 +420,8 @@ class TestBernsteinConstant:
         w = HistoryDistribution.from_weights([0.5, 0.5])
         with pytest.raises(DataError):
             bernstein_constant(w, 0.0)
+        with pytest.raises(DataError):
+            bernstein_constant(w, math.nan)
 
 
 class TestLampMixingBound:

@@ -8,12 +8,22 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_corpus, make_model, random_sequences, ref_log_likelihood
+from conftest import (
+    make_corpus,
+    make_model,
+    random_sequences,
+    ref_ngram_conditional,
+    ref_ngram_counts,
+)
 
 from lamp.core import (
     Corpus,
     DataError,
+    LogLikelihood,
+    ScoredPositions,
     SparseStochasticMatrix,
     Vocabulary,
     VocabularyMismatch,
@@ -249,6 +259,52 @@ class TestKneserNey:
                 fit_kneser_ney(corpus, order=1, discount=bad)
 
 
+@st.composite
+def ngram_cases(draw):
+    """A vocabulary, a training corpus over a prefix of it (so held-out
+    lines can hold unseen targets and contexts), a held-out corpus, lines of
+    length 1 and up, an order of 1 to 5 and a smoothing."""
+    n = draw(st.integers(1, 5))
+    seen = draw(st.integers(1, n))
+
+    def lines(symbols):
+        return st.lists(st.lists(st.integers(0, symbols - 1), min_size=1, max_size=8),
+                        min_size=1, max_size=6)
+
+    train = draw(lines(seen).filter(lambda seqs: any(len(s) > 1 for s in seqs)))
+    held_out = draw(lines(n))
+    order = draw(st.integers(1, 5))
+    smoothing = draw(st.sampled_from(["none", "kneser_ney"]))
+    discount = draw(st.floats(0.01, 0.99)) if smoothing == "kneser_ney" else 0.0
+    return n, train, held_out, order, smoothing, discount
+
+
+@settings(max_examples=300, deadline=None)
+@given(ngram_cases())
+def test_scoring_matches_dict_walk_reference_bitwise(case):
+    n, train, held_out, order, smoothing, discount = case
+    corpus = corpus_of(train, n)
+    if smoothing == "none":
+        model = fit_naive_ngram(corpus, order)
+    else:
+        model = fit_kneser_ney(corpus, order, discount)
+    counts = ref_ngram_counts(train, order)
+    assert model.counts == counts
+    reference = ref_ngram_conditional(counts, order, smoothing, discount, n)
+    for seqs in (train, held_out):
+        got, want = [], []
+        for seq in seqs:
+            for j in range(1, len(seq)):
+                ctx = seq[max(0, j - order) : j]
+                got.append(model.conditional(ctx, seq[j]))
+                got.append(float(model.distribution(ctx)[seq[j]]))
+                want += [reference(ctx, seq[j])] * 2
+        assert [p.hex() for p in got] == [p.hex() for p in want]
+        scored = corpus_of(seqs, n)
+        expected = LogLikelihood.of_positions(ScoredPositions(scored, 1), np.array(want[::2]))
+        assert ngram_log_likelihood(model, scored) == expected
+
+
 class TestValidationAndSerialization:
     def test_order_validation(self):
         corpus = corpus_of([[0, 1]], 2)
@@ -277,6 +333,18 @@ class TestValidationAndSerialization:
             NgramModel(1, "none", 0.0, vocab, {(0, 1): {0: 1}})  # too long
         with pytest.raises(DataError):
             NgramModel(1, "none", 0.0, vocab, {(0,): {5: 1}})  # bad id
+        with pytest.raises(DataError):
+            NgramModel(1, "none", 0.0, vocab, {(0,): {}})  # context without events
+        for bad_count in (-3, 0, 1.7, math.nan, math.inf, "2"):
+            with pytest.raises(DataError):
+                NgramModel(1, "none", 0.0, vocab, {(0,): {1: bad_count}})
+        for bad_id in ("x", 0.5, None):
+            with pytest.raises(DataError):
+                NgramModel(1, "none", 0.0, vocab, {(bad_id,): {1: 1}})
+            with pytest.raises(DataError):
+                NgramModel(1, "none", 0.0, vocab, {(0,): {bad_id: 1}})
+        # An integral number is read as that integer.
+        assert NgramModel(1, "none", 0.0, vocab, {(0.0,): {1: 2.0}}).conditional([0], 1) == 1.0
 
     def test_vocabulary_mismatch(self):
         model = fit_naive_ngram(corpus_of([[0, 1]], 2), order=1)
@@ -317,3 +385,17 @@ class TestValidationAndSerialization:
     def test_malformed_document(self):
         with pytest.raises(DataError):
             ngram_from_dict({"order": 1})
+        doc = ngram_to_dict(fit_naive_ngram(corpus_of([[0, 1, 0]], 2), order=1))
+        for bad in (
+            [[0], "x", 1],  # next state not a number
+            [0, 1, 1],  # context not a list
+            [[0], 1],  # short triple
+            [["0"], 1, 1],  # context of strings
+            [[0], 1, -3],
+            [[0], 1, 0],
+            [[0], 1, 1.7],
+            [[0], 1, 1],  # repeats the pair (0,) -> 1
+            [[0], 1.0, 1],  # the same pair again
+        ):
+            with pytest.raises(DataError):
+                ngram_from_dict({**doc, "counts": doc["counts"] + [bad]})

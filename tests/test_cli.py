@@ -86,6 +86,11 @@ def worked_corpus(tmp_path):
     return write_corpus_text(tmp_path, "s0 s1 s0 s0\n")
 
 
+def train_argv(tmp_path, *flags):
+    return ["train", worked_corpus(tmp_path), "--output", str(tmp_path / "m.json"), "--k", "2",
+            *flags]
+
+
 def empty_row_model(tmp_path):
     """A model trained with k = 2 on "a b c" / "a b a b c": c only ends
     lines, so its row is empty."""
@@ -131,6 +136,18 @@ EXIT_CODES = [
     ("stationary-empty-row", lambda t: ["analyze", "stationary", empty_row_model(t),
                                         "--output", str(t / "o.json")], 3,
      "state 'c' has no outgoing transitions"),
+    ("train-rounds-nan", lambda t: train_argv(t, "--rounds", "nan"), 2, "rounds must be finite"),
+    ("train-rounds-inf", lambda t: train_argv(t, "--rounds", "inf"), 2, "rounds must be finite"),
+    ("train-kkt-tol-nan", lambda t: train_argv(t, "--kkt-tol", "nan"), 2, "kkt_tol must be finite"),
+    ("train-prior-count-nan", lambda t: train_argv(t, "--prior-count", "nan"), 2,
+     "prior_count must be finite"),
+    ("stationary-tol-nan", lambda t: ["analyze", "stationary", save_worked_model(t)[0],
+                                      "--output", str(t / "o.json"), "--tol", "nan"], 2, "tol"),
+    ("mixing-delta-nan", lambda t: ["analyze", "mixing", save_worked_model(t)[0],
+                                    "--output", str(t / "o.json"), "--delta", "nan"], 2, "delta"),
+    ("bound-epsilon-nan", lambda t: ["analyze", "bound", save_worked_model(t)[0],
+                                     "--output", str(t / "o.json"), "--epsilon", "nan"], 2,
+     "epsilon"),
 ]
 
 

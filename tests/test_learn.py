@@ -524,6 +524,16 @@ class TestTrainConfig:
         with pytest.raises(DataError):
             TrainConfig(k=2, prior_count=-1.0)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["rounds", "kkt_tol", "trust_init", "trust_expand", "trust_shrink", "init_decay",
+         "support_epsilon", "prior_count"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_field_is_named(self, name, value):
+        with pytest.raises(DataError, match=f"{name} must be finite"):
+            TrainConfig(k=2, **{name: value})
+
     def test_half_iteration_count(self):
         assert TrainConfig(k=2, rounds=0.5).half_iterations == 1
         assert TrainConfig(k=2, rounds=1.5).half_iterations == 3
