@@ -361,8 +361,8 @@ def bernstein_constant(w: HistoryDistribution, epsilon: float) -> float:
 
         C(eps) = eps^2 E[w] / ((1 + eps) (2 Var[w] + (2/3) k eps E[w])).
     """
-    if not epsilon > 0.0:
-        raise DataError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise DataError("epsilon must be positive and finite")
     mu = w.mean
     var = max(w.variance, 0.0)
     k = w.k

@@ -30,6 +30,7 @@ from lamp.core import (
     Vocabulary,
     _check_vocab,
     _find_sorted,
+    _integers,
     _read_json,
     _write_json,
 )
@@ -45,18 +46,6 @@ __all__ = [
     "save_ngram",
     "load_ngram",
 ]
-
-
-def _integers(values: list, low: float, high: float, what: str) -> np.ndarray:
-    """``values`` as an array, each an integer in [low, high); a number such
-    as 2.0 counts as the integer 2, and anything else is refused."""
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        raise DataError(f"every {what} must be an integer")
-    bad = np.flatnonzero(~((arr == np.floor(arr)) & (arr >= low) & (arr < high)))
-    if bad.size:
-        raise DataError(f"{what} {arr[bad[0]].item()!r} is not an integer in [{low}, {high})")
-    return arr
 
 
 def _trie(lags: np.ndarray, m: np.ndarray, n: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -81,7 +70,7 @@ def _trie(lags: np.ndarray, m: np.ndarray, n: int) -> tuple[list[np.ndarray], np
 def _positions(corpus: Corpus, order: int) -> tuple[ScoredPositions, np.ndarray]:
     """The corpus's scored positions, with lags up to the longest context
     that occurs, and each position's context length min(pos, order)."""
-    longest = max((s.size for s in corpus.sequences), default=1) - 1
+    longest = int(corpus.lengths.max(initial=1)) - 1
     positions = ScoredPositions(corpus, max(min(order, longest), 0))
     return positions, np.minimum(positions.pos, order)
 
@@ -295,8 +284,11 @@ def ngram_from_dict(doc: dict) -> NgramModel:
     refused, and the model checks every count and state id."""
     counts: dict[tuple, dict] = {}
     try:
-        order, smoothing = int(doc["order"]), str(doc["smoothing"])
-        discount, tokens = float(doc["discount"]), [str(t) for t in doc["vocab"]]
+        order = int(_integers([doc["order"]], 1, np.inf, "order")[0])
+        smoothing, discount = str(doc["smoothing"]), doc["discount"]
+        if isinstance(discount, bool) or not isinstance(discount, (int, float)):
+            raise DataError(f"discount {discount!r} is not a number")
+        tokens = [str(t) for t in doc["vocab"]]
         for ctx, y, c in doc["counts"]:
             targets = counts.setdefault(tuple(ctx), {})
             if y in targets:
@@ -305,7 +297,7 @@ def ngram_from_dict(doc: dict) -> NgramModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed n-gram document: {exc}") from exc
     vocab = Vocabulary.from_tokens(tokens, doc.get("rare_token"))
-    return NgramModel(order, smoothing, discount, vocab, counts)
+    return NgramModel(order, smoothing, float(discount), vocab, counts)
 
 
 def save_ngram(model: NgramModel, path: str) -> None:

@@ -24,6 +24,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from lamp import __version__
 from lamp.core import (
     Corpus,
@@ -152,10 +154,13 @@ def _align_corpus(corpus: Corpus, vocab: Vocabulary) -> Corpus:
     """
     if corpus.vocab.tokens == vocab.tokens:
         return corpus
-    remapped = [
-        encode_tokens(vocab, decode_ids(corpus.vocab, seq)) for seq in corpus.sequences
-    ]
-    return Corpus.from_sequences(vocab, remapped)
+    # Map each id that occurs once, in order of first occurrence, so an
+    # unknown token is the first one the corpus holds.
+    ids, first = np.unique(corpus.tokens, return_index=True)
+    ids = ids[np.argsort(first)]
+    new_id = np.zeros(len(corpus.vocab), dtype=np.int64)
+    new_id[ids] = encode_tokens(vocab, decode_ids(corpus.vocab, ids))
+    return Corpus(vocab, new_id[corpus.tokens], corpus.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +194,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         save_corpus_cache(train, train_path)
         save_corpus_cache(test, test_path)
         outputs += [train_path, test_path]
-        summary["n_train_sequences"] = len(train.sequences)
-        summary["n_test_sequences"] = len(test.sequences)
+        summary["n_train_sequences"] = len(train)
+        summary["n_test_sequences"] = len(test)
     _write_manifest("preprocess", args, [args.input], outputs, summary, started)
     print(
         f"preprocess: kept {_fmt(summary['n_sequences'])} sequences"

@@ -168,6 +168,24 @@ def _find_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(sorted_keys[at] == keys, at, -1)
 
 
+def _integers(values: list, low: float, high: float, what: str) -> np.ndarray:
+    """``values`` as an array, each an integer in [low, high); the one reader
+    of integers loaded from JSON.  A number such as 2.0 counts as the integer
+    2; anything else is refused with a :class:`DataError` naming it."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a list among numbers
+        arr = np.asarray(values, dtype=object)
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        # Name a value that is not a number, else an integer past int64.
+        odd = [v for v in values if isinstance(v, bool) or not isinstance(v, (int, float, np.number))]
+        raise DataError(f"{what} {(odd or [max(values, key=abs)])[0]!r} is not an integer")
+    bad = np.flatnonzero(~((arr == np.floor(arr)) & (arr >= low) & (arr < high)))
+    if bad.size:
+        raise DataError(f"{what} {arr[bad[0]].item()!r} is not an integer in [{low}, {high})")
+    return arr
+
+
 @dataclass(frozen=True)
 class SparseStochasticMatrix:
     """Row-stochastic matrix in compressed sparse row storage.
@@ -459,33 +477,64 @@ class LampModel:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Sequences of state ids over a shared vocabulary."""
+    """Sequences of state ids over a shared vocabulary, stored flat.
+
+    Sequence s is ``tokens[offsets[s]:offsets[s + 1]]``: ``tokens`` holds
+    every id of every sequence in order and ``offsets`` the n_sequences + 1
+    nondecreasing offsets from 0 to ``tokens.size``.  Both arrays are int64
+    and stored read-only.  Every sequence must be nonempty and every id must
+    lie in the vocabulary.
+    """
 
     vocab: Vocabulary
-    sequences: tuple[np.ndarray, ...]
+    tokens: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.vocab)
-        seqs = []
-        for s, seq in enumerate(self.sequences):
-            seq = _as_readonly(np.asarray(seq, dtype=np.int64))
-            if seq.ndim != 1 or seq.size == 0:
-                raise DataError(f"sequence {s} is empty; empty sequences cannot be stored")
-            if seq.min() < 0 or seq.max() >= n:
-                raise DataError(f"sequence {s} contains a state id outside the vocabulary")
-            seqs.append(seq)
-        object.__setattr__(self, "sequences", tuple(seqs))
+        for name in ("tokens", "offsets"):
+            object.__setattr__(self, name, _as_readonly(np.asarray(getattr(self, name), dtype=np.int64)))
+        tokens, offsets = self.tokens, self.offsets
+        if (tokens.ndim != 1 or offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+                or offsets[-1] != tokens.size or np.any(np.diff(offsets) < 0)):
+            raise DataError("offsets must run nondecreasing from 0 to the number of tokens")
+        empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+        outside = np.flatnonzero((tokens < 0) | (tokens >= len(self.vocab)))
+        owner = np.searchsorted(offsets, outside[:1], side="right") - 1
+        if empty.size and not (owner.size and owner[0] < empty[0]):
+            raise DataError(f"sequence {empty[0]} is empty; empty sequences cannot be stored")
+        if owner.size:
+            raise DataError(f"sequence {owner[0]} contains a state id outside the vocabulary")
 
     @classmethod
     def from_sequences(cls, vocab: Vocabulary, sequences: Iterable[Iterable[int]]) -> "Corpus":
-        return cls(vocab, tuple(np.asarray(list(s), dtype=np.int64) for s in sequences))
+        seqs = [np.asarray(list(s), dtype=np.int64) for s in sequences]
+        if any(s.ndim != 1 for s in seqs):
+            raise DataError("every sequence must be a flat list of state ids")
+        offsets = np.cumsum([0, *(s.size for s in seqs)])
+        return cls(vocab, np.concatenate([np.empty(0, np.int64), *seqs]), offsets)
+
+    @cached_property
+    def sequences(self) -> tuple[np.ndarray, ...]:
+        """Read-only views of the sequences, one array each."""
+        bounds = self.offsets.tolist()
+        return tuple(self.tokens[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def take(self, index) -> "Corpus":
+        """The sequences ``index``, in that order, over the same vocabulary."""
+        index = np.asarray(index, dtype=np.int64)
+        _, entry = _row_entries(self.offsets, index)
+        return Corpus(self.vocab, self.tokens[entry], np.append(0, np.cumsum(self.lengths[index])))
 
     @property
     def total_transitions(self) -> int:
-        return sum(int(s.size - 1) for s in self.sequences)
+        return self.tokens.size - len(self)
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return self.offsets.size - 1
 
 
 class ScoredPositions:
@@ -503,9 +552,7 @@ class ScoredPositions:
         self.k = k
         self.n = len(corpus.vocab)
         self.n_sequences = len(corpus)
-        lengths = np.array([s.size for s in corpus.sequences], dtype=np.int64)
-        flat = np.concatenate(corpus.sequences) if len(corpus) else np.empty(0, np.int64)
-        starts = np.cumsum(lengths) - lengths
+        lengths, flat, starts = corpus.lengths, corpus.tokens, corpus.offsets[:-1]
         self.seq_id = np.repeat(np.arange(lengths.size), lengths - 1)
         first = starts[self.seq_id]  # flat index of each position's sequence start
         scored = np.ones(flat.size, dtype=bool)
@@ -762,14 +809,13 @@ def model_from_dict(doc: dict) -> LampModel:
     if not isinstance(doc, dict) or ("matrix" in doc) == ("matrices" in doc):
         raise DataError('model document needs exactly one of "matrix" and "matrices"')
     try:
-        k = int(doc["k"])
+        k, n = (int(_integers([doc[key]], 1, np.inf, key)[0]) for key in ("k", "n"))
         w = [float(v) for v in doc["w"]]
-        n = int(doc["n"])
         tokens = [str(t) for t in doc["vocab"]]
         if "matrix" in doc:
             all_triples, lag_map = [doc["matrix"]], [1] * k
         else:
-            all_triples, lag_map = doc["matrices"], [int(j) for j in doc["lag_map"]]
+            all_triples, lag_map = doc["matrices"], _integers(doc["lag_map"], 1, np.inf, "lag")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model document: {exc}") from exc
     if len(w) != k:

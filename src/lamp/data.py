@@ -6,11 +6,12 @@ and a JSON cache for preprocessed corpora.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from lamp.core import Corpus, DataError, Vocabulary, _read_json, _write_json
+from lamp.core import Corpus, DataError, Vocabulary, _integers, _read_json, _write_json
 
 __all__ = [
     "LoadReport",
@@ -55,31 +56,19 @@ def load_corpus(path: str, limit: int | None = None, return_report: bool = False
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"corpus file {path} is not valid UTF-8: {exc}") from exc
-    index: dict[str, int] = {}
-    sequences: list[list[int]] = []
-    skipped = 0
-    n_tokens = 0
-    for line in lines:
-        tokens = line.split()
-        if not tokens:
-            skipped += 1
-            continue
-        if limit is not None and len(sequences) == limit:
-            break
-        seq = []
-        for tok in tokens:
-            if tok not in index:
-                index[tok] = len(index)
-            seq.append(index[tok])
-        n_tokens += len(seq)
-        sequences.append(seq)
-    if not sequences:
+    words = [line.split() for line in lines]
+    nonempty = [i for i, toks in enumerate(words) if toks]
+    kept = [words[i] for i in nonempty[:limit]]
+    if not kept:
         raise DataError(f"corpus file {path} contains no nonempty lines")
-    vocab = Vocabulary.from_tokens(index)
-    corpus = Corpus.from_sequences(vocab, sequences)
+    # Blank lines count up to the first nonempty line past the limit.
+    end = nonempty[limit] if limit is not None and limit < len(nonempty) else len(words)
+    index: dict[str, int] = {}
+    tokens = np.fromiter((index.setdefault(t, len(index)) for t in chain.from_iterable(kept)), np.int64)
+    corpus = Corpus(Vocabulary.from_tokens(index), tokens, np.cumsum([0, *map(len, kept)]))
     if return_report:
         return corpus, LoadReport(
-            n_sequences=len(sequences), n_tokens=n_tokens, skipped_empty_lines=skipped
+            n_sequences=len(kept), n_tokens=tokens.size, skipped_empty_lines=end - len(kept)
         )
     return corpus
 
@@ -92,7 +81,7 @@ def save_corpus_cache(corpus: Corpus, path: str) -> None:
     """Write a corpus as compact JSON: token list plus integer sequences."""
     doc = {
         "vocab": list(corpus.vocab.tokens),
-        "sequences": [[int(x) for x in seq] for seq in corpus.sequences],
+        "sequences": [seq.tolist() for seq in corpus.sequences],
     }
     if corpus.vocab.rare_token is not None:
         doc["rare_token"] = corpus.vocab.rare_token
@@ -100,14 +89,20 @@ def save_corpus_cache(corpus: Corpus, path: str) -> None:
 
 
 def load_corpus_cache(path: str) -> Corpus:
+    """Read a cache written by :func:`save_corpus_cache`; every sequence
+    must be a list of integer state ids of the vocabulary."""
     doc = _read_json(path, "corpus cache")
     try:
         tokens = [str(t) for t in doc["vocab"]]
-        sequences = doc["sequences"]
+        sequences = list(doc["sequences"])
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed corpus cache: {exc}") from exc
     vocab = Vocabulary.from_tokens(tokens, doc.get("rare_token"))
-    return Corpus.from_sequences(vocab, sequences)
+    odd = [s for s in sequences if not isinstance(s, list)]
+    if odd:
+        raise DataError(f"corpus cache sequence {odd[0]!r} is not a list of state ids")
+    ids = _integers([*chain.from_iterable(sequences)], 0, len(vocab), "state id")
+    return Corpus(vocab, ids, np.cumsum([0, *map(len, sequences)]))
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +131,7 @@ def decode_ids(vocab: Vocabulary, ids: Sequence[int]) -> list[str]:
 
 def token_counts(corpus: Corpus) -> np.ndarray:
     """Occurrences of each token id across all sequences."""
-    counts = np.zeros(len(corpus.vocab), dtype=np.int64)
-    for seq in corpus.sequences:
-        counts += np.bincount(seq, minlength=len(corpus.vocab))
-    return counts
+    return np.bincount(corpus.tokens, minlength=len(corpus.vocab))
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +143,11 @@ def collapse_repeats(corpus: Corpus) -> Corpus:
 
     The vocabulary is unchanged and the transform is idempotent.
     """
-    collapsed = []
-    for seq in corpus.sequences:
-        keep = np.ones(len(seq), dtype=bool)
-        keep[1:] = seq[1:] != seq[:-1]
-        collapsed.append(seq[keep])
-    return Corpus.from_sequences(corpus.vocab, collapsed)
+    tokens = corpus.tokens
+    keep = np.ones(tokens.size, dtype=bool)
+    keep[1:] = tokens[1:] != tokens[:-1]
+    keep[corpus.offsets[:-1]] = True
+    return Corpus(corpus.vocab, tokens[keep], np.append(0, np.cumsum(keep))[corpus.offsets])
 
 
 def apply_rare_threshold(
@@ -190,10 +181,9 @@ def apply_rare_threshold(
     if rare_label not in survivors:
         survivors.append(rare_label)
     vocab = Vocabulary.from_tokens(survivors, rare_label)
-    new_id = np.empty(n, dtype=np.int64)
-    for old, tok in enumerate(corpus.vocab.tokens):
-        new_id[old] = vocab.index[rare_label if rare_ids[old] else tok]
-    return Corpus.from_sequences(vocab, [new_id[seq] for seq in corpus.sequences])
+    # Survivors keep their order, so a surviving id maps to its rank.
+    new_id = np.where(rare_ids, vocab.index[rare_label], np.cumsum(~rare_ids) - 1)
+    return Corpus(vocab, new_id[corpus.tokens], corpus.offsets)
 
 
 @dataclass(frozen=True)
@@ -254,16 +244,16 @@ def preprocess(corpus: Corpus, cfg: PreprocessConfig) -> tuple[Corpus, Preproces
         )
         if cfg.collapse_repeats:
             out = collapse_repeats(out)
-    kept = [seq for seq in out.sequences if len(seq) >= 2]
-    dropped = len(out.sequences) - len(kept)
-    if not kept:
+    kept = np.flatnonzero(out.lengths >= 2)
+    dropped = len(out) - kept.size
+    if not kept.size:
         raise DataError("preprocessing dropped every sequence")
     if dropped:
-        out = Corpus.from_sequences(out.vocab, kept)
+        out = out.take(kept)
     rare_types = int((original_counts < cfg.rare_min_count).sum()) if cfg.rare_min_count else 0
     report = PreprocessReport(
-        n_sequences_in=len(corpus.sequences),
-        n_sequences_out=len(out.sequences),
+        n_sequences_in=len(corpus),
+        n_sequences_out=len(out),
         dropped_short_sequences=dropped,
         rare_token_types=rare_types,
         vocab_size_in=vocab_in,
@@ -278,8 +268,8 @@ def preprocess(corpus: Corpus, cfg: PreprocessConfig) -> tuple[Corpus, Preproces
 
 def _project(
     corpus: Corpus,
-    train_idx: list[int],
-    test_idx: list[int],
+    train_idx: np.ndarray,
+    test_idx: np.ndarray,
     rare_label: str,
 ) -> tuple[Corpus, Corpus]:
     """Build train/test corpora over the train side's vocabulary.
@@ -287,13 +277,11 @@ def _project(
     Tokens appearing only on the test side map to the rare token.  Both
     corpora share one vocabulary object.
     """
+    train, test = corpus.take(train_idx), corpus.take(test_idx)
     seen = np.zeros(len(corpus.vocab), dtype=bool)
-    for i in train_idx:
-        seen[corpus.sequences[i]] = True
+    seen[train.tokens] = True
     survivors = [t for t, s in zip(corpus.vocab.tokens, seen) if s]
-    needs_rare = any(
-        not seen[x] for i in test_idx for x in np.unique(corpus.sequences[i])
-    )
+    needs_rare = not seen[test.tokens].all()
     rare = corpus.vocab.rare_token if corpus.vocab.rare_token is not None else rare_label
     if needs_rare and rare not in survivors:
         survivors.append(rare)
@@ -301,15 +289,10 @@ def _project(
         corpus.vocab.rare_token is not None and corpus.vocab.rare_token in survivors
     )
     vocab = Vocabulary.from_tokens(survivors, rare if keep_marker else None)
-    new_id = np.full(len(corpus.vocab), -1, dtype=np.int64)
-    for old, tok in enumerate(corpus.vocab.tokens):
-        if seen[old]:
-            new_id[old] = vocab.index[tok]
-        elif needs_rare:
-            new_id[old] = vocab.index[rare]
-    train = Corpus.from_sequences(vocab, [new_id[corpus.sequences[i]] for i in train_idx])
-    test = Corpus.from_sequences(vocab, [new_id[corpus.sequences[i]] for i in test_idx])
-    return train, test
+    # Seen tokens keep their order, so a seen id maps to its rank.
+    new_id = np.where(seen, np.cumsum(seen) - 1, vocab.index[rare] if needs_rare else -1)
+    return (Corpus(vocab, new_id[train.tokens], train.offsets),
+            Corpus(vocab, new_id[test.tokens], test.offsets))
 
 
 def split(
@@ -323,14 +306,12 @@ def split(
     """
     if not 0.0 < fraction < 1.0:
         raise DataError("fraction must lie strictly between 0 and 1")
-    n = len(corpus.sequences)
+    n = len(corpus)
     if n < 2:
         raise DataError("splitting requires at least two sequences")
     order = np.random.default_rng(seed).permutation(n)
     n_train = min(max(int(fraction * n), 1), n - 1)
-    train_idx = sorted(int(i) for i in order[:n_train])
-    test_idx = sorted(int(i) for i in order[n_train:])
-    return _project(corpus, train_idx, test_idx, rare_label)
+    return _project(corpus, np.sort(order[:n_train]), np.sort(order[n_train:]), rare_label)
 
 
 def kfold_split(
@@ -338,7 +319,7 @@ def kfold_split(
 ) -> list[tuple[Corpus, Corpus]]:
     """Deterministic k-fold partition: every sequence lands in exactly one
     test fold; each pair shares the train side's vocabulary."""
-    n = len(corpus.sequences)
+    n = len(corpus)
     if n_folds < 2:
         raise DataError("k-fold splitting needs at least two folds")
     if n_folds > n:
@@ -347,7 +328,7 @@ def kfold_split(
     bounds = np.linspace(0, n, n_folds + 1).astype(int)
     pairs = []
     for f in range(n_folds):
-        test_idx = sorted(int(i) for i in order[bounds[f] : bounds[f + 1]])
-        train_idx = sorted(set(range(n)) - set(test_idx))
-        pairs.append(_project(corpus, train_idx, test_idx, rare_label))
+        in_test = np.zeros(n, dtype=bool)
+        in_test[order[bounds[f] : bounds[f + 1]]] = True
+        pairs.append(_project(corpus, np.flatnonzero(~in_test), np.flatnonzero(in_test), rare_label))
     return pairs

@@ -10,6 +10,9 @@ their row and dense accessors, and walk states one at a time in Python, in
 the order that fixes the package's state ids and sums.  The n-gram
 references count and score one position at a time through dict-of-dict
 tables, in the expression order that fixes the baselines' bits.  The
+corpus references are the corpus transforms as they were written before
+the corpus was stored flat: one sequence at a time, each new id looked up
+by token name.  The
 reference trainer at the end of this file is the P half-round as one block
 solve per row, with each row's inputs gathered by its own ``np.unique``; it
 fixes the bits the package's trainer must reproduce.
@@ -315,6 +318,84 @@ def ref_ngram_conditional(counts, order, smoothing, discount, n):
         return p
 
     return kneser_ney
+
+
+# ---------------------------------------------------------------------------
+# Reference corpus transforms: one sequence at a time
+
+
+def ref_collapse_repeats(corpus):
+    collapsed = []
+    for seq in corpus.sequences:
+        keep = np.ones(len(seq), dtype=bool)
+        keep[1:] = seq[1:] != seq[:-1]
+        collapsed.append(seq[keep])
+    return Corpus.from_sequences(corpus.vocab, collapsed)
+
+
+def ref_apply_rare_threshold(corpus, min_count, rare_label="<RARE>", counts=None):
+    n = len(corpus.vocab)
+    if counts is None:
+        counts = np.zeros(n, dtype=np.int64)
+        for seq in corpus.sequences:
+            counts += np.bincount(seq, minlength=n)
+    rare_ids = np.asarray(counts) < min_count
+    if min_count == 0 or not bool(rare_ids.any()):
+        return corpus
+    survivors = [t for t, is_rare in zip(corpus.vocab.tokens, rare_ids) if not is_rare]
+    if rare_label not in survivors:
+        survivors.append(rare_label)
+    vocab = Vocabulary.from_tokens(survivors, rare_label)
+    new_id = np.empty(n, dtype=np.int64)
+    for old, tok in enumerate(corpus.vocab.tokens):
+        new_id[old] = vocab.index[rare_label if rare_ids[old] else tok]
+    return Corpus.from_sequences(vocab, [new_id[seq] for seq in corpus.sequences])
+
+
+def ref_project(corpus, train_idx, test_idx, rare_label="<RARE>"):
+    """Train/test corpora over the train side's vocabulary; test-only
+    tokens map to the rare token."""
+    seen = np.zeros(len(corpus.vocab), dtype=bool)
+    for i in train_idx:
+        seen[corpus.sequences[i]] = True
+    survivors = [t for t, s in zip(corpus.vocab.tokens, seen) if s]
+    needs_rare = any(not seen[x] for i in test_idx for x in np.unique(corpus.sequences[i]))
+    rare = corpus.vocab.rare_token if corpus.vocab.rare_token is not None else rare_label
+    if needs_rare and rare not in survivors:
+        survivors.append(rare)
+    keep_marker = needs_rare or (
+        corpus.vocab.rare_token is not None and corpus.vocab.rare_token in survivors
+    )
+    vocab = Vocabulary.from_tokens(survivors, rare if keep_marker else None)
+    new_id = np.full(len(corpus.vocab), -1, dtype=np.int64)
+    for old, tok in enumerate(corpus.vocab.tokens):
+        if seen[old]:
+            new_id[old] = vocab.index[tok]
+        elif needs_rare:
+            new_id[old] = vocab.index[rare]
+    train = Corpus.from_sequences(vocab, [new_id[corpus.sequences[i]] for i in train_idx])
+    test = Corpus.from_sequences(vocab, [new_id[corpus.sequences[i]] for i in test_idx])
+    return train, test
+
+
+def ref_align_corpus(corpus, vocab):
+    """Re-encode token by token against ``vocab``; an unknown token falls
+    back to its rare token, or raises DataError naming the token."""
+    if corpus.vocab.tokens == vocab.tokens:
+        return corpus
+    remapped = []
+    for seq in corpus.sequences:
+        ids = []
+        for x in seq:
+            tok = corpus.vocab.tokens[int(x)]
+            if tok in vocab.index:
+                ids.append(vocab.index[tok])
+            elif vocab.rare_token is not None:
+                ids.append(vocab.index[vocab.rare_token])
+            else:
+                raise DataError(f"token {tok!r} is not in the vocabulary")
+        remapped.append(ids)
+    return Corpus.from_sequences(vocab, remapped)
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,8 @@ class TestBernsteinConstant:
             bernstein_constant(w, 0.0)
         with pytest.raises(DataError):
             bernstein_constant(w, math.nan)
+        with pytest.raises(DataError):
+            bernstein_constant(w, math.inf)
 
 
 class TestLampMixingBound:

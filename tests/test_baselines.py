@@ -399,3 +399,12 @@ class TestValidationAndSerialization:
         ):
             with pytest.raises(DataError):
                 ngram_from_dict({**doc, "counts": doc["counts"] + [bad]})
+        for header, message in (
+            ({"order": 2.9}, "order 2.9"),
+            ({"order": "2"}, "order '2'"),
+            ({"discount": "0.5"}, "discount '0.5'"),
+            ({"discount": True}, "discount True"),
+        ):
+            with pytest.raises(DataError, match=message):
+                ngram_from_dict({**doc, **header})
+        assert ngram_from_dict({**doc, "order": 1.0}).order == 1

@@ -100,6 +100,14 @@ def empty_row_model(tmp_path):
     return path
 
 
+def cache_argv(tmp_path, sequences):
+    """``train`` on a corpus cache over s0, s1 whose "sequences" field is the
+    JSON text ``sequences``."""
+    path = write_corpus_text(tmp_path, f'{{"vocab": ["s0", "s1"], "sequences": {sequences}}}',
+                             name="cache.json")
+    return ["train", path, "--output", str(tmp_path / "m.json"), "--k", "1"]
+
+
 #: (id, argv from the test's tmp dir, exit code[, text stderr must hold]).
 #: Every failing command names its class of error on stderr.
 EXIT_CODES = [
@@ -148,6 +156,14 @@ EXIT_CODES = [
     ("bound-epsilon-nan", lambda t: ["analyze", "bound", save_worked_model(t)[0],
                                      "--output", str(t / "o.json"), "--epsilon", "nan"], 2,
      "epsilon"),
+    ("bound-epsilon-inf", lambda t: ["analyze", "bound", save_worked_model(t)[0],
+                                     "--output", str(t / "o.json"), "--epsilon", "inf"], 2,
+     "epsilon must be positive and finite"),
+    ("cache-fractional-id", lambda t: cache_argv(t, "[[0, 1.7, 0]]"), 2, "state id 1.7"),
+    ("cache-string-id", lambda t: cache_argv(t, '[[0, "1", 0]]'), 2, "state id '1'"),
+    ("cache-huge-id", lambda t: cache_argv(t, "[[0, 1e30, 0]]"), 2, "state id 1e+30"),
+    ("cache-nested-id", lambda t: cache_argv(t, "[[0, [1], 0]]"), 2, "state id [1]"),
+    ("cache-sequence-not-list", lambda t: cache_argv(t, "[0, 1]"), 2, "sequence 0 is not a list"),
 ]
 
 
@@ -200,6 +216,29 @@ def test_preprocess_split_writes_three_caches(tmp_path, capsys):
     test = load_corpus_cache(str(tmp_path / "cache.test.json"))
     assert len(train.sequences) == 9
     assert len(test.sequences) == 1
+
+
+def test_preprocess_writes_frozen_bytes(capsys, tmp_path):
+    # "h" occurs only in a line the split sends to test, "e e e" and "x x"
+    # collapse to one token and are dropped, "f" and "q" are rare, and one
+    # line is blank.
+    corpus_path = write_corpus_text(tmp_path, (
+        "a b b c a d\nb c c a\ne e e\n\na b c d a b\nc a b a c\nd d c b a f\nb a d c\n"
+        "g a g b\nx x\na c b d\nc d a b c\nq a b\nh b h a\n"
+    ))
+    code, stdout, err = run(capsys, ["preprocess", corpus_path, "--output",
+                                     str(tmp_path / "cache.json"), "--collapse-repeats",
+                                     "--rare-min-count", "2", "--split", "0.7"])
+    assert code == 0, err
+    assert "kept 11 sequences vocab=9 dropped=2" in stdout
+    assert "h" not in load_corpus_cache(str(tmp_path / "cache.train.json")).vocab.tokens
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("cache.json", "cache.train.json", "cache.test.json")}
+    assert digests == {
+        "cache.json": "8847379fd35dd0ad06fdfb9e07bb87d92afd712899565a199a0b61f3377f9458",
+        "cache.train.json": "25a06ad6053884a172ffd69e13663167bc1b30a83ff557609ff3dd87f839d902",
+        "cache.test.json": "646517b866f24073251602f88c5119e3eafc222badf8e93d764a7262344a0f72",
+    }
 
 
 def test_preprocess_empty_file_exits_two(capsys, tmp_path):

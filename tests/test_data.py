@@ -4,10 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ref_align_corpus, ref_apply_rare_threshold, ref_collapse_repeats, ref_project
+from lamp.cli import _align_corpus
 from lamp.core import Corpus, DataError, Vocabulary
 from lamp.data import (
     PreprocessConfig,
+    _project,
     apply_rare_threshold,
     collapse_repeats,
     decode_ids,
@@ -333,3 +338,126 @@ class TestKfoldSplit:
             kfold_split(corpus, n_folds=1)
         with pytest.raises(DataError):
             kfold_split(corpus, n_folds=3)
+
+
+# ---------------------------------------------------------------------------
+# Flat storage against the per-sequence references
+
+
+@st.composite
+def corpora(draw, min_sequences=0):
+    """Up to eight sequences of lengths 1 to 6 over up to six tokens; the
+    rare marker may be unset, an ordinary token or the label "<RARE>"."""
+    n = draw(st.integers(1, 6))
+    tokens = [f"t{i}" for i in range(n)]
+    rare = draw(st.sampled_from([None, "t0", "<RARE>"]))
+    if rare == "<RARE>":
+        tokens[-1] = rare
+    seqs = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=6),
+                         min_size=min_sequences, max_size=8))
+    return Corpus.from_sequences(Vocabulary.from_tokens(tokens, rare), seqs)
+
+
+def assert_same_corpus(got, want):
+    assert got.vocab.tokens == want.vocab.tokens
+    assert got.vocab.rare_token == want.vocab.rare_token
+    assert [s.tolist() for s in got.sequences] == [s.tolist() for s in want.sequences]
+    for arr in (got.tokens, got.offsets):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or DataError when it raises one."""
+    try:
+        return fn(*args)
+    except DataError:
+        return DataError
+
+
+class TestFlatStorage:
+    def test_sequences_are_read_only_views(self):
+        corpus = Corpus.from_sequences(Vocabulary.from_size(3), [[0, 1], [2], [1, 1, 0]])
+        assert corpus.offsets.tolist() == [0, 2, 3, 6]
+        assert [s.tolist() for s in corpus.sequences] == [[0, 1], [2], [1, 1, 0]]
+        assert all(np.shares_memory(s, corpus.tokens) for s in corpus.sequences)
+        assert not any(s.flags.writeable for s in corpus.sequences)
+        assert [s.tolist() for s in corpus.take([2, 0]).sequences] == [[1, 1, 0], [0, 1]]
+        assert len(corpus.take([])) == 0
+
+    def test_validation_names_the_first_bad_sequence(self):
+        v = Vocabulary.from_size(2)
+        for seqs, message in (
+            ([[0], [1, 5], []], "sequence 1 contains a state id outside"),
+            ([[0], [], [1, 5]], "sequence 1 is empty"),
+            ([[-1]], "sequence 0 contains a state id outside"),
+        ):
+            with pytest.raises(DataError, match=message):
+                Corpus.from_sequences(v, seqs)
+        with pytest.raises(DataError, match="offsets"):
+            Corpus(v, np.array([0, 1]), np.array([0, 3]))
+        with pytest.raises(DataError, match="flat list"):
+            Corpus.from_sequences(v, [[0, 1], [[0], [1]]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora())
+    def test_collapse_repeats_matches_reference(self, corpus):
+        assert_same_corpus(collapse_repeats(corpus), ref_collapse_repeats(corpus))
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora(), st.integers(0, 4), st.sampled_from(["<RARE>", "t0"]), st.data())
+    def test_apply_rare_threshold_matches_reference(self, corpus, min_count, label, data):
+        counts = data.draw(st.none() | st.lists(st.integers(0, 5), min_size=len(corpus.vocab),
+                                                max_size=len(corpus.vocab)))
+        counts = None if counts is None else np.array(counts)
+        assert_same_corpus(apply_rare_threshold(corpus, min_count, label, counts),
+                           ref_apply_rare_threshold(corpus, min_count, label, counts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora(), st.data())
+    def test_project_matches_reference(self, corpus, data):
+        side = data.draw(st.lists(st.sampled_from("tx-"), min_size=len(corpus),
+                                  max_size=len(corpus)))
+        train_idx = [i for i, c in enumerate(side) if c == "t"]
+        test_idx = [i for i, c in enumerate(side) if c == "x"]
+        got = outcome(_project, corpus, np.array(train_idx, dtype=np.int64),
+                      np.array(test_idx, dtype=np.int64), "<RARE>")
+        want = outcome(ref_project, corpus, train_idx, test_idx)
+        if want is DataError:
+            assert got is DataError
+        else:
+            for g, w in zip(got, want):
+                assert_same_corpus(g, w)
+            assert got[0].vocab is got[1].vocab
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(min_sequences=2), st.floats(0.05, 0.95), st.integers(0, 50), st.data())
+    def test_splits_match_reference(self, corpus, fraction, seed, data):
+        n = len(corpus)
+        order = np.random.default_rng(seed).permutation(n)
+        n_train = min(max(int(fraction * n), 1), n - 1)
+        want = ref_project(corpus, sorted(int(i) for i in order[:n_train]),
+                           sorted(int(i) for i in order[n_train:]))
+        for g, w in zip(split(corpus, fraction, seed), want):
+            assert_same_corpus(g, w)
+        n_folds = data.draw(st.integers(2, n))
+        bounds = np.linspace(0, n, n_folds + 1).astype(int)
+        for f, pair in enumerate(kfold_split(corpus, n_folds, seed)):
+            test_idx = sorted(int(i) for i in order[bounds[f] : bounds[f + 1]])
+            want = ref_project(corpus, sorted(set(range(n)) - set(test_idx)), test_idx)
+            for g, w in zip(pair, want):
+                assert_same_corpus(g, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora(), st.data())
+    def test_align_corpus_matches_reference(self, corpus, data):
+        tokens = data.draw(st.lists(st.sampled_from([*corpus.vocab.tokens, "u0", "u1"]),
+                                    min_size=1, max_size=8, unique=True))
+        rare = data.draw(st.none() | st.sampled_from(tokens))
+        vocab = Vocabulary.from_tokens(tokens, rare)
+        try:
+            want = ref_align_corpus(corpus, vocab)
+        except DataError as exc:
+            with pytest.raises(DataError, match=str(exc).split()[1]):
+                _align_corpus(corpus, vocab)
+        else:
+            assert_same_corpus(_align_corpus(corpus, vocab), want)

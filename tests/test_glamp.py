@@ -412,9 +412,19 @@ class TestSerialization:
 
     def test_malformed_document(self):
         doc = model_to_dict(worked_glamp())
-        del doc["lag_map"]
-        with pytest.raises(DataError):
-            model_from_dict(doc)
+        for bad, message in (
+            ({k: v for k, v in doc.items() if k != "lag_map"}, "lag_map"),
+            ({**doc, "lag_map": [1, 1.5]}, "lag 1.5"),
+            ({**doc, "k": 2.7}, "k 2.7"),
+            ({**doc, "k": "2"}, "k '2'"),
+            ({**doc, "n": 2.5}, "n 2.5"),
+            ({**doc, "n": [2]}, r"n \[2\]"),
+        ):
+            with pytest.raises(DataError, match=message):
+                model_from_dict(bad)
+        # A whole number written as a float is read as that integer.
+        back = model_from_dict({**doc, "k": float(doc["k"]), "lag_map": [1.0, 2.0]})
+        assert back.k == doc["k"] and back.lag_map == (1, 2)
 
 
 class TestValidation:

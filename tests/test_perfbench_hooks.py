@@ -1,0 +1,37 @@
+"""The benchmark's tracer wraps ``lamp`` functions by name from outside the
+package; these tests fail when a rename would leave a traced run without
+its hooks."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from lamp.core import Corpus, Vocabulary
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """``perfbench/tracing.py``, imported with ``perfbench/`` on the path;
+    the path and the module table lose the benchmark's modules afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("tracing")
+    for name, module in list(sys.modules.items()):
+        if str(getattr(module, "__file__", None) or "").startswith(str(PERFBENCH)):
+            del sys.modules[name]
+
+
+def test_every_traced_function_resolves(tracing):
+    assert tracing.PLAN
+    for module, name in tracing.PLAN:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+
+def test_token_counter_reads_corpus_sequences(tracing):
+    corpus = Corpus.from_sequences(Vocabulary.from_size(3), [[0, 1, 2], [2], [1, 1]])
+    tracer = tracing.Tracer()
+    tracing._tokens(tracer, (corpus, None), (), {})
+    assert tracer.counts["data.tokens"] == 6
