@@ -75,23 +75,56 @@ def _positions(corpus: Corpus, order: int) -> tuple[ScoredPositions, np.ndarray]
     return positions, np.minimum(positions.pos, order)
 
 
-def _events(corpus: Corpus, order: int) -> dict[tuple[int, ...], dict[int, int]]:
+class _Events(NamedTuple):
+    """Raw training events in trie form, by context length j = 0..longest:
+    ``nodes[j]`` holds the sorted keys of the trie's level j (see
+    ``_trie``), and ``keys[j]`` and ``counts[j]`` the keys ``node * n +
+    next`` of the events whose context has length j and their counts."""
+
+    nodes: list[np.ndarray]
+    keys: list[np.ndarray]
+    counts: list[np.ndarray]
+
+
+def _events(corpus: Corpus, order: int) -> _Events:
     """Raw (context, next) counts: scored position j of a sequence contributes
     one event with context seq[j - m : j] where m = min(j, order), so contexts
     shorter than the order appear only at sequence starts."""
     positions, m = _positions(corpus, order)
-    n = positions.n
-    _, node = _trie(positions.src, m, n)
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    nodes, node = _trie(positions.src, m, positions.n)
+    keys, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]  # no context is empty
     for j in range(1, positions.k + 1):
-        at = np.flatnonzero(m == j)
-        keys, first, c = np.unique(
-            node[at] * n + positions.tgt[at], return_index=True, return_counts=True
-        )
-        contexts = map(tuple, positions.src[at[first], j - 1 :: -1].tolist())
-        for ctx, y, count in zip(contexts, (keys % n).tolist(), c.tolist()):
-            counts.setdefault(ctx, {})[y] = count
-    return counts
+        at = m == j
+        k, c = np.unique(node[at] * positions.n + positions.tgt[at], return_counts=True)
+        keys.append(k)
+        counts.append(c.astype(np.float64))
+    return _Events(nodes, keys, counts)
+
+
+def _counted_events(counts: dict, n: int, order: int) -> _Events:
+    """The events of a {context: {next: count}} table, which must hold
+    contexts no longer than the order, each with events, state ids of the
+    vocabulary and positive integer counts."""
+    if not counts:
+        raise DataError("model has no training events")
+    contexts, targets = list(counts), list(counts.values())
+    m = np.fromiter(map(len, contexts), np.int64, len(contexts))
+    sizes = np.fromiter(map(len, targets), np.int64, len(targets))
+    if m.max() > order:
+        raise DataError(f"context {contexts[m.argmax()]} longer than the model order")
+    if sizes.min() == 0:
+        raise DataError(f"context {contexts[sizes.argmin()]} has no events")
+    ids = [*chain.from_iterable(contexts), *chain.from_iterable(targets)]
+    ids = _integers(ids, 0, n, "state id").astype(np.int64)
+    cs = _integers([c for t in targets for c in t.values()], 1, np.inf, "count").astype(np.float64)
+    owner = np.repeat(np.arange(m.size), m)
+    lags = np.zeros((m.size, int(m.max())), dtype=np.int64)
+    lags[owner, np.cumsum(m)[owner] - np.arange(owner.size) - 1] = ids[: owner.size]
+    nodes, own = _trie(lags, m, n)
+    context_of = np.repeat(np.arange(m.size), sizes)
+    keys, length = own[context_of] * n + ids[owner.size :], m[context_of]
+    by_length = [length == j for j in range(len(nodes))]
+    return _Events(nodes, [keys[at] for at in by_length], [cs[at] for at in by_length])
 
 
 class _Level(NamedTuple):
@@ -107,22 +140,24 @@ class _Level(NamedTuple):
     distinct: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class NgramModel:
     """Order-m conditional model over truncated contexts.
 
-    ``counts`` holds the raw training events; smoothed tables are derived
-    from them on construction, so a serialized model reloads to identical
-    conditionals.
+    ``NgramModel(order, smoothing, discount, vocab, counts)`` takes the raw
+    training events as ``{context tuple: {next state: count}}``; the fits
+    pass them in array form.  Smoothed tables are derived from the events on
+    construction, so a serialized model reloads to identical conditionals.
     """
 
     order: int
     smoothing: str
     discount: float
     vocab: Vocabulary
-    counts: dict[tuple[int, ...], dict[int, int]]
 
-    def __post_init__(self) -> None:
+    def __init__(self, order: int, smoothing: str, discount: float, vocab: Vocabulary, counts) -> None:
+        for name, value in (("order", order), ("smoothing", smoothing), ("discount", discount), ("vocab", vocab)):
+            object.__setattr__(self, name, value)
         if self.order < 1:
             raise DataError("order must be at least 1")
         if self.smoothing not in ("none", "kneser_ney"):
@@ -131,19 +166,43 @@ class NgramModel:
             raise DataError("unsmoothed models take no discount")
         if self.smoothing == "kneser_ney" and not 0.0 < self.discount < 1.0:
             raise DataError("discount must lie strictly between 0 and 1")
-        if not self.counts:
+        if not isinstance(counts, _Events):
+            counts = _counted_events(counts, self.n, order)
+        if not any(c.size for c in counts.counts):
             raise DataError("model has no training events")
-        self._tables  # building the tables validates the counts
+        object.__setattr__(self, "_events", counts)
+        self._tables  # building the tables validates the events
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NgramModel):
+            return NotImplemented
+        return (self.order, self.smoothing, self.discount, self.vocab, self.counts) == (
+            other.order, other.smoothing, other.discount, other.vocab, other.counts)
 
     @property
     def n(self) -> int:
         return len(self.vocab)
 
     @cached_property
+    def counts(self) -> dict[tuple[int, ...], dict[int, int]]:
+        """The raw training events as ``{context: {next state: count}}``,
+        each context oldest state first."""
+        n, ev = self.n, self._events
+        out: dict[tuple[int, ...], dict[int, int]] = {}
+        for j, (keys, counts) in enumerate(zip(ev.keys, ev.counts)):
+            context = np.empty((keys.size, j), dtype=np.int64)
+            node = keys // n
+            for level in range(j, 0, -1):  # a level-j key holds the symbol at lag j
+                key = ev.nodes[level][node]
+                context[:, j - level], node = key % n, key // n
+            for ctx, y, c in zip(map(tuple, context.tolist()), (keys % n).tolist(), counts.tolist()):
+                out.setdefault(ctx, {})[y] = int(c)
+        return out
+
+    @cached_property
     def _tables(self) -> list[_Level]:
-        """Levels 0..(longest context) of the context trie, built from
-        ``counts``, which must hold contexts no longer than the order, each
-        with events, state ids of the vocabulary and positive integer counts.
+        """Levels 0..(longest context) of the context trie, built from the
+        raw events.
 
         Unsmoothed levels hold the raw events of their length.  Kneser-Ney's
         deepest level holds the raw counts; each shorter level holds one
@@ -152,37 +211,21 @@ class NgramModel:
         events at that length, which have no left extension and would
         otherwise vanish from the backoff chain.
         """
-        n = self.n
-        contexts, targets = list(self.counts), list(self.counts.values())
-        m = np.fromiter(map(len, contexts), np.int64, len(contexts))
-        sizes = np.fromiter(map(len, targets), np.int64, len(targets))
-        if m.max() > self.order:
-            raise DataError(f"context {contexts[m.argmax()]} longer than the model order")
-        if sizes.min() == 0:
-            raise DataError(f"context {contexts[sizes.argmin()]} has no events")
-        ids = [*chain.from_iterable(contexts), *chain.from_iterable(targets)]
-        ids = _integers(ids, 0, n, "state id").astype(np.int64)
-        cs = _integers([c for t in targets for c in t.values()], 1, np.inf, "count")
-        owner = np.repeat(np.arange(m.size), m)
-        lags = np.zeros((m.size, int(m.max())), dtype=np.int64)
-        lags[owner, np.cumsum(m)[owner] - np.arange(owner.size) - 1] = ids[: owner.size]
-        nodes, own = _trie(lags, m, n)
-        context_of = np.repeat(np.arange(m.size), sizes)
-        keys, length = own[context_of] * n + ids[owner.size :], m[context_of]
+        n, ev = self.n, self._events
         levels: list[_Level] = []
-        for j in range(lags.shape[1], -1, -1):
-            events, counts = keys[length == j], cs[length == j].astype(np.float64)
+        for j in range(len(ev.nodes) - 1, -1, -1):
+            events, counts = ev.keys[j], ev.counts[j]
             if levels and self.smoothing == "kneser_ney":
                 upper = levels[-1].events
-                parent = nodes[j + 1][upper // n] // n
+                parent = ev.nodes[j + 1][upper // n] // n
                 events = np.concatenate([parent * n + upper % n, events])
                 counts = np.concatenate([np.ones(upper.size), counts])
             events, inverse = np.unique(events, return_inverse=True)
             counts = np.bincount(inverse, weights=counts, minlength=events.size)
             node = events // n
-            total = np.bincount(node, weights=counts, minlength=nodes[j].size)
-            distinct = np.bincount(node, minlength=nodes[j].size)
-            levels.append(_Level(nodes[j], events, np.append(counts, 0.0), total, distinct))
+            total = np.bincount(node, weights=counts, minlength=ev.nodes[j].size)
+            distinct = np.bincount(node, minlength=ev.nodes[j].size)
+            levels.append(_Level(ev.nodes[j], events, np.append(counts, 0.0), total, distinct))
         return levels[::-1]
 
     def _probabilities(self, lags: np.ndarray, m: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -229,6 +229,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         "rounds": cfg.rounds,
         "log_likelihood": final.log_likelihood,
         "perplexity": final.perplexity,
+        "halves": [
+            {"block": r.block, "iterations": r.iterations, "capped": r.capped}
+            for r in report.records[1:]
+        ],
     }
     _write_manifest("train", args, [args.corpus], [args.output, report_path], summary, started)
     print(

@@ -171,12 +171,14 @@ def _find_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _integers(values: list, low: float, high: float, what: str) -> np.ndarray:
     """``values`` as an array, each an integer in [low, high); the one reader
     of integers loaded from JSON.  A number such as 2.0 counts as the integer
-    2; anything else is refused with a :class:`DataError` naming it."""
+    2; anything else, a boolean included, is refused with a
+    :class:`DataError` naming it."""
     try:
         arr = np.asarray(values)
     except ValueError:  # a list among numbers
         arr = np.asarray(values, dtype=object)
-    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+    # numpy reads a boolean among numbers as 0 or 1, so look for one by type.
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or bool in set(map(type, values)):
         # Name a value that is not a number, else an integer past int64.
         odd = [v for v in values if isinstance(v, bool) or not isinstance(v, (int, float, np.number))]
         raise DataError(f"{what} {(odd or [max(values, key=abs)])[0]!r} is not an integer")

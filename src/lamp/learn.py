@@ -1,27 +1,29 @@
 """Maximum-likelihood training for LAMP models.
 
-The log-likelihood is concave in the lag weights w with P fixed, and concave
-in each row of P with everything else fixed, but not jointly concave.
-Training therefore alternates block optimizations: each block (the w simplex,
-or one P row restricted to its support) is solved by a diagonal-Newton
-water-filling step inside a trust region, accepting a step only when the true
-objective does not decrease.
+The log-likelihood is concave in the lag weights w with P fixed, and, with
+w fixed, jointly concave in P over the product of its row simplices, but not
+concave in both together.  Training therefore alternates two block updates.
 
-A P half-round is one Gauss–Seidel sweep over the rows with more than one
-support entry, in ascending state order.  Each row's block sees the scored
-positions whose clamped source at some lag is that row, grouped by position:
-m is the group's total lag weight, and the row's term in the position's
-mixture probability is m * q[target].  These groups come from one flat
-layout built at the start of the half (``_block_layout``), because m depends
-on w.  Every row then reads the mixture probabilities as the sweep has left
-them, so a row sees the rows before it at their new values.  Before it calls
-the block solver, the sweep checks the row's KKT residual at its current
-point.  A row at or below ``kkt_tol`` is left as it is: the solver would stop
-there without a step.  The check evaluates the same expressions, in the same
-order, as the solver's first iteration, and a skipped row writes back the
-same mixture probabilities the solver's result would, so the trained bits
-are those of calling the solver on every row.  Only the time differs: in a
-half where every row is already optimal the sweep makes no solver call.
+A w half-round solves the k-simplex block by diagonal-Newton water-filling
+steps inside a trust region, accepting a step only when the true objective
+does not decrease (``optimize_simplex_block``).
+
+A P half-round runs EM over every row at once.  The scored positions are
+grouped by clamped source row and position once per half (``_block_layout``,
+since a group's weight m depends on w); position t's mixture probability is
+the sum of m * q[entry] over its groups.  One update computes the gradient
+g = bincount(entry, m / d[t]) and sets each row to q * g / sum(q * g), or
+to (q * g + c) normalized under ``prior_count`` c, the MAP form of the same
+step.  The update never lowers the objective, and its fixed points with
+positive entries are the block's stationary points.  Rows that no group
+reaches keep their values.  The half stops when the largest entry change of
+one update is at most ``kkt_tol``, or after ``max_newton_iters`` updates;
+that change, q_j * |g_j - lambda_x| / lambda_x without a prior, is the P
+record's KKT residual.  EM drives boundary entries toward zero without
+reaching it, so without a prior the half closes with one guarded snap: every
+entry at most ``kkt_tol`` whose gradient is below its row's
+lambda_x = sum(q * g) becomes zero, the touched rows are renormalized, and
+the result is kept only if the log-likelihood does not fall.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 from lamp.core import (
     Corpus,
     DataError,
-    EmptyRowError,
     HistoryDistribution,
     LampModel,
     NumericError,
@@ -55,7 +56,6 @@ __all__ = [
     "grad_w",
     "grad_P",
     "optimize_simplex_block",
-    "optimize_row",
     "alternate_minimize",
 ]
 
@@ -68,8 +68,10 @@ class TrainConfig:
     """Training hyperparameters.
 
     ``rounds`` counts alternation rounds in halves: the first half-round
-    optimizes w, the second optimizes every P row once, and so on, so 1.5
-    rounds runs the blocks w, P, w.  ``prior_count`` adds an optional
+    optimizes w, the second updates every P row, and so on, so 1.5 rounds
+    runs the blocks w, P, w.  ``max_newton_iters`` caps the Newton
+    iterations of a w half and the EM updates of a P half; the trust-region
+    settings apply to the w half alone.  ``prior_count`` adds an optional
     Dirichlet-style log-prior (``prior_count * sum(log theta)``) to every
     block objective; the default 0 leaves plain maximum likelihood.
     """
@@ -123,9 +125,13 @@ class TrainConfig:
 class HalfIterationRecord:
     """One ledger row of training progress.
 
-    ``block`` is "init" for the starting point, then "w" or "P".  Wall time
-    lives only on this in-memory record; the JSON-lines form omits it so that
-    reruns with identical inputs serialize byte-identically.
+    ``block`` is "init" for the starting point, then "w" or "P".
+    ``iterations`` counts the half's Newton iterations (w) or EM updates
+    (P), and ``capped`` is true when the half stopped at
+    ``max_newton_iters`` with its residual above ``kkt_tol``.  Wall time and
+    these two live only on this in-memory record; the JSON-lines form omits
+    them, and wall time must stay out so that reruns with identical inputs
+    serialize byte-identically.
     """
 
     block: str
@@ -134,6 +140,8 @@ class HalfIterationRecord:
     kkt_residual: float | None
     active_set_size: int
     wall_time_s: float
+    iterations: int = 0
+    capped: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -299,10 +307,7 @@ def grad_P(model: LampModel, corpus: Corpus) -> list[np.ndarray]:
     flat = np.zeros(model.P.support_size)
     if stats.T:
         _, denom = _mixture(stats, model.P, model.w.weights)
-        layout = _block_layout(stats, model.P, model.w.weights)
-        flat = np.bincount(
-            layout.entry, weights=layout.m / denom[layout.t], minlength=model.P.support_size
-        )
+        flat = _EMHalf(stats, model.P, model.w.weights, 0.0).gradient(denom)
     return np.split(flat, model.P.indptr[1:-1])
 
 
@@ -477,63 +482,6 @@ class _WeightObjective:
         return g, h
 
 
-class _RowObjective:
-    """Log-likelihood as a function of one P row restricted to its support.
-
-    Each touching position j contributes log(base_j + m_j * q[target]),
-    where m_j is the total lag weight pointing at this row from j and base_j
-    collects the contribution of all other rows.
-    """
-
-    def __init__(self, base: np.ndarray, m: np.ndarray, colidx: np.ndarray, size: int, prior: float) -> None:
-        self.base = base
-        self.m = m
-        self.colidx = colidx
-        self.size = size
-        self.prior = prior
-
-    def value(self, q: np.ndarray) -> float:
-        d = self.base + self.m * q[self.colidx]
-        if (d <= 0.0).any():
-            return -math.inf
-        v = float(np.log(d).sum())
-        if self.prior:
-            if (q <= 0.0).any():
-                return -math.inf
-            v += self.prior * float(np.log(q).sum())
-        return v
-
-    def derivatives(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._derivatives(q, self.base + self.m * q[self.colidx])
-
-    def _derivatives(self, q: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r = self.m / d
-        g = np.bincount(self.colidx, weights=r, minlength=self.size)
-        h = -np.bincount(self.colidx, weights=r * r, minlength=self.size)
-        if self.prior:
-            safe = np.maximum(q, 1e-12)
-            g = g + self.prior / safe
-            h = h - self.prior / (safe * safe)
-        return g, h
-
-    def start_residual(self, q: np.ndarray, d: np.ndarray) -> float | None:
-        """KKT residual at the start point q, whose position terms
-        ``base + m * q[colidx]`` are d.
-
-        None where ``optimize_simplex_block`` would raise at q: the value or
-        the derivatives are not finite.  (Its simplex check cannot fail on a
-        row of the trainer's P.)  Otherwise the residual has the bits
-        of the solver's first check, so when it is at most ``kkt_tol`` the
-        solver would return q unchanged with this residual.
-        """
-        if not d.min() > 0.0 or (self.prior and not q.min() > 0.0):  # NaN fails too
-            return None
-        g, h = self._derivatives(q, d)
-        if not (np.isfinite(g).all() and np.isfinite(h).all()):
-            return None
-        return _kkt_residual(q, g)
-
-
 class _BlockLayout(NamedTuple):
     """Every row block's inputs, for all rows at once (see ``_block_layout``)."""
 
@@ -541,63 +489,125 @@ class _BlockLayout(NamedTuple):
     t: np.ndarray
     m: np.ndarray
     entry: np.ndarray
-    col: np.ndarray
 
 
-def _block_layout(stats: ScoredPositions, P: SparseStochasticMatrix, w: np.ndarray) -> _BlockLayout:
+def _block_layout(stats: ScoredPositions, n: int, entry: np.ndarray, w: np.ndarray) -> _BlockLayout:
     """Group the (position, lag) pairs of the scored positions by their
     clamped source row, then by position.
 
-    Row x's groups are ``offsets[x]:offsets[x+1]``, positions ascending.
-    ``t`` is each group's index into the scored positions and ``m`` its total
-    lag weight, summed in lag order; ``entry`` and ``col`` are the index of
-    (x, target) in P's flat storage and within row x.  Groups of zero weight,
-    or whose target lies outside the row's support, are dropped.  m depends
-    on w, so a layout serves one P half.
+    ``entry`` holds each pair's index into the flat storage of an n-state
+    P, -1 where P does not store it.  Row x's groups are
+    ``offsets[x]:offsets[x+1]``, positions ascending.  ``t`` is each group's
+    index into the scored positions, ``m`` its total lag weight, summed in
+    lag order, and ``entry`` the index of (x, target).  Groups of zero
+    weight, or whose target lies outside the row's support, are dropped.
+    m depends on w, so a layout serves one P half.
     """
     flat = stats.src.ravel()  # position-major, lag minor
-    order = np.argsort(flat, kind="stable")
-    rows = flat[order]
-    t, lag = np.divmod(order, stats.k)
+    order = np.argsort(flat.astype(np.min_scalar_type(n)), kind="stable")  # narrow keys sort by radix
+    rows, t = flat[order], order // stats.k
     start = np.ones(order.size, dtype=bool)
     start[1:] = (rows[1:] != rows[:-1]) | (t[1:] != t[:-1])
-    m = np.bincount(np.cumsum(start) - 1, weights=w[lag])  # adds each group left to right
-    rows, t = rows[start], t[start]
-    entry = P.pair_indices(rows, stats.tgt[t])
+    m = np.bincount(np.cumsum(start) - 1, weights=w[order % stats.k])  # adds each group left to right
+    rows, t, entry = rows[start], t[start], entry.ravel()[order[start]]
     keep = (m > 0.0) & (entry >= 0)
     rows, t, m, entry = rows[keep], t[keep], m[keep], entry[keep]
-    offsets = np.searchsorted(rows, np.arange(P.n + 1))
-    return _BlockLayout(offsets, t, m, entry, entry - P.indptr[rows])
+    offsets = np.searchsorted(rows, np.arange(n + 1))
+    return _BlockLayout(offsets, t, m, entry)
 
 
-def optimize_row(model: LampModel, corpus: Corpus, state: int, cfg: TrainConfig) -> np.ndarray:
-    """Optimize one row of P over its support, everything else fixed.
+class _EMHalf:
+    """The EM update of one P half, over every row at once.
 
-    Returns the new row probabilities aligned with the row's support columns.
-    Rows never touched by the corpus come back unchanged.
+    Works on the flat probabilities q of P's stored entries; the support and
+    w stay as they were at construction.  ``prior`` is the ``prior_count``
+    of the MAP form q * g + prior.  ``entry`` is what
+    ``P.pair_indices(stats.src, stats.tgt[:, None])`` returns, computed when
+    None; training computes it once, since P's support never changes.
     """
-    _check_vocab(model.vocab, corpus.vocab)
-    if not 0 <= state < model.n:
-        raise DataError(f"state id {state} out of range")
-    if cfg.k != model.k:
-        raise DataError(f"cfg.k={cfg.k} does not match the model's k={model.k}")
-    cols, probs = model.P.row(state)
-    if cols.size == 0:
-        raise EmptyRowError(f"state {state} has no outgoing transitions to optimize")
-    q = probs.copy()
-    if cols.size == 1:
-        return np.ones(1)
-    stats = ScoredPositions(corpus, model.k)
-    if stats.T == 0:
-        return q
-    _, denom = _mixture(stats, model.P, model.w.weights)
-    layout = _block_layout(stats, model.P, model.w.weights)
-    s, e = layout.offsets[state], layout.offsets[state + 1]
-    if s == e:
-        return q
-    upos, m, cidx = layout.t[s:e], layout.m[s:e], layout.col[s:e]
-    obj = _RowObjective(denom[upos] - m * q[cidx], m, cidx, cols.size, cfg.prior_count)
-    return optimize_simplex_block(obj.value, obj.derivatives, q, cfg).point
+
+    def __init__(
+        self, stats: ScoredPositions, P: SparseStochasticMatrix, w: np.ndarray, prior: float,
+        entry: np.ndarray | None = None,
+    ) -> None:
+        if entry is None:
+            entry = P.pair_indices(stats.src, stats.tgt[:, None])
+        layout = _block_layout(stats, P.n, entry, w)
+        self.t, self.m, self.entry = layout.t, layout.m, layout.entry
+        self.T, self.n, self.size = stats.T, P.n, P.support_size
+        self.row = np.repeat(np.arange(P.n), np.diff(P.indptr))  # each entry's row
+        self.reached = np.diff(layout.offsets) > 0  # rows with at least one group
+        self.prior = prior
+
+    def mixture(self, q: np.ndarray) -> np.ndarray:
+        """Mixture probability of every scored position."""
+        return np.bincount(self.t, weights=self.m * q[self.entry], minlength=self.T)
+
+    def gradient(self, d: np.ndarray) -> np.ndarray:
+        """Log-likelihood gradient in q, given the mixture probabilities d."""
+        return np.bincount(self.entry, weights=self.m / d[self.t], minlength=self.size)
+
+    def _normalized(self, z: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """z divided by its row sums on the given rows whose sum is
+        positive; q elsewhere."""
+        total = np.bincount(self.row, weights=z, minlength=self.n)
+        ok = rows & (total > 0.0)
+        total[~ok] = 1.0
+        return np.where(ok[self.row], z / total[self.row], q)
+
+    def update(self, q: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """One EM update of q, whose mixture probabilities are d.  A row no
+        group reaches keeps its values."""
+        z = q * self.gradient(d)
+        if self.prior:
+            z += self.prior
+        return self._normalized(z, q, self.reached)
+
+    def iterate(self, q: np.ndarray, tol: float, cap: int) -> tuple[np.ndarray, float, int]:
+        """Updates from q until one changes no entry by more than ``tol``, or
+        ``cap`` of them; returns the last point, the last update's largest
+        entry change and the number of updates."""
+        d = self.mixture(q)
+        for done in range(1, cap + 1):
+            new = self.update(q, d)
+            change = float(np.abs(new - q).max(initial=0.0))
+            q, d = new, self.mixture(new)
+            if change <= tol:
+                break
+        return q, change, done
+
+    def snap(self, q: np.ndarray, tol: float) -> np.ndarray:
+        """q with every entry in (0, tol] whose gradient is below its row's
+        lambda = sum(q * g) set to zero and the touched rows renormalized,
+        if that does not lower the log-likelihood; q itself otherwise."""
+        d = self.mixture(q)
+        g = self.gradient(d)
+        lam = np.bincount(self.row, weights=q * g, minlength=self.n)
+        drop = (q > 0.0) & (q <= tol) & (g < lam[self.row])
+        if not drop.any():
+            return q
+        touched = np.zeros(self.n, dtype=bool)
+        touched[self.row[drop]] = True
+        trial = np.where(drop, 0.0, q)
+        trial = self._normalized(trial, trial, touched)
+        with np.errstate(divide="ignore"):
+            kept = np.log(self.mixture(trial)).sum() >= np.log(d).sum()
+        return trial if kept else q
+
+
+def _p_half(
+    stats: ScoredPositions, P: SparseStochasticMatrix, w: np.ndarray, cfg: TrainConfig,
+    entry: np.ndarray | None = None,
+) -> tuple[np.ndarray, float, int]:
+    """One P half from P with w fixed: EM updates, then, without a prior,
+    the guarded zero snap.  Returns the new flat probabilities, the last
+    update's largest entry change and the number of updates; ``entry`` is
+    as for :class:`_EMHalf`."""
+    em = _EMHalf(stats, P, w, cfg.prior_count, entry)
+    q, residual, updates = em.iterate(P.probs, cfg.kkt_tol, cfg.max_newton_iters)
+    if not cfg.prior_count:  # with a prior, a zero entry would make the objective -inf
+        q = em.snap(q, cfg.kkt_tol)
+    return q, residual, updates
 
 
 # ---------------------------------------------------------------------------
@@ -618,26 +628,27 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     if corpus.total_transitions < 1:
         raise DataError("training requires at least one scored transition")
     stats = ScoredPositions(corpus, cfg.k)
-    P0 = _empirical_matrix(stats, cfg.support_epsilon)[0]
+    matrix = _empirical_matrix(stats, cfg.support_epsilon)[0]
     w = HistoryDistribution.geometric(cfg.init_decay, cfg.k).weights.copy()
-    n = len(corpus.vocab)
-    indptr, cols = P0.indptr, P0.cols
-    q = P0.probs.copy()  # every P half updates this flat array in place
-    has_choice = np.diff(indptr) > 1  # rows whose block has something to optimize
 
     def active_size() -> int:
-        return int(np.count_nonzero(w > 0)) + int(np.count_nonzero(q > 0))
+        return int(np.count_nonzero(w > 0)) + int(np.count_nonzero(matrix.probs > 0))
 
     def objective(ll: float) -> float:
         if not cfg.prior_count:
             return ll
-        return ll + cfg.prior_count * (float(np.log(w).sum()) + float(np.log(q).sum()))
+        return ll + cfg.prior_count * (float(np.log(w).sum()) + float(np.log(matrix.probs).sum()))
 
-    matrix = P0
-    A, denom = _mixture(stats, matrix, w)
+    entry = matrix.pair_indices(stats.src, stats.tgt[:, None])  # the support never changes
+
+    def lag_terms() -> np.ndarray:
+        """What ``stats.lag_probabilities(matrix)`` returns."""
+        return np.append(matrix.probs, 0.0)[entry]
+
+    denom = _denominators(stats, lag_terms(), w)
     T = stats.T
 
-    def record(block: str, residual: float | None, seconds: float) -> HalfIterationRecord:
+    def record(block: str, residual: float | None, seconds: float, iterations: int = 0) -> HalfIterationRecord:
         ll = float(np.log(denom).sum())
         return HalfIterationRecord(
             block=block,
@@ -646,6 +657,8 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
             kkt_residual=residual,
             active_set_size=active_size(),
             wall_time_s=seconds,
+            iterations=iterations,
+            capped=iterations >= cfg.max_newton_iters and residual > cfg.kkt_tol,
         )
 
     records = [record("init", None, 0.0)]
@@ -653,39 +666,18 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     for half in range(cfg.half_iterations):
         t0 = time.perf_counter()
         if half % 2 == 0:
+            A = lag_terms()
             obj = _WeightObjective(A, cfg.prior_count)
             res = optimize_simplex_block(obj.value, obj.derivatives, w, cfg)
             w = res.point
             denom = _denominators(stats, A, w)
-            records.append(record("w", res.kkt_residual, time.perf_counter() - t0))
-        else:
-            if cfg.weight_only:
-                continue
-            layout = _block_layout(stats, matrix, w)
-            rows = np.flatnonzero(has_choice & (np.diff(layout.offsets) > 0))
-            worst = 0.0
-            for lo, hi, s, e in zip(
-                indptr[rows].tolist(), indptr[rows + 1].tolist(),
-                layout.offsets[rows].tolist(), layout.offsets[rows + 1].tolist(),
-            ):
-                qx = q[lo:hi]
-                upos, m, cidx = layout.t[s:e], layout.m[s:e], layout.col[s:e]
-                mq = m * qx[cidx]
-                base = denom[upos] - mq
-                obj = _RowObjective(base, m, cidx, hi - lo, cfg.prior_count)
-                d = base + mq  # what obj evaluates at qx
-                residual = obj.start_residual(qx, d)
-                if residual is not None and residual <= cfg.kkt_tol:
-                    denom[upos] = d  # the bits the solver's unchanged point would write
-                    worst = max(worst, residual)
-                    continue
-                res = optimize_simplex_block(obj.value, obj.derivatives, qx, cfg)
-                q[lo:hi] = res.point
-                denom[upos] = base + m * res.point[cidx]
-                worst = max(worst, res.kkt_residual)
-            matrix = SparseStochasticMatrix.from_csr(n, indptr, cols, q)
-            A, denom = _mixture(stats, matrix, w)
-            records.append(record("P", worst, time.perf_counter() - t0))
+            del A, obj  # free before the P half, whose layout build is training's memory peak
+            records.append(record("w", res.kkt_residual, time.perf_counter() - t0, res.iterations))
+        elif not cfg.weight_only:
+            q, residual, updates = _p_half(stats, matrix, w, cfg, entry)
+            matrix = SparseStochasticMatrix.from_csr(matrix.n, matrix.indptr, matrix.cols, q)
+            denom = _denominators(stats, lag_terms(), w)
+            records.append(record("P", residual, time.perf_counter() - t0, updates))
 
     if objective(records[-1].log_likelihood) < start - 1e-9:
         raise NumericError("training decreased its objective; numeric failure")

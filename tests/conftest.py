@@ -14,8 +14,9 @@ corpus references are the corpus transforms as they were written before
 the corpus was stored flat: one sequence at a time, each new id looked up
 by token name.  The
 reference trainer at the end of this file is the P half-round as one block
-solve per row, with each row's inputs gathered by its own ``np.unique``; it
-fixes the bits the package's trainer must reproduce.
+solve per row, with each row's inputs gathered by its own ``np.unique``; the
+package's EM trainer must end no lower than it on pinned corpora, and its
+row solve checks that a converged EM half leaves no row to improve.
 """
 
 from __future__ import annotations

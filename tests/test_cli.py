@@ -163,6 +163,7 @@ EXIT_CODES = [
     ("cache-string-id", lambda t: cache_argv(t, '[[0, "1", 0]]'), 2, "state id '1'"),
     ("cache-huge-id", lambda t: cache_argv(t, "[[0, 1e30, 0]]"), 2, "state id 1e+30"),
     ("cache-nested-id", lambda t: cache_argv(t, "[[0, [1], 0]]"), 2, "state id [1]"),
+    ("cache-bool-id", lambda t: cache_argv(t, "[[0, true, 1]]"), 2, "state id True"),
     ("cache-sequence-not-list", lambda t: cache_argv(t, "[0, 1]"), 2, "sequence 0 is not a list"),
 ]
 
@@ -320,9 +321,24 @@ def test_train_writes_frozen_bytes(capsys, tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("model.json", "model.report.jsonl")}
     assert digests == {
-        "model.json": "dcad9a0d6efa0862972102356f5c14e398e9c542df2def0c5c6084517d110354",
-        "model.report.jsonl": "4373c32df0d00eb38d5dc5109094bfa7e38f2f78d019238e756291aaa507473b",
+        "model.json": "6ed7b4b21a9753b9ec277e73d41d7ba0ff738afba42e8ac557728ce801134b63",
+        "model.report.jsonl": "c404d6d271b0e5b960eb5fbb9b18593945a39a196e474940228f3b586ebfc9b4",
     }
+
+
+def test_train_manifest_records_each_half(capsys, tmp_path):
+    corpus_path = write_corpus_text(tmp_path, GOLDEN_CORPUS)
+    out = str(tmp_path / "model.json")
+    code, stdout, err = run(capsys, ["train", corpus_path, "--output", out, "--k", "3",
+                                     "--rounds", "2.5"])
+    assert code == 0, err
+    assert len(stdout.splitlines()) == 1
+    halves = json.loads(open(out + ".manifest.json").read())["summary"]["halves"]
+    assert [h["block"] for h in halves] == ["w", "P", "w", "P", "w"]
+    for half in halves:
+        assert set(half) == {"block", "iterations", "capped"}
+        assert half["capped"] is False
+        assert half["iterations"] >= (1 if half["block"] == "P" else 0)
 
 
 def test_train_reads_text_whose_first_token_starts_with_a_brace(capsys, tmp_path):

@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 
 import lamp.learn as learn
 from lamp.core import (
-    Corpus,
     DataError,
-    EmptyRowError,
     HistoryDistribution,
     LampModel,
     NumericError,
+    ScoredPositions,
     SparseStochasticMatrix,
     Vocabulary,
     generate,
     log_likelihood,
-    model_to_dict,
 )
 from lamp.learn import (
     TrainConfig,
@@ -28,7 +26,6 @@ from lamp.learn import (
     empirical_transition_matrix,
     grad_P,
     grad_w,
-    optimize_row,
     optimize_simplex_block,
 )
 from conftest import (
@@ -325,59 +322,69 @@ class TestSimplexBlock:
 
 
 # ---------------------------------------------------------------------------
-# Row optimization
+# Rows after a P half
+
+
+def p_half(model, corpus, **settings):
+    """The model after one P half of training from it, w fixed."""
+    cfg = TrainConfig(k=model.k, **settings)
+    q, _, _ = learn._p_half(ScoredPositions(corpus, model.k), model.P, model.w.weights, cfg)
+    P = SparseStochasticMatrix.from_csr(model.n, model.P.indptr, model.P.cols, q)
+    return LampModel(model.w, P, model.vocab)
 
 
 class TestOptimizeRow:
+    """Each row of P after a P half, with w fixed."""
+
     def test_matches_row_grid_search(self):
         model = make_model([0.6, 0.4], worked_matrix())
         seqs = [[0, 1, 1, 0, 0, 1]]
-        corpus = make_corpus(model, seqs)
-        q = optimize_row(model, corpus, 0, CFG2)
-        dense = model.P.dense()
-        dense[0] = 0.0
-        dense[0, model.P.row_cols[0]] = q
+        fitted = p_half(model, make_corpus(model, seqs), kkt_tol=1e-12, max_newton_iters=10000)
+        dense = fitted.P.dense()
         achieved = ref_log_likelihood([0.6, 0.4], dense, seqs)[0]
-        best = -math.inf
-        for a in np.linspace(0.0, 1.0, 1001):
-            trial = model.P.dense()
-            trial[0] = [a, 1.0 - a]
-            best = max(best, ref_log_likelihood([0.6, 0.4], trial, seqs)[0])
-        assert achieved >= best - 1e-6
+        for x in range(2):
+            best = -math.inf
+            for a in np.linspace(0.0, 1.0, 1001):
+                trial = dense.copy()
+                trial[x] = [a, 1.0 - a]
+                best = max(best, ref_log_likelihood([0.6, 0.4], trial, seqs)[0])
+            assert achieved >= best - 1e-6
+
+    def test_no_row_solve_improves_a_converged_half(self):
+        # At the block optimum a Newton solve of any one row, the others
+        # fixed, gains nothing beyond the tolerance.
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            model = make_model(random_simplex(rng, 3), random_stochastic_matrix(rng, 4, min_entry=0.1))
+            seqs = random_sequences(rng, 4, 6, 15)
+            corpus = make_corpus(model, seqs)
+            fitted = p_half(model, corpus, kkt_tol=1e-10, max_newton_iters=100000)
+            achieved = ll_of(fitted, seqs)
+            for x in range(4):
+                dense = fitted.P.dense()
+                dense[x, fitted.P.row_cols[x]] = ref_optimize_row(fitted, corpus, x, TrainConfig(k=3))
+                assert ref_log_likelihood(fitted.w.weights, dense, seqs)[0] <= achieved + 1e-6
 
     def test_untouched_row_unchanged(self):
         rng = np.random.default_rng(6)
         model = make_model([0.5, 0.5], random_stochastic_matrix(rng, 3, min_entry=0.1))
-        corpus = make_corpus(model, [[0, 1, 0, 1]])  # state 2 never a source
-        q = optimize_row(model, corpus, 2, CFG2)
-        assert np.array_equal(q, model.P.row_probs[2])
+        fitted = p_half(model, make_corpus(model, [[0, 1, 0, 1]]))  # state 2 never a source
+        assert fitted.P.row_probs[2].tobytes() == model.P.row_probs[2].tobytes()
 
     def test_single_entry_row_stays_unit(self):
         P = SparseStochasticMatrix.from_rows(2, [[(1, 1.0)], [(0, 0.5), (1, 0.5)]])
         model = LampModel(HistoryDistribution.from_weights([1.0]), P, Vocabulary.from_size(2))
-        corpus = make_corpus(model, [[0, 1, 0]])
-        cfg = TrainConfig(k=1)
-        assert optimize_row(model, corpus, 0, cfg).tolist() == [1.0]
-
-    def test_empty_row_rejected(self):
-        P = SparseStochasticMatrix.from_rows(2, [[(0, 0.5), (1, 0.5)], []])
-        model = LampModel(HistoryDistribution.from_weights([1.0]), P, Vocabulary.from_size(2))
-        corpus = make_corpus(model, [[0, 0]])
-        with pytest.raises(EmptyRowError):
-            optimize_row(model, corpus, 1, TrainConfig(k=1))
+        fitted = p_half(model, make_corpus(model, [[0, 1, 0]]))
+        assert fitted.P.row_probs[0].tolist() == [1.0]
 
     def test_other_rows_untouched_and_ll_not_decreased(self):
+        # State 3 never occurs, so no scored position reaches its row.
         rng = np.random.default_rng(8)
-        model = make_model(random_simplex(rng, 2), random_stochastic_matrix(rng, 3, min_entry=0.1))
+        model = make_model(random_simplex(rng, 2), random_stochastic_matrix(rng, 4, min_entry=0.1))
         seqs = random_sequences(rng, 3, 4, 10)
-        corpus = make_corpus(model, seqs)
-        before = ll_of(model, seqs)
-        q = optimize_row(model, corpus, 1, CFG2)
-        dense = model.P.dense()
-        dense[1] = 0.0
-        dense[1, model.P.row_cols[1]] = q
-        after = ref_log_likelihood(model.w.weights, dense, seqs)[0]
-        assert after >= before - 1e-10
+        fitted = p_half(model, make_corpus(model, seqs))
+        assert fitted.P.row_probs[3].tobytes() == model.P.row_probs[3].tobytes()
+        assert ll_of(fitted, seqs) >= ll_of(model, seqs) - 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +474,8 @@ class TestAlternateMinimize:
             assert (r.kkt_residual is None) == (r.block == "init")
             assert r.active_set_size > 0
             assert r.wall_time_s >= 0.0
+            assert r.iterations >= (r.block == "P")
+            assert r.capped == (r.iterations == cfg.max_newton_iters and r.kkt_residual > cfg.kkt_tol)
         assert abs(ll_of(model, seqs) - lls[-1]) < 1e-8
         assert report.final_model is model
 
@@ -583,7 +592,7 @@ class TestBlockConcavity:
 
 
 # ---------------------------------------------------------------------------
-# Bitwise agreement with the reference trainer
+# Agreement with the reference trainer
 
 
 def outcome(fn, *args):
@@ -594,29 +603,11 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def model_bits(model):
-    return (
-        json.dumps(model_to_dict(model)),
-        model.w.weights.tobytes(),
-        model.P.indptr.tobytes(),
-        model.P.cols.tobytes(),
-        model.P.probs.tobytes(),
-    )
-
-
-def training_bits(result):
-    if isinstance(result[0], type):
-        return result
-    model, report = result
-    return model_bits(model), report.to_jsonl()
-
-
 @st.composite
 def training_cases(draw):
     """Small corpora with lines of length 1, states that never start a
     transition (empty rows) or have one successor (rows of size 1), and
-    configurations whose kkt_tol ranges from tight to loose enough that a
-    P half skips some rows and solves later ones."""
+    configurations from tight to loose tolerances and caps."""
     n = draw(st.integers(1, 5))
     seqs = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=12), min_size=1, max_size=6))
     seqs.append(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=12)))
@@ -631,56 +622,37 @@ def training_cases(draw):
     return make_corpus(Vocabulary.from_size(n), seqs), cfg
 
 
+def penalized(report, model, cfg):
+    """The objective training ascends: the final log-likelihood plus the prior."""
+    ll = report.final_log_likelihood
+    if not cfg.prior_count:
+        return ll
+    return ll + cfg.prior_count * (float(np.log(model.w.weights).sum()) + float(np.log(model.P.probs).sum()))
+
+
 class TestReferenceTrainer:
-    @settings(max_examples=200, deadline=None)
-    @given(case=training_cases())
-    def test_training_matches_reference_bitwise(self, case):
-        corpus, cfg = case
-        got = training_bits(outcome(alternate_minimize, corpus, cfg))
-        assert got == training_bits(outcome(ref_alternate_minimize, corpus, cfg))
-
-    @pytest.mark.parametrize("seqs, k, rounds, kkt_tol", [
-        ([[0, 0, 1, 0, 1, 1, 0]], 3, 1.0, 0.1),
-        ([[2, 0, 0, 2, 0, 2, 2, 1, 2], [1, 2, 2, 0, 0, 1, 0, 1, 0]], 2, 2.0, 1.0),
-    ])
-    def test_skipped_row_rounds_mixture_like_the_solver(self, seqs, k, rounds, kkt_tol):
-        # A row skipped before a solved row in the same half: its rewrite
-        # (denom - m*q) + m*q differs from denom in the last bit at some
-        # position the solved row reads, and the solved row's result shows it.
-        corpus = make_corpus(Vocabulary.from_size(3), seqs)
-        cfg = TrainConfig(k=k, rounds=rounds, kkt_tol=kkt_tol, init_decay=5.0)
-        got = training_bits(alternate_minimize(corpus, cfg))
-        assert got == training_bits(ref_alternate_minimize(corpus, cfg))
-
     @pytest.mark.parametrize("seed", range(3))
-    def test_larger_corpus_matches_reference_bitwise(self, seed):
+    def test_larger_corpus_reaches_reference_likelihood(self, seed):
+        # Pinned corpora: the EM half ends no lower than a Newton solve of
+        # every row in turn, on the objective both ascend.
         rng = np.random.default_rng(seed)
         seqs = random_sequences(rng, 30, 25, 40, min_len=1)
         corpus = make_corpus(Vocabulary.from_size(32), seqs)
         for cfg in (TrainConfig(k=3, rounds=2.5), TrainConfig(k=2, rounds=2.0, kkt_tol=0.5, prior_count=0.5)):
-            got = training_bits(alternate_minimize(corpus, cfg))
-            assert got == training_bits(ref_alternate_minimize(corpus, cfg))
+            got = penalized(*reversed(alternate_minimize(corpus, cfg)), cfg)
+            want = penalized(*reversed(ref_alternate_minimize(corpus, cfg)), cfg)
+            assert got >= want - 1e-9 * abs(want)
 
     @settings(max_examples=150, deadline=None)
     @given(model=sparse_models(), data=st.data())
-    def test_grad_P_and_optimize_row_match_reference_bitwise(self, model, data):
+    def test_grad_P_matches_reference_bitwise(self, model, data):
         seqs = data.draw(st.lists(st.lists(st.integers(0, model.n - 1), min_size=1, max_size=10), min_size=1, max_size=5))
         corpus = make_corpus(model, seqs)
-        cfg = TrainConfig(k=model.k, kkt_tol=data.draw(st.sampled_from([1e-6, 0.1])),
-                          prior_count=data.draw(st.sampled_from([0.0, 0.5])))
         got, want = outcome(grad_P, model, corpus), outcome(ref_grad_P, model, corpus)
         if isinstance(want, tuple):
             assert got == want
         else:
             assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
-        for x in range(model.n):
-            if model.P.row_cols[x].size == 0:
-                continue
-            got, want = outcome(optimize_row, model, corpus, x, cfg), outcome(ref_optimize_row, model, corpus, x, cfg)
-            if isinstance(want, tuple):
-                assert got == want
-            else:
-                assert got.tobytes() == want.tobytes()
 
     def test_simplex_block_matches_reference_bitwise(self):
         rng = np.random.default_rng(17)
@@ -709,45 +681,140 @@ class TestReferenceTrainer:
 
 
 # ---------------------------------------------------------------------------
-# Rows at their optimum are skipped
+# The EM update of a P half
 
 
-class TestRowSkip:
-    # k = 1 with a prior: rows separate, and each row's optimum has
-    # q_c proportional to count_c + prior.  Row 0's counts (1, 1) start it at
-    # that optimum; row 1's counts (2, 1) do not.  State 2 has no successor.
-    SEQS = [[0, 1], [0, 2], [1, 0], [1, 0], [1, 2]]
+@st.composite
+def em_cases(draw):
+    """A P half's inputs: a small corpus, its empirical P, lag weights that
+    may hold zeros, and a prior count."""
+    n = draw(st.integers(1, 5))
+    seqs = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=12), min_size=0, max_size=6))
+    seqs.append(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=12)))
+    k = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    corpus = make_corpus(Vocabulary.from_size(n), seqs)
+    P = empirical_transition_matrix(corpus, k, draw(st.sampled_from([1e-3, 0.3])))
+    return ScoredPositions(corpus, k), P, np.array(raw) / sum(raw), draw(st.sampled_from([0.0, 0.5]))
 
-    def traced_training(self, monkeypatch, cfg):
-        calls = []
-        solve = learn.optimize_simplex_block
 
-        def traced(objective, derivatives, point, cfg):
-            calls.append(np.array(point))
-            return solve(objective, derivatives, point, cfg)
+def em_log_likelihood(em, q):
+    with np.errstate(divide="ignore"):
+        return float(np.log(em.mixture(q)).sum())
 
-        monkeypatch.setattr(learn, "optimize_simplex_block", traced)
-        corpus = make_corpus(Vocabulary.from_size(3), self.SEQS)
-        return corpus, calls, alternate_minimize(corpus, cfg)
 
-    def test_converged_half_calls_no_block_solver(self, monkeypatch):
-        cfg = TrainConfig(k=1, rounds=2.5, prior_count=0.5)
-        corpus, calls, (model, report) = self.traced_training(monkeypatch, cfg)
-        # w, row 1, w, (no row), w: the second P half solves nothing.
-        assert [c.size for c in calls] == [1, 2, 1, 1]
-        assert [r.block for r in report.records] == ["init", "w", "P", "w", "P", "w"]
-        assert report.records[4].kkt_residual <= cfg.kkt_tol
-        assert training_bits((model, report)) == training_bits(ref_alternate_minimize(corpus, cfg))
+def em_objective(em, q):
+    """What the EM update ascends: the log-likelihood plus the prior."""
+    value = em_log_likelihood(em, q)
+    return value + em.prior * float(np.log(q).sum()) if em.prior else value
 
-    def test_row_above_tolerance_after_skipped_row_is_solved(self, monkeypatch):
-        cfg = TrainConfig(k=1, rounds=1.0, prior_count=0.5)
-        corpus, calls, (model, report) = self.traced_training(monkeypatch, cfg)
-        start = empirical_transition_matrix(corpus, 1)
-        assert len(calls) == 2  # the w block, then row 1 alone
-        assert calls[1].tobytes() == start.row_probs[1].tobytes()
-        assert model.P.row_probs[0].tobytes() == start.row_probs[0].tobytes()
-        assert np.allclose(model.P.row_probs[1], [2.5 / 4.0, 1.5 / 4.0], atol=1e-6)
-        assert training_bits((model, report)) == training_bits(ref_alternate_minimize(corpus, cfg))
+
+def assert_rows_stochastic(P, q):
+    assert (q >= 0.0).all()
+    sums = np.add.reduceat(q, P.indptr[:-1][np.diff(P.indptr) > 0])
+    assert np.allclose(sums, 1.0, rtol=0.0, atol=1e-12)
+
+
+class TestEMHalf:
+    @settings(max_examples=200, deadline=None)
+    @given(case=em_cases())
+    def test_no_update_lowers_the_objective(self, case):
+        stats, P, w, prior = case
+        em = learn._EMHalf(stats, P, w, prior)
+        q = P.probs
+        for _ in range(6):
+            new = em.update(q, em.mixture(q))
+            assert_rows_stochastic(P, new)
+            before = em_objective(em, q)
+            assert em_objective(em, new) >= before - 1e-12 * max(1.0, abs(before))
+            q = new
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=em_cases(), tol=st.sampled_from([1e-6, 1e-3]))
+    def test_uncapped_half_ends_at_a_fixed_point(self, case, tol):
+        # The half stops at its first update that moves no entry by more
+        # than tol, so that update's input is a fixed point within tol.
+        stats, P, w, prior = case
+        em = learn._EMHalf(stats, P, w, prior)
+        q, change, updates = em.iterate(P.probs, tol, 100000)
+        assert change <= tol and updates < 100000
+        before = P.probs
+        if updates > 1:
+            before, earlier, _ = em.iterate(P.probs, tol, updates - 1)
+            assert earlier > tol
+        step = em.update(before, em.mixture(before))
+        assert step.tobytes() == q.tobytes()
+        assert float(np.abs(step - before).max()) == change
+
+    def test_cap_bounds_the_updates(self):
+        corpus = make_corpus(Vocabulary.from_size(3), [[0, 1, 2, 0, 2, 1, 1, 0, 2, 2, 0]])
+        stats, P = ScoredPositions(corpus, 3), empirical_transition_matrix(corpus, 3)
+        cfg = TrainConfig(k=3, max_newton_iters=2)
+        q, residual, updates = learn._p_half(stats, P, np.full(3, 1.0 / 3.0), cfg)
+        assert updates == 2 and residual > cfg.kkt_tol
+        _, report = alternate_minimize(corpus, TrainConfig(k=3, rounds=1.0, max_newton_iters=2))
+        assert [(r.iterations, r.capped) for r in report.records[2:]] == [(2, True)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=training_cases())
+    def test_prior_keeps_every_entry_positive_and_never_snaps(self, case):
+        corpus, cfg = case
+        cfg = TrainConfig(**{**cfg.to_dict(), "prior_count": 0.5, "kkt_tol": 0.5})
+        result = outcome(alternate_minimize, corpus, cfg)
+        if isinstance(result[0], type):
+            return
+        model, _ = result
+        assert (model.P.probs > 0.0).all()
+        stats = ScoredPositions(corpus, cfg.k)
+        em = learn._EMHalf(stats, model.P, model.w.weights, cfg.prior_count)
+        q = em.iterate(model.P.probs, cfg.kkt_tol, cfg.max_newton_iters)[0]
+        got = learn._p_half(stats, model.P, model.w.weights, cfg)[0]
+        assert got.tobytes() == q.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=em_cases(), tol=st.sampled_from([1e-6, 0.05, 0.5]))
+    def test_snap_is_kept_only_if_the_likelihood_does_not_fall(self, case, tol):
+        stats, P, w, _ = case
+        em = learn._EMHalf(stats, P, w, 0.0)
+        q = em.iterate(P.probs, tol, 3)[0]
+        snapped = em.snap(q, tol)
+        if snapped is q:
+            return
+        assert em_log_likelihood(em, snapped) >= em_log_likelihood(em, q)
+        dropped = (snapped == 0.0) & (q > 0.0)
+        assert dropped.any() and (q[dropped] <= tol).all()
+        assert_rows_stochastic(P, snapped)
+
+    def test_snap_that_lowers_the_likelihood_is_refused(self):
+        # k = 1, row 0 has counts (1, 2) and sits at (0.4, 0.6): the first
+        # entry's gradient 2.5 is below lambda = 3, but zeroing it leaves the
+        # transition 0 -> 1 impossible.
+        corpus = make_corpus(Vocabulary.from_size(3), [[0, 1], [0, 2], [0, 2]])
+        P = SparseStochasticMatrix.from_rows(3, [[(1, 0.4), (2, 0.6)], [], []])
+        em = learn._EMHalf(ScoredPositions(corpus, 1), P, np.ones(1), 0.0)
+        assert em.snap(P.probs, 0.5) is P.probs
+
+    def test_snap_of_an_unreached_entry_is_kept(self):
+        # With w = (1, 0) no group reaches row 0's lag-2 entry 0 -> 0.
+        corpus = make_corpus(Vocabulary.from_size(2), [[0, 1, 0]])
+        P = empirical_transition_matrix(corpus, 2)
+        em = learn._EMHalf(ScoredPositions(corpus, 2), P, np.array([1.0, 0.0]), 0.0)
+        assert em.snap(P.probs, 0.01).tolist() == [0.0, 1.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=em_cases())
+    def test_lag_one_weights_give_count_ratios(self, case):
+        stats, P, w, _ = case
+        w = np.eye(stats.k)[0]
+        em = learn._EMHalf(stats, P, w, 0.0)
+        new = em.update(P.probs, em.mixture(P.probs))
+        counts = np.zeros((stats.n, stats.n))
+        np.add.at(counts, (stats.src[:, 0], stats.tgt), 1.0)
+        for x in range(stats.n):
+            cols = P.row_cols[x]
+            if cols.size:
+                got = new[P.indptr[x] : P.indptr[x + 1]]
+                assert np.allclose(got, counts[x, cols] / counts[x].sum(), rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
