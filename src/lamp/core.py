@@ -188,6 +188,20 @@ def _integers(values: list, low: float, high: float, what: str) -> np.ndarray:
     return arr
 
 
+def _refuse_non_numbers(values: list, what: str) -> None:
+    """Raise a :class:`DataError` naming the first of ``values`` that is a
+    boolean, a string or a container.  numpy and ``float`` would read a
+    boolean as 0 or 1 and a numeric string as its number, so loaded values
+    are checked by type, in one scan when each is a plain int, float or
+    None; a None is left to the reader, which takes it for nan or refuses
+    it."""
+    if set(map(type, values)) <= {int, float, type(None)}:
+        return
+    for v in values:
+        if isinstance(v, bool) or not (v is None or isinstance(v, (int, float, np.integer, np.floating))):
+            raise DataError(f"{what} {v!r} is not a number")
+
+
 @dataclass(frozen=True)
 class SparseStochasticMatrix:
     """Row-stochastic matrix in compressed sparse row storage.
@@ -334,14 +348,14 @@ class SparseStochasticMatrix:
         return np.bincount(self.cols, weights=pi[self._entry_rows] * self.probs, minlength=self.n)
 
     @cached_property
-    def _samplers(self) -> tuple[list[list[int]], list[list[float]]]:
-        """Per-row column lists and cumulative probabilities for bisect
-        sampling.  Each row's last cumulative value is pinned to 1, against
-        row sums a few ulp below 1."""
-        cums = [np.cumsum(probs) for probs in self.row_probs]
-        for cum in cums:
-            cum[-1:] = 1.0
-        return [cols.tolist() for cols in self.row_cols], [cum.tolist() for cum in cums]
+    def _samplers(self) -> tuple[list[int], list[float], list[int]]:
+        """The columns, per-row cumulative probabilities and row offsets as
+        flat lists, for bisect sampling within ``indptr[x]:indptr[x+1]``.
+        Each row's last cumulative value is pinned to 1, against row sums a
+        few ulp below 1."""
+        cum = np.concatenate([np.cumsum(probs) for probs in self.row_probs])
+        cum[self.indptr[1:][np.diff(self.indptr) > 0] - 1] = 1.0
+        return self.cols.tolist(), cum.tolist(), self.indptr.tolist()
 
 
 @dataclass(frozen=True)
@@ -748,11 +762,11 @@ def generate(model: LampModel, start: int, length: int, seed: int) -> np.ndarray
         lag = bisect.bisect_right(cum_w, u_lag[t]) + 1
         pos = len(seq)
         src = seq[pos - lag] if lag <= pos else seq[0]
-        col_lists, cum_lists = samplers[lag - 1]
-        cum = cum_lists[src]
-        if not cum:
+        cols, cum, indptr = samplers[lag - 1]
+        lo, hi = indptr[src], indptr[src + 1]
+        if lo == hi:
             raise EmptyRowError(f"state {src} has no outgoing transitions")
-        seq.append(col_lists[src][bisect.bisect_right(cum, u_row[t])])
+        seq.append(cols[bisect.bisect_right(cum, u_row[t], lo, hi)])
     return np.asarray(seq, dtype=np.int64)
 
 
@@ -769,12 +783,13 @@ def _matrix(n: int, triples) -> SparseStochasticMatrix:
     """Parse [row, col, prob] triples in any order.  Row and column indices
     must be integers in 0..n-1; a repeated (row, col) pair is refused."""
     try:
-        entries = np.asarray(triples, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
+        if not set(map(len, triples)) <= {3}:
+            raise DataError("malformed matrix entry in model document: expected [row, col, prob] triples")
+        flat = list(chain.from_iterable(triples))
+        _refuse_non_numbers(flat, "matrix entry value")
+        entries = np.fromiter(flat, dtype=np.float64, count=len(flat)).reshape(-1, 3)
+    except (TypeError, OverflowError) as exc:
         raise DataError(f"malformed matrix entry in model document: {exc}") from exc
-    if entries.size and (entries.ndim != 2 or entries.shape[1] != 3):
-        raise DataError("malformed matrix entry in model document: expected [row, col, prob] triples")
-    entries = entries.reshape(-1, 3)  # an empty list too
     index = entries[:, :2]
     integral = index == np.floor(index)  # false for nan; inf fails the range test
     bad = np.flatnonzero(~(integral & (index >= 0) & (index < n)).all(axis=1))
@@ -812,6 +827,7 @@ def model_from_dict(doc: dict) -> LampModel:
         raise DataError('model document needs exactly one of "matrix" and "matrices"')
     try:
         k, n = (int(_integers([doc[key]], 1, np.inf, key)[0]) for key in ("k", "n"))
+        _refuse_non_numbers(doc["w"], "lag weight")
         w = [float(v) for v in doc["w"]]
         tokens = [str(t) for t in doc["vocab"]]
         if "matrix" in doc:

@@ -6,12 +6,15 @@ concave in both together.  Training therefore alternates two block updates.
 
 A w half-round solves the k-simplex block by diagonal-Newton water-filling
 steps inside a trust region, accepting a step only when the true objective
-does not decrease (``optimize_simplex_block``).
+does not decrease (``optimize_simplex_block``).  The radius starts at 0.1,
+doubles (up to 1) after an accepted step and halves after a rejected one.
 
-A P half-round runs EM over every row at once.  The scored positions are
-grouped by clamped source row and position once per half (``_block_layout``,
-since a group's weight m depends on w); position t's mixture probability is
-the sum of m * q[entry] over its groups.  One update computes the gradient
+A P half-round runs EM over every row at once.  Once per half (a group's
+weight m depends on w), each scored position's k lags are pooled by clamped
+source row: lags that read one row form a group, whose weight m is their lag
+weights summed in lag order and whose entry is the stored (row, target) pair.
+Position t's mixture probability is the sum of m * q[entry] over its groups,
+in row order.  One update computes the gradient
 g = bincount(entry, m / d[t]) and sets each row to q * g / sum(q * g), or
 to (q * g + c) normalized under ``prior_count`` c, the MAP form of the same
 step.  The update never lowers the objective, and its fixed points with
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -61,6 +64,11 @@ __all__ = [
 
 _CURVATURE_FLOOR = 1e-8
 _ACCEPT_SLACK = 1e-12
+# The w half's L-infinity trust region: starting radius, and its factors
+# after an accepted and after a rejected step.
+_TRUST_INIT = 0.1
+_TRUST_EXPAND = 2.0
+_TRUST_SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -70,18 +78,15 @@ class TrainConfig:
     ``rounds`` counts alternation rounds in halves: the first half-round
     optimizes w, the second updates every P row, and so on, so 1.5 rounds
     runs the blocks w, P, w.  ``max_newton_iters`` caps the Newton
-    iterations of a w half and the EM updates of a P half; the trust-region
-    settings apply to the w half alone.  ``prior_count`` adds an optional
-    Dirichlet-style log-prior (``prior_count * sum(log theta)``) to every
-    block objective; the default 0 leaves plain maximum likelihood.
+    iterations of a w half and the EM updates of a P half.  ``prior_count``
+    adds an optional Dirichlet-style log-prior (``prior_count *
+    sum(log theta)``) to every block objective; the default 0 leaves plain
+    maximum likelihood.
     """
 
     k: int
     rounds: float = 1.5
     kkt_tol: float = 1e-6
-    trust_init: float = 0.1
-    trust_expand: float = 2.0
-    trust_shrink: float = 0.5
     max_newton_iters: int = 100
     init_decay: float = 0.8
     support_epsilon: float = 1e-3
@@ -98,10 +103,8 @@ class TrainConfig:
         halves = self.rounds * 2.0
         if abs(halves - round(halves)) > 1e-9 or round(halves) < 1:
             raise DataError("rounds must be a positive multiple of 0.5")
-        if self.kkt_tol <= 0 or self.trust_init <= 0 or self.support_epsilon <= 0:
-            raise DataError("tolerances and the trust radius must be positive")
-        if not (0.0 < self.trust_shrink < 1.0 < self.trust_expand):
-            raise DataError("need 0 < trust_shrink < 1 < trust_expand")
+        if self.kkt_tol <= 0 or self.support_epsilon <= 0:
+            raise DataError("tolerances must be positive")
         if self.max_newton_iters < 1:
             raise DataError("max_newton_iters must be at least 1")
         if not 0.0 < self.init_decay:
@@ -118,7 +121,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except TypeError as exc:
+            raise DataError(f"malformed train config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -221,30 +227,6 @@ def _mixture(
 # Empirical transition matrix
 
 
-def _empirical_matrix(
-    stats: ScoredPositions, support_epsilon: float
-) -> tuple[SparseStochasticMatrix, int, int]:
-    """The empirical matrix of a prebuilt position table, with its numbers
-    of lag-1 and clamped-only support pairs."""
-    n = stats.n
-    lag1_keys, lag1_counts = np.unique(stats.src[:, 0] * n + stats.tgt, return_counts=True)
-    lag1_totals = np.bincount(stats.src[:, 0], minlength=n)
-    keys = np.unique(stats.src * n + stats.tgt[:, None])  # row-major, columns ascending
-    rows, cols = np.divmod(keys, n)
-    count = np.zeros(keys.size, dtype=np.int64)
-    count[np.searchsorted(keys, lag1_keys)] = lag1_counts  # lag-1 pairs are support pairs
-    lag1 = count > 0
-    # Every support row is the lag-1 source of some position, so its total is positive.
-    value = np.where(lag1, count / lag1_totals[rows], support_epsilon)
-    # bincount adds each row's entries left to right, so the row sums (and
-    # the normalized rows) are bit-identical to a sequential sum.
-    total = np.bincount(rows, weights=value, minlength=n)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    matrix = SparseStochasticMatrix.from_csr(n, indptr, cols, value / total[rows])
-    lag1_pairs = int(np.count_nonzero(lag1))
-    return matrix, lag1_pairs, int(keys.size) - lag1_pairs
-
-
 def empirical_transition_matrix(
     corpus: Corpus,
     k: int,
@@ -264,14 +246,29 @@ def empirical_transition_matrix(
     if support_epsilon <= 0.0:
         raise DataError("support_epsilon must be positive")
     stats = ScoredPositions(corpus, k)
-    matrix, lag1_pairs, clamped_only = _empirical_matrix(stats, support_epsilon)
+    n = stats.n
+    lag1_keys, lag1_counts = np.unique(stats.src[:, 0] * n + stats.tgt, return_counts=True)
+    lag1_totals = np.bincount(stats.src[:, 0], minlength=n)
+    keys = np.unique(stats.src * n + stats.tgt[:, None])  # row-major, columns ascending
+    rows, cols = np.divmod(keys, n)
+    count = np.zeros(keys.size, dtype=np.int64)
+    count[np.searchsorted(keys, lag1_keys)] = lag1_counts  # lag-1 pairs are support pairs
+    lag1 = count > 0
+    # Every support row is the lag-1 source of some position, so its total is positive.
+    value = np.where(lag1, count / lag1_totals[rows], support_epsilon)
+    # bincount adds each row's entries left to right, so the row sums (and
+    # the normalized rows) are bit-identical to a sequential sum.
+    total = np.bincount(rows, weights=value, minlength=n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    matrix = SparseStochasticMatrix.from_csr(n, indptr, cols, value / total[rows])
     if not return_report:
         return matrix
+    lag1_pairs = int(np.count_nonzero(lag1))
     report = EmpiricalMatrixReport(
         empty_rows=tuple(matrix.empty_rows()),
         support_size=matrix.support_size,
         lag1_pairs=lag1_pairs,
-        clamped_only_pairs=clamped_only,
+        clamped_only_pairs=int(keys.size) - lag1_pairs,
     )
     return matrix, report
 
@@ -413,7 +410,7 @@ def optimize_simplex_block(
     value = float(objective(p))
     if not np.isfinite(value):
         raise NumericError("block objective is not finite at the starting point")
-    radius = cfg.trust_init
+    radius = _TRUST_INIT
     accepted = 0
     iterations = 0
     residual = None  # KKT residual at p; None once p has moved since the last derivatives
@@ -436,10 +433,10 @@ def optimize_simplex_block(
         if cand_value >= value - _ACCEPT_SLACK:
             p, value = cand, cand_value
             accepted += 1
-            radius = min(radius * cfg.trust_expand, 1.0)
+            radius = min(radius * _TRUST_EXPAND, 1.0)
             residual = None
         else:
-            radius *= cfg.trust_shrink
+            radius *= _TRUST_SHRINK
             if radius < 1e-14:
                 break
     if residual is None:
@@ -482,40 +479,6 @@ class _WeightObjective:
         return g, h
 
 
-class _BlockLayout(NamedTuple):
-    """Every row block's inputs, for all rows at once (see ``_block_layout``)."""
-
-    offsets: np.ndarray
-    t: np.ndarray
-    m: np.ndarray
-    entry: np.ndarray
-
-
-def _block_layout(stats: ScoredPositions, n: int, entry: np.ndarray, w: np.ndarray) -> _BlockLayout:
-    """Group the (position, lag) pairs of the scored positions by their
-    clamped source row, then by position.
-
-    ``entry`` holds each pair's index into the flat storage of an n-state
-    P, -1 where P does not store it.  Row x's groups are
-    ``offsets[x]:offsets[x+1]``, positions ascending.  ``t`` is each group's
-    index into the scored positions, ``m`` its total lag weight, summed in
-    lag order, and ``entry`` the index of (x, target).  Groups of zero
-    weight, or whose target lies outside the row's support, are dropped.
-    m depends on w, so a layout serves one P half.
-    """
-    flat = stats.src.ravel()  # position-major, lag minor
-    order = np.argsort(flat.astype(np.min_scalar_type(n)), kind="stable")  # narrow keys sort by radix
-    rows, t = flat[order], order // stats.k
-    start = np.ones(order.size, dtype=bool)
-    start[1:] = (rows[1:] != rows[:-1]) | (t[1:] != t[:-1])
-    m = np.bincount(np.cumsum(start) - 1, weights=w[order % stats.k])  # adds each group left to right
-    rows, t, entry = rows[start], t[start], entry.ravel()[order[start]]
-    keep = (m > 0.0) & (entry >= 0)
-    rows, t, m, entry = rows[keep], t[keep], m[keep], entry[keep]
-    offsets = np.searchsorted(rows, np.arange(n + 1))
-    return _BlockLayout(offsets, t, m, entry)
-
-
 class _EMHalf:
     """The EM update of one P half, over every row at once.
 
@@ -524,6 +487,12 @@ class _EMHalf:
     of the MAP form q * g + prior.  ``entry`` is what
     ``P.pair_indices(stats.src, stats.tgt[:, None])`` returns, computed when
     None; training computes it once, since P's support never changes.
+
+    The groups are (t, m, entry) triples, position-major and, within a
+    position, in source-row order; a group of zero weight, or whose target
+    lies outside its row's support, is dropped.  So the mixture sums each
+    position's groups in row order and the gradient each entry's groups in
+    position order.
     """
 
     def __init__(
@@ -532,11 +501,22 @@ class _EMHalf:
     ) -> None:
         if entry is None:
             entry = P.pair_indices(stats.src, stats.tgt[:, None])
-        layout = _block_layout(stats, P.n, entry, w)
-        self.t, self.m, self.entry = layout.t, layout.m, layout.entry
+        T, k = stats.src.shape
+        # Each position's lags stably sorted by source row, as indices into
+        # the position-major pairs: lags that read one row become adjacent.
+        pair = (np.argsort(stats.src, axis=1, kind="stable") + np.arange(0, T * k, k)[:, None]).ravel()
+        rows = stats.src.ravel()[pair]
+        start = np.ones(T * k, dtype=bool)  # a group's first pair
+        start[1:] = rows[1:] != rows[:-1]
+        start[::k] = True  # groups never span two positions
+        m = np.bincount(np.cumsum(start) - 1, weights=w[pair % k])  # adds each group left to right
+        first = np.flatnonzero(start)
+        t, entry = first // k, entry.ravel()[pair[first]]
+        keep = (m > 0.0) & (entry >= 0)
+        self.t, self.m, self.entry = t[keep], m[keep], entry[keep]
         self.T, self.n, self.size = stats.T, P.n, P.support_size
         self.row = np.repeat(np.arange(P.n), np.diff(P.indptr))  # each entry's row
-        self.reached = np.diff(layout.offsets) > 0  # rows with at least one group
+        self.reached = np.bincount(self.row[self.entry], minlength=P.n) > 0  # rows with a group
         self.prior = prior
 
     def mixture(self, q: np.ndarray) -> np.ndarray:
@@ -628,7 +608,7 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     if corpus.total_transitions < 1:
         raise DataError("training requires at least one scored transition")
     stats = ScoredPositions(corpus, cfg.k)
-    matrix = _empirical_matrix(stats, cfg.support_epsilon)[0]
+    matrix = empirical_transition_matrix(corpus, cfg.k, cfg.support_epsilon)
     w = HistoryDistribution.geometric(cfg.init_decay, cfg.k).weights.copy()
 
     def active_size() -> int:
@@ -671,7 +651,7 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
             res = optimize_simplex_block(obj.value, obj.derivatives, w, cfg)
             w = res.point
             denom = _denominators(stats, A, w)
-            del A, obj  # free before the P half, whose layout build is training's memory peak
+            del A, obj  # free before the P half, whose group build is training's memory peak
             records.append(record("w", res.kkt_residual, time.perf_counter() - t0, res.iterations))
         elif not cfg.weight_only:
             q, residual, updates = _p_half(stats, matrix, w, cfg, entry)

@@ -16,13 +16,17 @@ by token name.  The
 reference trainer at the end of this file is the P half-round as one block
 solve per row, with each row's inputs gathered by its own ``np.unique``; the
 package's EM trainer must end no lower than it on pinned corpora, and its
-row solve checks that a converged EM half leaves no row to improve.
+row solve checks that a converged EM half leaves no row to improve.  Before
+it, ``ref_block_layout`` groups a P half's (position, lag) pairs row by row
+through one global sort, as the trainer once did; the trainer's pooling
+within each position must give EM the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -42,8 +46,9 @@ from lamp.learn import (
     HalfIterationRecord,
     TrainReport,
     _denominators,
-    _empirical_matrix,
+    _EMHalf,
     _mixture,
+    empirical_transition_matrix,
 )
 
 
@@ -589,7 +594,7 @@ def ref_optimize_simplex_block(objective, derivatives, point, cfg):
     value = float(objective(p))
     if not np.isfinite(value):
         raise NumericError("block objective is not finite at the starting point")
-    radius, accepted, iterations = cfg.trust_init, 0, 0
+    radius, accepted, iterations = 0.1, 0, 0
     for _ in range(cfg.max_newton_iters):
         g, h = derivatives(p)
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
@@ -607,9 +612,9 @@ def ref_optimize_simplex_block(objective, derivatives, point, cfg):
         if cand_value >= value - 1e-12:
             p, value = cand, cand_value
             accepted += 1
-            radius = min(radius * cfg.trust_expand, 1.0)
+            radius = min(radius * 2.0, 1.0)
         else:
-            radius *= cfg.trust_shrink
+            radius *= 0.5
             if radius < 1e-14:
                 break
     g, _ = derivatives(p)
@@ -728,6 +733,49 @@ def ref_optimize_row(model, corpus, state, cfg):
     return ref_optimize_simplex_block(value, derivatives, q, cfg).point
 
 
+class RefBlockLayout(NamedTuple):
+    offsets: np.ndarray
+    t: np.ndarray
+    m: np.ndarray
+    entry: np.ndarray
+
+
+def ref_block_layout(stats, n, entry, w):
+    """Group the (position, lag) pairs of the scored positions by their
+    clamped source row, then by position.
+
+    ``entry`` holds each pair's index into the flat storage of an n-state
+    P, -1 where P does not store it.  Row x's groups are
+    ``offsets[x]:offsets[x+1]``, positions ascending.  ``t`` is each group's
+    index into the scored positions, ``m`` its total lag weight, summed in
+    lag order, and ``entry`` the index of (x, target).  Groups of zero
+    weight, or whose target lies outside the row's support, are dropped.
+    m depends on w, so a layout serves one P half.
+    """
+    flat = stats.src.ravel()  # position-major, lag minor
+    order = np.argsort(flat.astype(np.min_scalar_type(n)), kind="stable")  # narrow keys sort by radix
+    rows, t = flat[order], order // stats.k
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = (rows[1:] != rows[:-1]) | (t[1:] != t[:-1])
+    m = np.bincount(np.cumsum(start) - 1, weights=w[order % stats.k])  # adds each group left to right
+    rows, t, entry = rows[start], t[start], entry.ravel()[order[start]]
+    keep = (m > 0.0) & (entry >= 0)
+    rows, t, m, entry = rows[keep], t[keep], m[keep], entry[keep]
+    offsets = np.searchsorted(rows, np.arange(n + 1))
+    return RefBlockLayout(offsets, t, m, entry)
+
+
+def ref_layout_em(stats, P, w, prior):
+    """The P half's EM with its groups read from :func:`ref_block_layout`:
+    row-major, positions ascending within a row, and a row reached when it
+    has a group."""
+    em = _EMHalf(stats, P, w, prior)
+    layout = ref_block_layout(stats, P.n, P.pair_indices(stats.src, stats.tgt[:, None]), w)
+    em.t, em.m, em.entry = layout.t, layout.m, layout.entry
+    em.reached = np.diff(layout.offsets) > 0
+    return em
+
+
 def ref_alternate_minimize(corpus, cfg):
     """Alternating minimization with a block solve for every row of every
     P half: w, then each row with more than one support entry in state
@@ -735,7 +783,7 @@ def ref_alternate_minimize(corpus, cfg):
     final guard.  Returns (model, report)."""
     stats = ScoredPositions(corpus, cfg.k)
     positions = ref_row_positions(stats)
-    P0 = _empirical_matrix(stats, cfg.support_epsilon)[0]
+    P0 = empirical_transition_matrix(corpus, cfg.k, cfg.support_epsilon)
     w = HistoryDistribution.geometric(cfg.init_decay, cfg.k).weights.copy()
     n = len(corpus.vocab)
     indptr, cols = P0.indptr, P0.cols

@@ -127,6 +127,18 @@ EXIT_CODES = [
     ("model-fractional-index", lambda t: ["evaluate", save_edited_worked_model(
         t, lambda doc: doc["matrix"][3].__setitem__(1, 1.5)), worked_corpus(t),
         "--output", str(t / "e.json")], 2),
+    ("model-bool-weight", lambda t: ["evaluate", save_edited_worked_model(
+        t, lambda doc: doc.update(w=[True, 0])), worked_corpus(t), "--output", str(t / "e.json")], 2,
+     "lag weight True is not a number"),
+    ("model-string-weight", lambda t: ["evaluate", save_edited_worked_model(
+        t, lambda doc: doc.update(w=["0.6", 0.4])), worked_corpus(t), "--output", str(t / "e.json")], 2,
+     "lag weight '0.6' is not a number"),
+    ("model-bool-column", lambda t: ["evaluate", save_edited_worked_model(
+        t, lambda doc: doc["matrix"][3].__setitem__(1, True)), worked_corpus(t),
+        "--output", str(t / "e.json")], 2, "matrix entry value True is not a number"),
+    ("model-string-triple", lambda t: ["evaluate", save_edited_worked_model(
+        t, lambda doc: doc["matrix"].__setitem__(0, ["0", "0", "0.9"])), worked_corpus(t),
+        "--output", str(t / "e.json")], 2, "matrix entry value '0' is not a number"),
     ("model-both-shapes", lambda t: ["evaluate", save_edited_worked_model(
         t, lambda doc: doc.update(matrices=[doc["matrix"]], lag_map=[1, 1])), worked_corpus(t),
         "--output", str(t / "e.json")], 2),

@@ -517,6 +517,27 @@ def test_generate_single_step_frequencies():
     np.testing.assert_allclose(freq, P[0], atol=0.03)
 
 
+def test_generate_draws_by_each_rows_cumulative_sums():
+    # Each step's two uniforms pick a lag from w's cumulative sums, then the
+    # next state from the source row's, each row's last sum pinned to 1.
+    rng = np.random.default_rng(3)
+    P = random_stochastic_matrix(rng, 6)
+    P[rng.random((6, 6)) < 0.5] = 0.0
+    P[np.arange(6), (np.arange(6) + 1) % 6] += 0.1
+    model = make_model([0.5, 0.3, 0.2], P / P.sum(axis=1, keepdims=True))
+    cum_w = np.cumsum(model.w.weights)
+    cum_w[-1] = 1.0
+    want = [2]
+    for u_lag, u_row in np.random.default_rng(9).random((299, 2)):
+        lag = int(np.searchsorted(cum_w, u_lag, side="right")) + 1
+        src = want[-lag] if lag <= len(want) else want[0]
+        cols, probs = model.P.row(src)
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        want.append(int(cols[np.searchsorted(cum, u_row, side="right")]))
+    assert core.generate(model, 2, 300, seed=9).tolist() == want
+
+
 def test_generate_empty_row_error():
     model = make_model([1.0], np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(EmptyRowError):

@@ -39,6 +39,7 @@ from conftest import (
     ref_alternate_minimize,
     ref_empirical_rows,
     ref_grad_P,
+    ref_layout_em,
     ref_log_likelihood,
     ref_optimize_row,
     ref_optimize_simplex_block,
@@ -525,18 +526,13 @@ class TestTrainConfig:
         with pytest.raises(DataError):
             TrainConfig(k=2, rounds=0.0)
         with pytest.raises(DataError):
-            TrainConfig(k=2, trust_shrink=1.2)
-        with pytest.raises(DataError):
-            TrainConfig(k=2, trust_expand=0.9)
-        with pytest.raises(DataError):
             TrainConfig(k=2, kkt_tol=0.0)
         with pytest.raises(DataError):
             TrainConfig(k=2, prior_count=-1.0)
 
     @pytest.mark.parametrize(
         "name",
-        ["rounds", "kkt_tol", "trust_init", "trust_expand", "trust_shrink", "init_decay",
-         "support_epsilon", "prior_count"],
+        ["rounds", "kkt_tol", "init_decay", "support_epsilon", "prior_count"],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_field_is_named(self, name, value):
@@ -552,6 +548,12 @@ class TestTrainConfig:
         cfg = TrainConfig(k=3, rounds=2.5, prior_count=0.5)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
         json.dumps(cfg.to_dict())  # JSON-serializable
+
+    @pytest.mark.parametrize("doc", [{"k": 2, "trust_init": 0.1}, {"rounds": 1.5}],
+                             ids=["unknown-key", "missing-k"])
+    def test_from_dict_refuses_malformed_documents(self, doc):
+        with pytest.raises(DataError, match="malformed train config"):
+            TrainConfig.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +672,7 @@ class TestReferenceTrainer:
                 return c / p + b, -c / (p * p)
 
             cfg = TrainConfig(k=1, kkt_tol=float(rng.choice([1e-9, 1e-3])),
-                              max_newton_iters=int(rng.choice([1, 3, 100])),
-                              trust_init=float(rng.choice([1e-3, 0.1, 1.0])))
+                              max_newton_iters=int(rng.choice([1, 3, 100])))
             start = random_simplex(rng, k)
             got = optimize_simplex_block(value, derivatives, start, cfg)
             want = ref_optimize_simplex_block(value, derivatives, start, cfg)
@@ -800,6 +801,39 @@ class TestEMHalf:
         P = empirical_transition_matrix(corpus, 2)
         em = learn._EMHalf(ScoredPositions(corpus, 2), P, np.array([1.0, 0.0]), 0.0)
         assert em.snap(P.probs, 0.01).tolist() == [0.0, 1.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=em_cases(), tol=st.sampled_from([1e-6, 0.05]), cap=st.sampled_from([1, 3, 100]))
+    def test_pooling_matches_the_row_layout_bitwise(self, case, tol, cap):
+        # Pooling each position's lags by source row sums every position's
+        # groups in row order and every entry's in position order, as the
+        # row-major layout does.
+        stats, P, w, prior = case
+        em, ref = learn._EMHalf(stats, P, w, prior), ref_layout_em(stats, P, w, prior)
+        d = ref.mixture(P.probs)
+        assert em.mixture(P.probs).tobytes() == d.tobytes()
+        assert em.gradient(d).tobytes() == ref.gradient(d).tobytes()
+        assert em.reached.tolist() == ref.reached.tolist()
+        cfg = TrainConfig(k=stats.k, kkt_tol=tol, max_newton_iters=cap, prior_count=prior)
+        q, residual, updates = learn._p_half(stats, P, w, cfg)
+        want, want_residual, want_updates = ref.iterate(P.probs, tol, cap)
+        if not prior:
+            want = ref.snap(want, tol)
+        assert q.tobytes() == want.tobytes()
+        assert (residual, updates) == (want_residual, want_updates)
+
+    def test_prior_keeps_a_row_read_only_at_zero_weight_lags(self):
+        # With w = (0, 1), row 2 is read at lag 1 alone, so no group reaches
+        # it and the prior's q * g + prior must not flatten it.
+        corpus = make_corpus(Vocabulary.from_size(3), [[1, 2, 0], [1, 2, 0], [1, 2, 1]])
+        stats, P = ScoredPositions(corpus, 2), empirical_transition_matrix(corpus, 2)
+        w = np.array([0.0, 1.0])
+        assert not learn._EMHalf(stats, P, w, 0.5).reached[2]
+        q = learn._p_half(stats, P, w, TrainConfig(k=2, prior_count=0.5))[0]
+        row = slice(P.indptr[2], P.indptr[3])
+        assert P.probs[row].tolist() == [2.0 / 3.0, 1.0 / 3.0]
+        assert q[row].tobytes() == P.probs[row].tobytes()
+        assert q.tobytes() != P.probs.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(case=em_cases())

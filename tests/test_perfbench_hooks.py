@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from lamp.core import Corpus, Vocabulary
+from lamp.learn import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,3 +36,18 @@ def test_token_counter_reads_corpus_sequences(tracing):
     tracer = tracing.Tracer()
     tracing._tokens(tracer, (corpus, None), (), {})
     assert tracer.counts["data.tokens"] == 6
+
+
+def test_training_calls_the_traced_learn_functions(tracing):
+    # The tracer sees a call only through a module global it replaced; a
+    # private twin called instead would leave its layer reading 0.
+    modules = {name: importlib.import_module(name) for name, _ in tracing.PLAN}
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer, modules)
+    try:
+        corpus = Corpus.from_sequences(Vocabulary.from_size(3), [[0, 1, 2, 0, 2, 1, 1, 0]])
+        modules["lamp.learn"].alternate_minimize(corpus, TrainConfig(k=2, rounds=1.5))
+    finally:
+        restore()
+    assert "learn.empirical_init_s" in {name for name, *_ in tracer.spans}
+    assert tracer.counts["learn.blocks"] == 2
