@@ -284,7 +284,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "length": args.length,
         "seed": args.seed,
         "tokens": tokens,
-        "ids": [int(x) for x in ids],
+        "ids": ids.tolist(),
     }
     _write_json(doc, args.output)
     _write_manifest(

@@ -161,11 +161,16 @@ def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _find_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Index of each of ``keys`` (any shape) in the ascending ``sorted_keys``,
-    or -1 where it is absent."""
-    if sorted_keys.size == 0:
-        return np.full(keys.shape, -1, dtype=np.int64)
-    at = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
-    return np.where(sorted_keys[at] == keys, at, -1)
+    or -1 where it is absent.  The keys are searched in ascending order,
+    which walks ``sorted_keys`` once instead of jumping about it, and the
+    hits are scattered back to the keys' places."""
+    found = np.full(keys.size, -1, dtype=np.int64)
+    if sorted_keys.size:
+        order = np.argsort(keys, axis=None)
+        needles = keys.ravel()[order]
+        at = np.minimum(np.searchsorted(sorted_keys, needles), sorted_keys.size - 1)
+        found[order] = np.where(sorted_keys[at] == needles, at, -1)
+    return found.reshape(keys.shape)
 
 
 def _integers(values: list, low: float, high: float, what: str) -> np.ndarray:
@@ -264,9 +269,13 @@ class SparseStochasticMatrix:
     ) -> "SparseStochasticMatrix":
         """Build from integer (row, col) entries in any order, with rows in
         0..n-1.  The stable sort keeps a repeated (row, col) pair adjacent,
-        so validation reports it."""
-        order = np.lexsort((cols, rows))
-        return cls(n, np.searchsorted(rows[order], np.arange(n + 1)), cols[order], probs[order])
+        so validation reports it; entries already in strictly increasing
+        (row, col) order, as ``save_model`` writes them, skip the sort."""
+        ordered = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
+        if not ordered.all():
+            order = np.lexsort((cols, rows))
+            rows, cols, probs = rows[order], cols[order], probs[order]
+        return cls(n, np.searchsorted(rows, np.arange(n + 1)), cols, probs)
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[Sequence[tuple[int, float]]]) -> "SparseStochasticMatrix":

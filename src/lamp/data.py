@@ -126,7 +126,12 @@ def encode_tokens(vocab: Vocabulary, tokens: Sequence[str]) -> list[int]:
 
 
 def decode_ids(vocab: Vocabulary, ids: Sequence[int]) -> list[str]:
-    return [vocab.token(int(x)) for x in ids]
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = np.flatnonzero((ids < 0) | (ids >= len(vocab)))
+    if bad.size:
+        vocab.token(int(ids[bad[0]]))  # raises the out-of-range DataError
+    tokens = vocab.tokens
+    return [tokens[i] for i in ids.tolist()]
 
 
 def token_counts(corpus: Corpus) -> np.ndarray:

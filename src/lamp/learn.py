@@ -4,10 +4,12 @@ The log-likelihood is concave in the lag weights w with P fixed, and, with
 w fixed, jointly concave in P over the product of its row simplices, but not
 concave in both together.  Training therefore alternates two block updates.
 
-A w half-round solves the k-simplex block by diagonal-Newton water-filling
-steps inside a trust region, accepting a step only when the true objective
-does not decrease (``optimize_simplex_block``).  The radius starts at 0.1,
-doubles (up to 1) after an accepted step and halves after a rejected one.
+A w half-round solves the k-simplex block by projected Newton steps on the
+full k x k Hessian -B^T B, B = A / d row by row (``optimize_simplex_block``).
+Each step solves the Newton system on the active face, cuts its length by
+the ratio test that keeps w nonnegative, and backtracks until the Armijo
+condition holds; a step that would lower the objective by more than its
+rounding error ends the block.
 
 A P half-round runs EM over every row at once.  Once per half (a group's
 weight m depends on w), each scored position's k lags are pooled by clamped
@@ -62,13 +64,14 @@ __all__ = [
     "alternate_minimize",
 ]
 
-_CURVATURE_FLOOR = 1e-8
-_ACCEPT_SLACK = 1e-12
-# The w half's L-infinity trust region: starting radius, and its factors
-# after an accepted and after a rejected step.
-_TRUST_INIT = 0.1
-_TRUST_EXPAND = 2.0
-_TRUST_SHRINK = 0.5
+# The w half's projected Newton step: the ridge on the Hessian's diagonal,
+# relative to its largest entry; the Armijo constant; the shortest step
+# length tried; and the rounding error allowed in the objective's value,
+# relative to it, since near the optimum a step's gain is smaller than that.
+_RIDGE = 1e-12
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-10
+_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,10 @@ def empirical_transition_matrix(
     n = stats.n
     lag1_keys, lag1_counts = np.unique(stats.src[:, 0] * n + stats.tgt, return_counts=True)
     lag1_totals = np.bincount(stats.src[:, 0], minlength=n)
-    keys = np.unique(stats.src * n + stats.tgt[:, None])  # row-major, columns ascending
+    keys = np.sort(stats.src * n + stats.tgt[:, None], axis=None)  # row-major, columns ascending
+    first = np.ones(keys.size, dtype=bool)  # each pair's first occurrence
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
     rows, cols = np.divmod(keys, n)
     count = np.zeros(keys.size, dtype=np.int64)
     count[np.searchsorted(keys, lag1_keys)] = lag1_counts  # lag-1 pairs are support pairs
@@ -309,7 +315,7 @@ def grad_P(model: LampModel, corpus: Corpus) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Water-filling simplex block optimizer
+# Projected Newton simplex block optimizer
 
 
 def _kkt_residual(point: np.ndarray, grad: np.ndarray) -> float:
@@ -328,59 +334,37 @@ def _kkt_residual(point: np.ndarray, grad: np.ndarray) -> float:
     return res
 
 
-def _water_fill(point: np.ndarray, grad: np.ndarray, hdiag: np.ndarray, radius: float) -> np.ndarray:
-    """Optimal simplex-preserving adjustment of the linearized model.
+def _newton_direction(point: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Newton direction of the quadratic model on the simplex's active face.
 
-    Under the diagonal model grad_i(p + u) = g_i + h_i u_i with h_i < 0, the
-    best feasible adjustment equalizes model gradients at a water level lam:
-    u_i(lam) = clip((lam - g_i) / h_i, -min(p_i, radius), radius).  The total
-    adjustment S(lam) = sum_i u_i(lam) is continuous, piecewise linear, and
-    nondecreasing as lam falls, so sweeping lam downward across the kink
-    points finds the exact level with S(lam) = 0.  Ties between kink points
-    break by coordinate index through the stable sort.
+    The face holds the coordinates with positive mass and the zero ones
+    whose gradient exceeds the multiplier (the mean gradient over the
+    positive ones).  On the face the direction u solves
+    [H_FF - eps I, 1; 1^T, 0] [u; mu] = [lambda - g_F; 0], with a ridge eps
+    relative to the Hessian's diagonal that keeps the system nonsingular when
+    coordinates share a column.  Shifting g by the multiplier lambda leaves
+    u unchanged (u sums to zero) and keeps mu small, so that u, tiny near
+    the optimum, keeps its precision.  A zero coordinate that the direction
+    would push below zero leaves the face, the most negative first, and the
+    system is solved again; the other coordinates' directions are zero.
     """
-    h = np.minimum(hdiag, -_CURVATURE_FLOOR)
-    slope = -1.0 / h  # du/d(-lam) while unclamped
-    lo = np.minimum(point, radius)  # largest allowed decrease
-    lam_enter = grad + lo / slope   # below this the coordinate leaves its lower clamp
-    lam_sat = grad - radius / slope  # below this the coordinate pins at +radius
-
-    k = point.size
-    levels = np.concatenate([lam_enter, lam_sat])
-    order = np.argsort(-levels, kind="stable").tolist()
-    # The sweep runs on Python floats: scalar reads of lists cost far less
-    # than of arrays, and the arithmetic is the same.
-    levels, lo_, slope_, grad_ = levels.tolist(), lo.tolist(), slope.tolist(), grad.tolist()
-    C = -float(lo.sum())  # contribution of clamped coordinates
-    A = 0.0               # sum of slopes over unclamped coordinates
-    G = 0.0               # sum of grad * slope over unclamped coordinates
-    prev = math.inf
-    lam_star = None
-    for ev in order:
-        lam_e = levels[ev]
-        if A > 0.0:
-            cand = (C + G) / A
-            if lam_e <= cand <= prev:
-                lam_star = cand
-                break
-        elif C == 0.0:
-            lam_star = lam_e
-            break
-        if ev < k:
-            C += lo_[ev]
-            A += slope_[ev]
-            G += grad_[ev] * slope_[ev]
-        else:
-            i = ev - k
-            A -= slope_[i]
-            G -= grad_[i] * slope_[i]
-            C += radius
-        prev = lam_e
-    if lam_star is None:
-        # All kinks processed; by continuity the crossing sits in the final
-        # segment (or rounding pushed it just outside one). Use the last level.
-        lam_star = (C + G) / A if A > 0.0 else prev
-    return np.clip((lam_star - grad) / h, -lo, radius)
+    zero = point == 0.0
+    lam = float(grad[~zero].sum()) / int(np.count_nonzero(~zero))
+    face = ~zero | (grad > lam)
+    ridge = _RIDGE * (float(np.abs(np.diag(hess)).max()) or 1.0)
+    u = np.zeros_like(point)
+    while True:
+        idx = np.flatnonzero(face)
+        m = idx.size
+        kkt = np.ones((m + 1, m + 1))
+        kkt[:m, :m] = hess[np.ix_(idx, idx)] - ridge * np.eye(m)
+        kkt[m, m] = 0.0
+        sol = np.linalg.solve(kkt, np.append(lam - grad[idx], 0.0))[:m]
+        leaving = np.flatnonzero(zero[idx] & (sol < 0.0))
+        if not leaving.size:
+            u[idx] = sol
+            return u
+        face[idx[leaving[np.argmin(sol[leaving])]]] = False
 
 
 def optimize_simplex_block(
@@ -392,12 +376,17 @@ def optimize_simplex_block(
     """Maximize a concave objective over the probability simplex.
 
     ``objective`` returns the value (may be -inf on the boundary);
-    ``derivatives`` returns (gradient, diagonal curvature) at a feasible
-    point.  Newton water-filling steps are taken inside an L-infinity trust
-    region; a step is accepted only when the true objective does not
-    decrease, expanding the radius on acceptance and shrinking it otherwise.
-    Stops when the KKT residual drops to ``cfg.kkt_tol`` or after
-    ``cfg.max_newton_iters`` iterations.
+    ``derivatives`` returns (gradient, Hessian) at a feasible point.  Each
+    iteration takes a projected Newton step (Bertsekas 1982) along
+    :func:`_newton_direction`: the step length is 1, cut by the ratio test
+    that keeps every coordinate nonnegative (the coordinates it hits become
+    exactly 0), then halved until the Armijo condition
+    f(p + a u) >= f(p) + 1e-4 a g.u holds.  Near the optimum a step's gain
+    falls below the rounding error of f, so f(p) is taken less 1e-14 |f(p)|
+    in that test; a step that fails it down to a length of 1e-10 ends the
+    block, so the value never falls by more than rounding.  Stops when the
+    KKT residual drops to ``cfg.kkt_tol`` or after ``cfg.max_newton_iters``
+    iterations.
     """
     p = np.asarray(point, dtype=np.float64).copy()
     if p.ndim != 1 or p.size == 0:
@@ -410,35 +399,41 @@ def optimize_simplex_block(
     value = float(objective(p))
     if not np.isfinite(value):
         raise NumericError("block objective is not finite at the starting point")
-    radius = _TRUST_INIT
     accepted = 0
     iterations = 0
     residual = None  # KKT residual at p; None once p has moved since the last derivatives
     for _ in range(cfg.max_newton_iters):
         if residual is None:
-            g, h = derivatives(p)
-            if not (np.isfinite(g).all() and np.isfinite(h).all()):
+            g, H = derivatives(p)
+            if not (np.isfinite(g).all() and np.isfinite(H).all()):
                 raise NumericError("block derivatives are not finite")
             residual = _kkt_residual(p, g)
         if residual <= cfg.kkt_tol:
             break
         iterations += 1
-        u = _water_fill(p, g, h, radius)
-        if float(np.abs(u).max()) < 1e-16:
+        u = _newton_direction(p, g, H)
+        slope = float(g @ u)
+        if not slope > 0.0:
             break
-        cand = p + u
-        cand[cand < 0.0] = 0.0
-        cand[int(np.argmax(cand))] -= float(cand.sum()) - 1.0
-        cand_value = float(objective(cand))
-        if cand_value >= value - _ACCEPT_SLACK:
-            p, value = cand, cand_value
-            accepted += 1
-            radius = min(radius * _TRUST_EXPAND, 1.0)
-            residual = None
-        else:
-            radius *= _TRUST_SHRINK
-            if radius < 1e-14:
+        falling = np.flatnonzero(u < 0.0)
+        ratios = p[falling] / -u[falling]
+        alpha = min(1.0, float(ratios.min(initial=math.inf)))
+        floor = value - _ROUNDING * abs(value)
+        while True:
+            cand = p + alpha * u
+            cand[falling[ratios <= alpha]] = 0.0  # the coordinates the ratio test hits
+            cand[cand < 0.0] = 0.0
+            cand[int(np.argmax(cand))] -= float(cand.sum()) - 1.0
+            cand_value = float(objective(cand))
+            armijo = cand_value >= floor + _ARMIJO * alpha * slope
+            if armijo or alpha < 2.0 * _MIN_STEP:
                 break
+            alpha *= 0.5
+        if not armijo:
+            break
+        p, value = cand, cand_value
+        accepted += 1
+        residual = None
     if residual is None:
         residual = _kkt_residual(p, derivatives(p)[0])
     return BlockResult(p, value, residual, iterations, accepted)
@@ -468,15 +463,17 @@ class _WeightObjective:
         return v
 
     def derivatives(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient A^T (1/d) and Hessian -B^T B, B = A / d row by row."""
         d = self.A @ w
         r = 1.0 / d
         g = self.A.T @ r
-        h = -(self.A * self.A).T @ (r * r)
+        B = self.A * r[:, None]
+        H = -(B.T @ B)
         if self.prior:
             safe = np.maximum(w, 1e-12)
             g = g + self.prior / safe
-            h = h - self.prior / (safe * safe)
-        return g, h
+            H[np.diag_indices_from(H)] -= self.prior / (safe * safe)
+        return g, H
 
 
 class _EMHalf:

@@ -119,6 +119,8 @@ BAD_MATRICES = [
     ("loader-short-triple", loaded_matrix([[0, 0, 1.0], [1, 0]]), "malformed matrix entry"),
     ("loader-repeated-pair", loaded_matrix([[1, 0, 1.0], [0, 1, 0.5], [0, 1, 0.5]]),
      "^row 0: columns must be strictly increasing"),
+    ("loader-repeated-pair-in-order", loaded_matrix([[0, 1, 0.5], [0, 1, 0.5], [1, 0, 1.0]]),
+     "^row 0: columns must be strictly increasing"),
 ]
 
 

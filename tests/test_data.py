@@ -132,6 +132,9 @@ class TestTokenMapping:
     def test_decode(self):
         vocab = Vocabulary.from_tokens(("a", "b"))
         assert decode_ids(vocab, [1, 0]) == ["b", "a"]
+        assert decode_ids(vocab, []) == []
+        with pytest.raises(DataError, match="^state id 2 out of range for vocabulary of size 2$"):
+            decode_ids(vocab, [1, 2, -1])
 
     def test_token_counts(self):
         corpus = corpus_from_tokens([["a", "b", "a"], ["b", "c"]])
