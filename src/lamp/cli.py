@@ -230,7 +230,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         "log_likelihood": final.log_likelihood,
         "perplexity": final.perplexity,
         "halves": [
-            {"block": r.block, "iterations": r.iterations, "capped": r.capped}
+            {"block": r.block, "iterations": r.iterations, "capped": r.capped,
+             "converged": bool(r.kkt_residual <= cfg.kkt_tol)}
             for r in report.records[1:]
         ],
     }

@@ -159,17 +159,39 @@ def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return owner, entry
 
 
+#: ``_find_sorted`` builds a direct-address table when the key range is at
+#: most this many slots per query.  Timed on a 2-core x86-64 machine with
+#: numpy 2.4 for 10^3 to 3*10^5 random queries: building and reading the table
+#: took 0.06-0.36 of the sort branch's time at 4 slots per query and broke
+#: even near 64.  4 keeps the table at 32 bytes per query, about the sort
+#: branch's own scratch.
+_TABLE_SLOTS_PER_QUERY = 4
+
+
 def _find_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Index of each of ``keys`` (any shape) in the ascending ``sorted_keys``,
-    or -1 where it is absent.  The keys are searched in ascending order,
-    which walks ``sorted_keys`` once instead of jumping about it, and the
-    hits are scattered back to the keys' places."""
-    found = np.full(keys.size, -1, dtype=np.int64)
-    if sorted_keys.size:
-        order = np.argsort(keys, axis=None)
-        needles = keys.ravel()[order]
-        at = np.minimum(np.searchsorted(sorted_keys, needles), sorted_keys.size - 1)
-        found[order] = np.where(sorted_keys[at] == needles, at, -1)
+    """Index of each of ``keys`` (any shape) in ``sorted_keys``, which
+    strictly ascend, or -1 where it is absent.
+
+    When the stored keys are non-negative and the largest is below
+    ``_TABLE_SLOTS_PER_QUERY`` times the number of queries, a table indexed
+    by key maps each stored key to its index and every query reads its slot.
+    Otherwise the queries are searched in ascending order, which walks
+    ``sorted_keys`` once instead of jumping about it, and the hits are
+    scattered back to the queries' places.  Each stored key is found at its
+    only index either way, so both branches return the same array.
+    """
+    if sorted_keys.size == 0:
+        return np.full(keys.shape, -1, dtype=np.int64)
+    span = int(sorted_keys[-1]) + 1
+    if sorted_keys[0] >= 0 and span <= _TABLE_SLOTS_PER_QUERY * keys.size:
+        table = np.full(span + 1, -1, dtype=np.int64)  # slot `span` answers every key out of range
+        table[sorted_keys] = np.arange(sorted_keys.size)
+        return table[np.clip(keys, -1, span)]  # -1 reads slot `span` too
+    found = np.empty(keys.size, dtype=np.int64)
+    order = np.argsort(keys, axis=None)
+    needles = keys.ravel()[order]
+    at = np.minimum(np.searchsorted(sorted_keys, needles), sorted_keys.size - 1)
+    found[order] = np.where(sorted_keys[at] == needles, at, -1)
     return found.reshape(keys.shape)
 
 
@@ -672,6 +694,14 @@ def transition_distribution(model: LampModel, history: Sequence[int]) -> np.ndar
 #: the scratch memory whatever the corpus size.
 _FLOOR_CHUNK = 1 << 14
 
+#: Floored scoring counts a chunk's cells instead of sorting its entries when
+#: the chunk spans at most this many (position, column) cells per gathered
+#: entry.  Timed on a 2-core x86-64 machine with numpy 2.4 on chunks of
+#: 2^14 entries and n of 150 or 2000: counting took 0.25-0.6 of the sort's
+#: time up to 4 cells per entry and broke even near 8.  The counting scratch
+#: is then 9 bytes per cell, at most 36 bytes per gathered entry.
+_CELLS_PER_ENTRY = 4
+
 
 def _floored_probabilities(
     model: LampModel, positions: ScoredPositions, floor: float
@@ -683,28 +713,49 @@ def _floored_probabilities(
     ``max(acc[tgt], floor) / (sum(max(acc, floor)) + (n - |acc|) * floor)``
     where ``acc`` sums ``w_i * P(src_i, .)`` over the stored entries of the k
     source rows.  Those entries are gathered as slices of the flat storage and
-    summed per (position, column) key, one chunk of positions at a time.
+    summed per (position, column) cell, one chunk of positions at a time.
+
+    A chunk of m positions whose E gathered entries span at most
+    ``_CELLS_PER_ENTRY`` times E cells is counted: one ``bincount`` over all
+    m·n cells sums the terms, a flag per cell marks the stored ones, and each
+    target is read straight from the accumulator.  A wider chunk sorts its
+    cell keys with ``np.unique`` and looks the targets up.  ``bincount`` adds
+    in input order from 0.0 in both, so each cell's terms add in lag order,
+    as the mixture does, and the norm adds the stored cells in column order;
+    the two branches give the same bits.
     """
-    P, n, k = model.P, model.n, model.k
+    P, n = model.P, model.n
     indptr, cols, probs, w = P.indptr, P.cols, P.probs, model.w.weights
     sizes = np.diff(indptr)[positions.src]  # stored entries per (position, lag)
-    ends = np.cumsum(sizes.sum(axis=1))
+    per_position = sizes.sum(axis=1)
+    ends = np.cumsum(per_position)
     out = np.empty(positions.T)
     start = 0
     while start < positions.T:
         base = ends[start - 1] if start else 0
         stop = max(int(np.searchsorted(ends, base + _FLOOR_CHUNK, side="right")), start + 1)
-        # owner is the (position, lag) of each gathered entry
-        owner, entry = _row_entries(indptr, positions.src[start:stop].ravel())
-        keys, inverse = np.unique((owner // k) * n + cols[entry], return_inverse=True)
-        # bincount adds each column's terms in lag order, as the mixture does.
-        acc = np.bincount(inverse, weights=w[owner % k] * probs[entry], minlength=keys.size)
-        local = keys // n
         m = stop - start
+        _, entry = _row_entries(indptr, positions.src[start:stop].ravel())
+        # Entries come in (position, lag) order: repeat each position's
+        # first cell and each lag's weight over its entries.
+        first = np.arange(0, m * n, n)
+        cell = np.repeat(first, per_position[start:stop]) + cols[entry]
+        terms = np.repeat(np.tile(w, m), sizes[start:stop].ravel()) * probs[entry]
+        want = first + positions.tgt[start:stop]
+        if m * n <= _CELLS_PER_ENTRY * cell.size:
+            acc = np.bincount(cell, weights=terms, minlength=m * n)
+            stored = np.zeros(m * n, dtype=bool)
+            stored[cell] = True
+            keys = np.flatnonzero(stored)
+            at_tgt = acc[want]
+            acc = acc[keys]
+        else:
+            keys, inverse = np.unique(cell, return_inverse=True)
+            acc = np.bincount(inverse, weights=terms, minlength=keys.size)
+            at_tgt = np.append(acc, 0.0)[_find_sorted(keys, want)]  # index -1 reads the 0
+        local = keys // n
         norm = (np.bincount(local, weights=np.maximum(acc, floor), minlength=m)
                 + (n - np.bincount(local, minlength=m)) * floor)
-        want = np.arange(m) * n + positions.tgt[start:stop]
-        at_tgt = np.append(acc, 0.0)[_find_sorted(keys, want)]  # index -1 reads the 0
         out[start:stop] = np.maximum(at_tgt, floor) / norm
         start = stop
     return out

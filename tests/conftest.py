@@ -102,6 +102,41 @@ def ref_floored_log_likelihood(w, P_dense, sequences, floor):
     return total
 
 
+def ref_floored_probabilities(model, positions, floor, chunk):
+    """Floored scoring as it was written with sorting alone: per chunk of
+    positions (``chunk`` gathered entries at most, one position at least),
+    ``np.unique`` groups the gathered entries by (position, column) cell,
+    ``bincount`` sums each cell's terms in lag order and each target is
+    searched among the sorted cells.  The package must match it bit for
+    bit."""
+    P, n, k = model.P, model.n, model.k
+    indptr, cols, probs, w = P.indptr, P.cols, P.probs, model.w.weights
+    sizes = np.diff(indptr)[positions.src]
+    ends = np.cumsum(sizes.sum(axis=1))
+    out = np.empty(positions.T)
+    start = 0
+    while start < positions.T:
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + chunk, side="right")), start + 1)
+        rows = positions.src[start:stop].ravel()
+        counts = indptr[rows + 1] - indptr[rows]
+        owner = np.repeat(np.arange(rows.size), counts)
+        entry = np.concatenate([np.arange(indptr[r], indptr[r + 1]) for r in rows]).astype(np.int64)
+        keys, inverse = np.unique((owner // k) * n + cols[entry], return_inverse=True)
+        acc = np.bincount(inverse, weights=w[owner % k] * probs[entry], minlength=keys.size)
+        local = keys // n
+        m = stop - start
+        norm = (np.bincount(local, weights=np.maximum(acc, floor), minlength=m)
+                + (n - np.bincount(local, minlength=m)) * floor)
+        want = np.arange(m) * n + positions.tgt[start:stop]
+        at = np.minimum(np.searchsorted(keys, want), max(keys.size - 1, 0))
+        hit = (keys[at] == want) if keys.size else np.zeros(m, dtype=bool)
+        at_tgt = np.where(hit, np.append(acc, 0.0)[at], 0.0)
+        out[start:stop] = np.maximum(at_tgt, floor) / norm
+        start = stop
+    return out
+
+
 def ref_empirical_rows(sequences, n, k, support_epsilon):
     """The empirical initializer as a walk over the corpus with dicts.
 

@@ -348,9 +348,24 @@ def test_train_manifest_records_each_half(capsys, tmp_path):
     halves = json.loads(open(out + ".manifest.json").read())["summary"]["halves"]
     assert [h["block"] for h in halves] == ["w", "P", "w", "P", "w"]
     for half in halves:
-        assert set(half) == {"block", "iterations", "capped"}
+        assert set(half) == {"block", "iterations", "capped", "converged"}
         assert half["capped"] is False
+        assert half["converged"] is True
         assert half["iterations"] >= (1 if half["block"] == "P" else 0)
+
+
+def test_train_manifest_marks_halves_that_stop_short_of_the_tolerance(capsys, tmp_path):
+    # At a tolerance of 1e-300 only a half whose residual is exactly 0
+    # converges; `converged` is the report's residual at most the tolerance.
+    corpus_path = write_corpus_text(tmp_path, GOLDEN_CORPUS)
+    out = str(tmp_path / "model.json")
+    code, _, err = run(capsys, ["train", corpus_path, "--output", out, "--k", "3",
+                                "--rounds", "2.5", "--kkt-tol", "1e-300"])
+    assert code == 0, err
+    halves = json.loads(open(out + ".manifest.json").read())["summary"]["halves"]
+    residuals = [json.loads(line)["kkt_residual"] for line in open(str(tmp_path / "model.report.jsonl"))]
+    assert [h["converged"] for h in halves] == [r <= 1e-300 for r in residuals[1:]]
+    assert {h["converged"] for h in halves} == {True, False}
 
 
 def test_every_w_half_of_an_eight_lag_corpus_converges_within_ten_iterations(capsys, tmp_path):

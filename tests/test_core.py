@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from conftest import (
     random_simplex,
     random_stochastic_matrix,
     ref_floored_log_likelihood,
+    ref_floored_probabilities,
     ref_log_likelihood,
     ref_transition_distribution,
     sparse_models,
@@ -622,3 +625,169 @@ def test_load_model_rejects_per_lag_documents(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError):
         core.load_model(str(path))
+
+
+# ---------------------------------------------------------------------------
+# Sort-free branches of the scoring kernel
+
+
+def sparse_lamp(n, rows, w):
+    return LampModel(HistoryDistribution.from_weights(w), SparseStochasticMatrix.from_rows(n, rows),
+                     Vocabulary.from_size(n))
+
+
+@st.composite
+def floor_models(draw, near_dense):
+    """A model whose rows mix empty rows, stored zeros and positive entries,
+    with lag weights that may be zero.  Near-dense models have at most 8
+    states and most columns stored, so floored scoring counts their cells;
+    sparse ones have 200-500 states and 1-3 entries per row, so it sorts."""
+    k = draw(st.integers(1, 4))
+    raw_w = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    if near_dense:
+        n = draw(st.integers(1, 8))
+        cells = [draw(st.lists(st.sampled_from([-1, 0, 1, 2, 3, 4, 4, 4]), min_size=n, max_size=n))
+                 for _ in range(n)]  # -1 is absent
+        stored = [[(c, v) for c, v in enumerate(row) if v >= 0] for row in cells]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(200, 500))
+        stored = [list(zip(np.sort(rng.choice(n, size=rng.integers(1, 4), replace=False)).tolist(),
+                           rng.integers(0, 5, size=3).tolist())) for _ in range(n)]
+    rows = []
+    for row in stored:
+        mass = sum(v for _, v in row)
+        rows.append([(c, v / mass) for c, v in row] if mass else [])
+    return sparse_lamp(n, rows, np.array(raw_w) / sum(raw_w))
+
+
+def floored_both_ways(model, corpus, chunk, branches=None):
+    """The package's floored probabilities and the sorting reference's, at
+    ``chunk`` gathered entries per chunk; ``branches`` tallies the chunks
+    each branch of the package handled."""
+    positions = core.ScoredPositions(corpus, model.k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_FLOOR_CHUNK", chunk)
+        if branches is not None:
+            row_entries, find_sorted = core._row_entries, core._find_sorted
+
+            def chunk_started(*args):
+                branches["count"] += 1  # a sorted chunk moves its tally back below
+                return row_entries(*args)
+
+            def chunk_sorted(*args):
+                branches["count"] -= 1
+                branches["sort"] += 1
+                return find_sorted(*args)
+
+            mp.setattr(core, "_row_entries", chunk_started)
+            mp.setattr(core, "_find_sorted", chunk_sorted)
+        got = core._floored_probabilities(model, positions, core.EVALUATION_FLOOR)
+    return got, ref_floored_probabilities(model, positions, core.EVALUATION_FLOOR, chunk)
+
+
+def test_floored_probabilities_match_sorting_reference_bitwise():
+    branches = Counter()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        near_dense = data.draw(st.booleans())
+        model = data.draw(floor_models(near_dense))
+        seqs = data.draw(st.lists(st.lists(st.integers(0, model.n - 1), min_size=1, max_size=30),
+                                  min_size=1, max_size=4))
+        chunk = data.draw(st.sampled_from([1, 7, 64]))
+        got, want = floored_both_ways(model, make_corpus(model, seqs), chunk, branches)
+        assert np.array_equal(got, want)
+
+    check()
+    assert branches["count"] > 0 and branches["sort"] > 0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_floored_probabilities_edge_chunks(chunk):
+    # One position of 8 states and 4 full lags gathers 32 entries, more
+    # than a chunk of 1 or 7 holds.
+    rng = np.random.default_rng(3)
+    dense = sparse_lamp(8, [list(enumerate(rng.dirichlet(np.ones(8)))) for _ in range(8)],
+                        [0.4, 0.3, 0.0, 0.3])
+    got, want = floored_both_ways(dense, make_corpus(dense, [rng.integers(0, 8, size=40).tolist()]), chunk)
+    assert np.array_equal(got, want)
+    # States 0-9 have empty rows.  A line of them ends the first corpus and
+    # is the whole second one, so a chunk of the second (and with chunks of
+    # 1 or 7 the last of the first) gathers no entries at all: each of its
+    # positions scores 1/n.
+    n = 300
+    rows = [[] for _ in range(10)] + [[(c, 0.5), (c + 1, 0.5)] for c in range(10, n - 1)] + [[(0, 1.0)]]
+    sparse = sparse_lamp(n, rows, [0.5, 0.5])
+    empty_line = list(range(10)) * 3
+    for seqs in ([rng.integers(10, n, size=30).tolist(), empty_line], [empty_line]):
+        got, want = floored_both_ways(sparse, make_corpus(sparse, seqs), chunk)
+        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got[-29:], 1.0 / n, rtol=1e-12)
+
+
+def brute_find(sorted_keys, keys):
+    where = {int(key): i for i, key in enumerate(sorted_keys)}
+    return np.array([where.get(int(key), -1) for key in np.ravel(keys)], dtype=np.int64).reshape(np.shape(keys))
+
+
+@pytest.mark.parametrize("slots", [0, 4, 10**6])  # never, as shipped, always a table
+@settings(max_examples=100, deadline=None)
+@given(
+    stored=st.lists(st.integers(-5, 300), max_size=40, unique=True),
+    queries=st.lists(st.integers(-10, 400), max_size=60),
+    shape=st.sampled_from([None, (), (-1, 1), (1, -1, 1)]),
+)
+def test_find_sorted_matches_brute_force(slots, stored, queries, shape):
+    sorted_keys = np.array(sorted(stored), dtype=np.int64)
+    if shape == ():
+        keys = np.array(queries[0] if queries else 7, dtype=np.int64)
+    else:
+        keys = np.array(queries, dtype=np.int64).reshape(shape or (len(queries),))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_TABLE_SLOTS_PER_QUERY", slots)
+        got = core._find_sorted(sorted_keys, keys)
+    assert np.shape(got) == keys.shape
+    assert np.array_equal(got, brute_find(sorted_keys, keys))
+
+
+def test_pair_indices_take_the_table_on_small_ranges():
+    rng = np.random.default_rng(5)
+    P = random_stochastic_matrix(rng, 6)
+    P[P < 0.15] = 0.0
+    P /= P.sum(axis=1, keepdims=True)
+    m = SparseStochasticMatrix.from_dense(P)
+    src, tgt = rng.integers(0, 6, size=(2, 20, 3))
+    assert m._pair_keys[-1] < core._TABLE_SLOTS_PER_QUERY * src.size  # the table branch
+    rows, cols = np.repeat(np.arange(6), np.diff(m.indptr)), m.cols
+    where = {(int(r), int(c)): i for i, (r, c) in enumerate(zip(rows, cols))}
+    want = np.array([[where.get((int(s), int(t)), -1) for s, t in zip(a, b)] for a, b in zip(src, tgt)])
+    assert np.array_equal(m.pair_indices(src, tgt), want)
+    np.testing.assert_array_equal(m.lookup_pairs(src, tgt), P[src, tgt])
+
+
+def test_scoring_memory_stays_bounded_on_a_large_sparse_vocabulary():
+    # 4000 states with 2 entries a row: a table over every (row, column) key
+    # would take 128 MB, and counting over a chunk's (position, column)
+    # cells about 65 MB, while the selection rules keep both scorers within
+    # a few MB.  A larger vocabulary would make a broken rule allocate
+    # gigabytes before this test could fail.
+    n, k, T = 4000, 4, 4096
+    rng = np.random.default_rng(11)
+    rows = [[(int(c), 0.5) for c in np.sort(rng.choice(n, size=2, replace=False))] for _ in range(n)]
+    model = sparse_lamp(n, rows, [0.4, 0.3, 0.2, 0.1])
+    corpus = make_corpus(model, rng.integers(0, n, size=(8, T // 8 + 1)).tolist())
+    positions = core.ScoredPositions(corpus, k)
+    queries = positions.T * k
+    bound = 64 * queries + 64 * core._FLOOR_CHUNK * 8  # bytes
+    for run in (lambda: core.log_likelihood(model, corpus, floor=core.EVALUATION_FLOOR),
+                lambda: positions.lag_probabilities(model.P)):
+        run()  # cached views of the matrix are built outside the measurement
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
