@@ -87,7 +87,7 @@ def _levels(indptr: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     depth = 0
     while frontier.size:
         depth += 1
-        nbrs = cols[_row_entries(indptr, frontier)[1]]
+        nbrs = cols[_row_entries(indptr, frontier)]
         frontier = np.unique(nbrs[level[nbrs] < 0])
         level[frontier] = depth
     return level

@@ -148,15 +148,13 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every stored entry of the CSR rows ``rows``, in order: (owner, entry),
-    where ``entry`` indexes the flat storage and ``owner`` the position in
-    ``rows`` whose row holds it."""
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Indices into the flat storage of every stored entry of the CSR rows
+    ``rows``, in order."""
     counts = indptr[rows + 1] - indptr[rows]
-    owner = np.repeat(np.arange(rows.size), counts)
     entry = np.repeat(indptr[rows] - (np.cumsum(counts) - counts), counts)
     entry += np.arange(entry.size)
-    return owner, entry
+    return entry
 
 
 #: ``_find_sorted`` builds a direct-address table when the key range is at
@@ -573,7 +571,7 @@ class Corpus:
     def take(self, index) -> "Corpus":
         """The sequences ``index``, in that order, over the same vocabulary."""
         index = np.asarray(index, dtype=np.int64)
-        _, entry = _row_entries(self.offsets, index)
+        entry = _row_entries(self.offsets, index)
         return Corpus(self.vocab, self.tokens[entry], np.append(0, np.cumsum(self.lengths[index])))
 
     @property
@@ -735,7 +733,7 @@ def _floored_probabilities(
         base = ends[start - 1] if start else 0
         stop = max(int(np.searchsorted(ends, base + _FLOOR_CHUNK, side="right")), start + 1)
         m = stop - start
-        _, entry = _row_entries(indptr, positions.src[start:stop].ravel())
+        entry = _row_entries(indptr, positions.src[start:stop].ravel())
         # Entries come in (position, lag) order: repeat each position's
         # first cell and each lag's weight over its entries.
         first = np.arange(0, m * n, n)

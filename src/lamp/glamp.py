@@ -134,8 +134,9 @@ def lift_to_kth_order(
         for i in lags:
             mat = model.matrix_for_lag(i)
             x = chunk // place[i - 1] % n
-            empty.append(mat.indptr[x + 1] == mat.indptr[x])
-            owner, entry = _row_entries(mat.indptr, x)
+            sizes = mat.indptr[x + 1] - mat.indptr[x]
+            empty.append(sizes == 0)
+            owner, entry = np.repeat(np.arange(x.size), sizes), _row_entries(mat.indptr, x)
             keep = mat.probs[entry] > 0.0
             state.append(owner[keep])
             col.append(mat.cols[entry[keep]])

@@ -28,7 +28,10 @@ record's KKT residual.  EM drives boundary entries toward zero without
 reaching it, so without a prior the half closes with one guarded snap: every
 entry at most ``kkt_tol`` whose gradient is below its row's
 lambda_x = sum(q * g) becomes zero, the touched rows are renormalized, and
-the result is kept only if the log-likelihood does not fall.
+the result is kept only if the log-likelihood does not fall.  EM keeps a
+zero entry at zero, so after each P half the support only shrinks: the
+matrix keeps just its positive entries.  Dropping an exact zero only removes
++0.0 terms from the sums, so every later half computes the same bits.
 """
 
 from __future__ import annotations
@@ -483,7 +486,8 @@ class _EMHalf:
     w stay as they were at construction.  ``prior`` is the ``prior_count``
     of the MAP form q * g + prior.  ``entry`` is what
     ``P.pair_indices(stats.src, stats.tgt[:, None])`` returns, computed when
-    None; training computes it once, since P's support never changes.
+    None; training computes it once and remaps it as the support only
+    shrinks (:func:`_positive_support`).
 
     The groups are (t, m, entry) triples, position-major and, within a
     position, in source-row order; a group of zero weight, or whose target
@@ -587,6 +591,21 @@ def _p_half(
     return q, residual, updates
 
 
+def _positive_support(
+    P: SparseStochasticMatrix, entry: np.ndarray
+) -> tuple[SparseStochasticMatrix, np.ndarray]:
+    """P reduced to its positive entries, and ``entry`` (indices into P's
+    flat storage, -1 where absent) remapped to the reduced storage: a
+    dropped entry maps to -1, which reads the appended 0.0 as the zero did."""
+    keep = P.probs > 0.0
+    if keep.all():
+        return P, entry
+    kept = np.cumsum(keep)
+    index = np.append(np.where(keep, kept - 1, -1), -1)  # slot `size` answers an absent pair's -1
+    indptr = np.append(0, kept)[P.indptr]
+    return SparseStochasticMatrix(P.n, indptr, P.cols[keep], P.probs[keep]), index[entry]
+
+
 # ---------------------------------------------------------------------------
 # Alternating minimization
 
@@ -597,10 +616,12 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     P starts from the empirical transition matrix and w from weights
     proportional to ``init_decay ** lag``.  Half-rounds alternate starting
     with w; with ``weight_only`` the P halves are skipped and the returned
-    matrix is exactly the empirical one.  The objective the blocks ascend,
-    the log-likelihood plus ``prior_count * (sum(log w) + sum(log P))``,
-    never decreases across recorded steps; with ``prior_count`` 0 that is
-    the log-likelihood the records report.
+    matrix is exactly the empirical one.  After each P half the matrix
+    keeps only its positive entries, so the returned one stores no zero.
+    The objective the blocks ascend, the log-likelihood plus
+    ``prior_count * (sum(log w) + sum(log P))``, never decreases across
+    recorded steps; with ``prior_count`` 0 that is the log-likelihood the
+    records report.
     """
     if corpus.total_transitions < 1:
         raise DataError("training requires at least one scored transition")
@@ -616,7 +637,7 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
             return ll
         return ll + cfg.prior_count * (float(np.log(w).sum()) + float(np.log(matrix.probs).sum()))
 
-    entry = matrix.pair_indices(stats.src, stats.tgt[:, None])  # the support never changes
+    entry = matrix.pair_indices(stats.src, stats.tgt[:, None])  # the support only shrinks
 
     def lag_terms() -> np.ndarray:
         """What ``stats.lag_probabilities(matrix)`` returns."""
@@ -653,6 +674,7 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
         elif not cfg.weight_only:
             q, residual, updates = _p_half(stats, matrix, w, cfg, entry)
             matrix = SparseStochasticMatrix.from_csr(matrix.n, matrix.indptr, matrix.cols, q)
+            matrix, entry = _positive_support(matrix, entry)
             denom = _denominators(stats, lag_terms(), w)
             records.append(record("P", residual, time.perf_counter() - t0, updates))
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import tempfile
 import tracemalloc
 from collections import Counter
 
@@ -702,6 +704,35 @@ def test_floored_probabilities_match_sorting_reference_bitwise():
 
     check()
     assert branches["count"] > 0 and branches["sort"] > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stored_zeros_keep_their_bytes_and_score_like_absent_entries(data):
+    # Trained models store only positive entries, but a hand-written model
+    # may store zeros: they survive save -> load -> save, and scoring gives
+    # the bits of the same model without them, or with the floor, whose norm
+    # adds the floor in another order, the same within 1e-12.
+    model = data.draw(floor_models(data.draw(st.booleans())))
+    P = model.P
+    keep = P.probs > 0.0
+    indptr = np.append(0, np.cumsum(keep))[P.indptr]
+    compact = LampModel(model.w, SparseStochasticMatrix(P.n, indptr, P.cols[keep], P.probs[keep]), model.vocab)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        core.save_model(model, first)
+        core.save_model(core.load_model(first), second)
+        assert open(first, "rb").read() == open(second, "rb").read()
+    assert len(core.model_to_dict(model)["matrix"]) == P.support_size
+    seqs = data.draw(st.lists(st.lists(st.integers(0, model.n - 1), min_size=1, max_size=30),
+                              min_size=1, max_size=4))
+    corpus = make_corpus(model, seqs)
+    assert repr(core.log_likelihood(model, corpus)) == repr(core.log_likelihood(compact, corpus))
+    got = core.log_likelihood(model, corpus, floor=core.EVALUATION_FLOOR)
+    want = core.log_likelihood(compact, corpus, floor=core.EVALUATION_FLOOR)
+    assert got.impossible_transitions == want.impossible_transitions == 0
+    for a, b in zip(got.per_sequence + (got.total,), want.per_sequence + (want.total,)):
+        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])

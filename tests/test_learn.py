@@ -1,7 +1,9 @@
 """Gradients, the projected Newton block solver, and alternating training."""
 
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -915,6 +917,58 @@ class TestEMHalf:
             if cols.size:
                 got = new[P.indptr[x] : P.indptr[x + 1]]
                 assert np.allclose(got, counts[x, cols] / counts[x].sum(), rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The support after each P half
+
+
+def test_dropping_zero_entries_keeps_every_bit_of_training():
+    # Training once as shipped and once with the support never shrinking
+    # gives the same records, w and positive entries; only exact zeros leave.
+    tally = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=training_cases())
+    def check(case):
+        corpus, cfg = case
+        got = outcome(alternate_minimize, corpus, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learn, "_positive_support", lambda P, entry: (P, entry))
+            want = outcome(alternate_minimize, corpus, cfg)
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        (model, report), (full, full_report) = got, want
+
+        def ledger(r):
+            return [repr(dataclasses.astuple(dataclasses.replace(x, wall_time_s=0.0))) for x in r.records]
+
+        assert ledger(report) == ledger(full_report)
+        assert model.w.weights.tobytes() == full.w.weights.tobytes()
+        assert (model.P.probs > 0.0).all()
+        kept = full.P.pair_indices(model.P._entry_rows, model.P.cols)
+        assert (kept >= 0).all()
+        assert model.P.probs.tobytes() == full.P.probs[kept].tobytes()
+        dropped = np.setdiff1d(np.arange(full.P.support_size), kept)
+        assert (full.P.probs[dropped] == 0.0).all()
+        tally["dropped"] += bool(dropped.size)
+
+    check()
+    assert tally["dropped"] > 0
+
+
+def test_positive_support_remaps_the_pair_index():
+    P = SparseStochasticMatrix.from_rows(3, [[(0, 0.0), (1, 1.0)], [], [(0, 0.5), (1, 0.0), (2, 0.5)]])
+    entry = np.array([[0, 1], [-1, 2], [3, 4], [4, 3]])  # -1: a pair outside the support
+    got, remapped = learn._positive_support(P, entry)
+    assert got.indptr.tolist() == [0, 1, 1, 3]
+    assert got.cols.tolist() == [1, 0, 2]
+    assert got.probs.tolist() == [1.0, 0.5, 0.5]
+    assert remapped.tolist() == [[-1, 0], [-1, 1], [-1, 2], [2, -1]]
+    assert np.append(got.probs, 0.0)[remapped].tobytes() == np.append(P.probs, 0.0)[entry].tobytes()
+    same, same_entry = learn._positive_support(got, remapped)  # nothing left to drop
+    assert same is got and same_entry is remapped
 
 
 # ---------------------------------------------------------------------------
