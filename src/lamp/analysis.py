@@ -8,8 +8,11 @@ resulting mixing-time bound for the history-mixture process.
 Ergodicity is a breadth-first search over the CSR arrays, forwards and over
 the reversed edges, with the period taken as one gcd over all edges.  The
 mixing time brackets the first crossing of delta with giant steps of P^8,
-finds it with unit steps by P, and certifies it with giant-step probes (see
-:func:`mixing_time`).  It can depart from a stepwise search over
+halves the bracket with one product by P^4, finds the crossing with at most
+four unit steps by P, and certifies it with giant-step probes (see
+:func:`mixing_time`).  A unit step multiplies through P's rows when they
+are short enough, and is a dense product otherwise; at most four n x n
+arrays are live.  The result can depart from a stepwise search over
 P^t = P^(t-1) P only where d(t) ties delta to within rounding, about 1 ulp.
 The analyses that need an ergodic matrix name its first empty row, when it
 has one, as the cause.
@@ -60,8 +63,17 @@ _MIXING_HORIZON = 1_000_000
 #: Powers of P per giant step of the mixing-time search: three squarings.
 _GIANT_STEP = 8
 
-#: Entries per row block when total variation is taken over a dense power.
+#: Entries per row block when total variation is taken over a dense power;
+#: the sparse unit steps gather rows of P^t into the same block.
 _TV_BLOCK = 1 << 14
+
+#: Unit steps of the mixing-time search go through P's rows when the longest
+#: holds at most n / _CSR_STEP_RATIO entries, and are dense products
+#: otherwise.  Timed on a 2-core x86-64 machine with numpy 2.4 and one BLAS
+#: thread for n from 64 to 2000 and 1 to 64 entries per row: the row step
+#: broke even with the dense product between n/40 and n/25 entries per row,
+#: so 48 keeps it on the side where it wins.
+_CSR_STEP_RATIO = 48
 
 
 @dataclass(frozen=True)
@@ -165,31 +177,69 @@ def stationary_distribution(
     return _power_iteration(P, tol, max_iters)
 
 
-def _worst_tv(M: np.ndarray, pi: np.ndarray, buf: np.ndarray) -> float:
+def _worst_tv(M: np.ndarray, pi: np.ndarray, buf: np.ndarray, stop: float = math.inf) -> float:
     """max_z TV(M[z], pi), a block of rows at a time; each row's sum is the
-    same pairwise sum as over the whole matrix."""
+    same pairwise sum as over the whole matrix.  The scan ends at the first
+    block holding a row above ``stop``, so a result above ``stop`` says only
+    that the maximum is above it; any other result is the maximum."""
     rows = buf.shape[0]
     worst = 0.0
     for lo in range(0, M.shape[0], rows):
         block = buf[: min(rows, M.shape[0] - lo)]
         np.subtract(M[lo:lo + rows], pi, out=block)
         np.abs(block, out=block)
-        worst = max(worst, float(block.sum(axis=1).max()))
-    return 0.5 * worst
+        worst = max(worst, 0.5 * float(block.sum(axis=1).max()))
+        if worst > stop:
+            break
+    return worst
+
+
+def _padded_rows(P: SparseStochasticMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """P's columns and probabilities as (n, longest row) arrays; the slots
+    past a row's end hold column 0 with probability 0."""
+    width = int(np.diff(P.indptr).max())
+    cols = np.zeros((P.n, width), dtype=np.int64)
+    probs = np.zeros((P.n, width))
+    cols[P._entry_rows, P._entry_slots] = P.cols
+    probs[P._entry_rows, P._entry_slots] = P.probs
+    return cols, probs
+
+
+def _sparse_times(
+    cols: np.ndarray, probs: np.ndarray, M: np.ndarray, out: np.ndarray, buf: np.ndarray
+) -> None:
+    """out = P M for P given by :func:`_padded_rows`, a block of rows at a
+    time: the rows of M that a block reads are gathered into ``buf``, which
+    holds at least one padded row, and weighted by P's entries."""
+    width = cols.shape[1]
+    rows = buf.shape[0] // width
+    for lo in range(0, cols.shape[0], rows):
+        hi = min(lo + rows, cols.shape[0])
+        gathered = buf[: (hi - lo) * width]
+        np.take(M, cols[lo:hi].ravel(), axis=0, out=gathered, mode="clip")  # "clip" writes in place
+        np.einsum("rjn,rj->rn", gathered.reshape(hi - lo, width, -1), probs[lo:hi], out=out[lo:hi])
 
 
 def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     """Smallest t with worst-start total variation d(t) = max_z TV(P^t(z, .), pi) <= delta.
 
-    d(t) never increases with t, so the first crossing time is the mixing
-    time, and it is bracketed by giant steps of G = P^8 (three squarings):
-    the search walks P^8, P^16, ... to the first power with d <= delta,
-    then takes unit steps by P from the last giant step whose d was above
-    delta (from P^0 = I if none).  From the crossing it resumes giant steps
-    to certify that the threshold stays satisfied: every probe must have
-    d <= delta, and certification ends once d <= delta/10 or t reaches the
-    10 * n * t horizon.  At most four dense n x n buffers are
-    live (P, G and two ping-pong powers); TV is taken a row block at a time.
+    d(t) never increases with t (Levin, Peres & Wilmer, *Markov Chains and
+    Mixing Times*, section 4.4), so the first crossing time is the mixing
+    time and a bracket around it can be halved without losing it.  Three
+    squarings give P^2, P^4 and G = P^8.  The search walks P^8, P^16, ...
+    to the first power with d <= delta, which brackets the crossing in
+    (base, base + 8] with P^base the last giant step whose d was above delta
+    (P^0 = I if none).  One product by P^4 halves the bracket to four steps,
+    and at most four unit steps P^t = P P^(t-1) from its low end find the
+    crossing.  A unit step goes through P's rows, padded to the longest,
+    when that row holds at most n / ``_CSR_STEP_RATIO`` entries, and is a
+    dense product otherwise.  While the question is only whether d > delta,
+    the total variation scan stops at the first row above delta.  From the
+    crossing, giant steps by G certify that the threshold stays satisfied:
+    every probe must have d <= delta, and certification ends once
+    d <= delta/10 or t reaches the 10 * n * t horizon.  At most four dense
+    n x n buffers are live (G, P^4 or P, and two powers); TV and the sparse
+    steps work through one block of rows.
 
     The powers are formed in a different order from the stepwise products
     P^t = P^(t-1) P, so d(t) may differ from theirs by rounding: the result
@@ -207,39 +257,58 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     if delta >= 1.0:
         return 0
     pi = _power_iteration(P)
-    buf = np.empty((max(1, _TV_BLOCK // n), n))
-    step = P.dense()
-    giant, a, b = np.empty_like(step), np.empty_like(step), np.empty_like(step)
-    np.matmul(step, step, out=a)
+    width = int(np.diff(P.indptr).max())
+    sparse = width * _CSR_STEP_RATIO <= n
+    buf = np.empty((max(1, _TV_BLOCK // n, width if sparse else 0), n))
+    a = P.dense()
+    b, quarter, giant = np.empty_like(a), np.empty_like(a), np.empty_like(a)
     np.matmul(a, a, out=b)
-    np.matmul(b, b, out=giant)
+    np.matmul(b, b, out=quarter)
+    np.matmul(quarter, quarter, out=giant)
 
-    # Search: lo holds P^base (None for I) and hi P^(base + 8), ping-ponging a and b.
-    base, lo, hi = 0, None, b
-    np.copyto(hi, giant)
-    while _worst_tv(hi, pi, buf) > delta:
+    # Bracket: lo holds P^base (None for I) and hi P^(base + 8); products
+    # ping-pong between a and b.
+    base, lo, hi = 0, None, giant
+    while _worst_tv(hi, pi, buf, delta) > delta:
         if base > _MIXING_HORIZON:
             raise NumericError("mixing-time horizon exceeded")
         base += _GIANT_STEP
-        free = a if lo is None else lo
-        np.matmul(hi, giant, out=free)
-        lo, hi = hi, free
-    # Unit steps by P from P^base to the first crossing, then giant steps from
-    # it; each product goes to the spare buffer (b is free while cur is P).
-    if lo is None:
-        cur, spare = step, a
+        out = lo if lo is a or lo is b else (b if hi is a else a)
+        np.matmul(hi, giant, out=out)
+        lo, hi = hi, out
+    # Halve it: P^(base + 4) goes to hi, which the unit steps no longer need.
+    mid = quarter if lo is None else np.matmul(lo, quarter, out=hi)
+    if _worst_tv(mid, pi, buf, delta) > delta:
+        base, lo = base + 4, mid
+
+    # Unit steps from P^base to the first crossing; every buffer but G and
+    # P^base is free, one of them holding P for dense steps.
+    free = [m for m in (a, b, quarter) if m is not lo]
+    if sparse:
+        cols, probs = _padded_rows(P)
+
+        def times_p(m, out):
+            _sparse_times(cols, probs, m, out, buf)
     else:
-        np.matmul(lo, step, out=hi)
-        cur, spare = hi, lo
-    t, d = base + 1, _worst_tv(cur, pi, buf)
+        step = P.dense(out=free.pop())
+
+        def times_p(m, out):
+            np.matmul(step, m, out=out)
+    t, cur, d = base, lo, math.inf
     while d > delta:
-        np.matmul(cur, step, out=spare)
-        cur, spare = spare, (b if cur is step else cur)
-        t, d = t + 1, _worst_tv(cur, pi, buf)
-    t_first = t
+        nxt = free.pop()
+        if cur is None:
+            P.dense(out=nxt)
+        else:
+            times_p(cur, nxt)
+            if cur is not giant:
+                free.append(cur)
+        t, cur = t + 1, nxt
+        d = _worst_tv(cur, pi, buf, delta)
+    t_first, spare = t, free.pop()
     while d > delta / 10.0 and t < 10 * n * t_first:
         np.matmul(cur, giant, out=spare)
-        cur, spare = spare, (b if cur is step else cur)
+        cur, spare = spare, cur
         t += _GIANT_STEP
         d = _worst_tv(cur, pi, buf)
         if d > delta:
@@ -293,7 +362,7 @@ def _simulate_exponent_matrix(
     """
     if t_max < 1:
         raise DataError("t_max must be at least 1")
-    cum = np.asarray(w._cum)
+    cum = w._cum
     out = np.empty((len(seeds), t_max), dtype=np.int64)
     for r, seed in enumerate(seeds):
         u = np.random.default_rng(seed).random(t_max - 1)

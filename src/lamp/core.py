@@ -331,8 +331,12 @@ class SparseStochasticMatrix:
             return float(probs[i])
         return 0.0
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """P as an n x n array, written into ``out`` when one is given."""
+        if out is None:
+            out = np.zeros((self.n, self.n))
+        else:
+            out.fill(0.0)
         out[self._entry_rows, self.cols] = self.probs
         return out
 
@@ -361,6 +365,11 @@ class SparseStochasticMatrix:
         return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
     @cached_property
+    def _entry_slots(self) -> np.ndarray:
+        """The position of every stored entry within its row."""
+        return np.arange(self.cols.size) - self.indptr[:-1][self._entry_rows]
+
+    @cached_property
     def _pair_keys(self) -> np.ndarray:
         return self._entry_rows * self.n + self.cols  # sorted: rows ascend, then columns
 
@@ -381,9 +390,23 @@ class SparseStochasticMatrix:
         """The columns, per-row cumulative probabilities and row offsets as
         flat lists, for bisect sampling within ``indptr[x]:indptr[x+1]``.
         Each row's last cumulative value is pinned to 1, against row sums a
-        few ulp below 1."""
-        cum = np.concatenate([np.cumsum(probs) for probs in self.row_probs])
-        cum[self.indptr[1:][np.diff(self.indptr) > 0] - 1] = 1.0
+        few ulp below 1.
+
+        The rows are grouped by length class, (2^(j-1), 2^j] entries, and
+        each group takes one row-wise cumsum padded to its longest row, so
+        the padding at most doubles the entries and every row gets the
+        bits of its own cumsum."""
+        sizes = np.diff(self.indptr)
+        length_class = np.frexp(sizes - 1)[1]  # empty rows join a class and add no entries
+        cum = np.empty(self.probs.size)
+        for j in np.unique(length_class).tolist():
+            rows = np.flatnonzero(length_class == j)
+            entry = _row_entries(self.indptr, rows)
+            at = (np.repeat(np.arange(rows.size), sizes[rows]), self._entry_slots[entry])
+            padded = np.zeros((rows.size, int(sizes[rows].max())))
+            padded[at] = self.probs[entry]
+            cum[entry] = np.cumsum(padded, axis=1)[at]
+        cum[self.indptr[1:][sizes > 0] - 1] = 1.0
         return self.cols.tolist(), cum.tolist(), self.indptr.tolist()
 
 
@@ -438,10 +461,11 @@ class HistoryDistribution:
         return float((lags * lags) @ self.weights - self.mean**2)
 
     @cached_property
-    def _cum(self) -> list[float]:
+    def _cum(self) -> np.ndarray:
+        """Cumulative lag weights for sampling a lag, the last pinned to 1."""
         cum = np.cumsum(self.weights)
         cum[-1] = 1.0
-        return [float(v) for v in cum]
+        return cum
 
 
 @dataclass(frozen=True, init=False)
@@ -794,6 +818,11 @@ def perplexity(model: LampModel, corpus: Corpus, floor: float | None = None) -> 
 # Generation
 
 
+#: Steps whose lags ``generate`` draws in one pass; the block's Python lists
+#: of sources, lags and uniforms take about 80 bytes per step.
+_GENERATE_BLOCK = 1 << 12
+
+
 def generate(model: LampModel, start: int, length: int, seed: int) -> np.ndarray:
     """Sample a sequence of ``length`` state ids beginning with ``start``.
 
@@ -808,23 +837,20 @@ def generate(model: LampModel, start: int, length: int, seed: int) -> np.ndarray
     samplers = [model.matrix_for_lag(i)._samplers for i in range(1, model.k + 1)]
     rng = np.random.default_rng(seed)
     seq = [start]
-    if length == 1:
-        return np.asarray(seq, dtype=np.int64)
-    m = length - 1
     # One row of uniforms per step, so a longer run with the same seed
     # extends a shorter one without changing its prefix.
-    u = rng.random((m, 2))
-    u_lag, u_row = u[:, 0], u[:, 1]
-    cum_w = model.w._cum
-    for t in range(m):
-        lag = bisect.bisect_right(cum_w, u_lag[t]) + 1
-        pos = len(seq)
-        src = seq[pos - lag] if lag <= pos else seq[0]
-        cols, cum, indptr = samplers[lag - 1]
-        lo, hi = indptr[src], indptr[src + 1]
-        if lo == hi:
-            raise EmptyRowError(f"state {src} has no outgoing transitions")
-        seq.append(cols[bisect.bisect_right(cum, u_row[t], lo, hi)])
+    u = rng.random((length - 1, 2))
+    for first in range(0, length - 1, _GENERATE_BLOCK):
+        block = u[first:first + _GENERATE_BLOCK]
+        lags = np.searchsorted(model.w._cum, block[:, 0], side="right") + 1
+        source = np.maximum(np.arange(first + 1, first + 1 + len(block)) - lags, 0)  # clamped to 0
+        for at, lag, x in zip(source.tolist(), lags.tolist(), block[:, 1].tolist()):
+            src = seq[at]
+            cols, cum, indptr = samplers[lag - 1]
+            lo, hi = indptr[src], indptr[src + 1]
+            if lo == hi:
+                raise EmptyRowError(f"state {src} has no outgoing transitions")
+            seq.append(cols[bisect.bisect_right(cum, x, lo, hi)])
     return np.asarray(seq, dtype=np.int64)
 
 

@@ -25,11 +25,13 @@ reaches keep their values.  The half stops when the largest entry change of
 one update is at most ``kkt_tol``, or after ``max_newton_iters`` updates;
 that change, q_j * |g_j - lambda_x| / lambda_x without a prior, is the P
 record's KKT residual.  EM drives boundary entries toward zero without
-reaching it, so without a prior the half closes with one guarded snap: every
-entry at most ``kkt_tol`` whose gradient is below its row's
-lambda_x = sum(q * g) becomes zero, the touched rows are renormalized, and
-the result is kept only if the log-likelihood does not fall.  EM keeps a
-zero entry at zero, so after each P half the support only shrinks: the
+reaching it, so without a prior the last P half of a run closes with one
+guarded snap: every entry at most ``kkt_tol`` whose gradient is below its
+row's lambda_x = sum(q * g) becomes zero, the touched rows are
+renormalized, and the result is kept only if the log-likelihood does not
+fall.  EM keeps a zero entry at zero, so a snap in an earlier half, against
+a w still far from its optimum, could never be undone; and after each P
+half the support only shrinks: the
 matrix keeps just its positive entries.  Dropping an exact zero only removes
 +0.0 terms from the sums, so every later half computes the same bits.
 """
@@ -578,15 +580,15 @@ class _EMHalf:
 
 def _p_half(
     stats: ScoredPositions, P: SparseStochasticMatrix, w: np.ndarray, cfg: TrainConfig,
-    entry: np.ndarray | None = None,
+    entry: np.ndarray | None = None, snap: bool = True,
 ) -> tuple[np.ndarray, float, int]:
-    """One P half from P with w fixed: EM updates, then, without a prior,
-    the guarded zero snap.  Returns the new flat probabilities, the last
-    update's largest entry change and the number of updates; ``entry`` is
-    as for :class:`_EMHalf`."""
+    """One P half from P with w fixed: EM updates, then, with ``snap`` and
+    without a prior, the guarded zero snap.  Returns the new flat
+    probabilities, the last update's largest entry change and the number of
+    updates; ``entry`` is as for :class:`_EMHalf`."""
     em = _EMHalf(stats, P, w, cfg.prior_count, entry)
     q, residual, updates = em.iterate(P.probs, cfg.kkt_tol, cfg.max_newton_iters)
-    if not cfg.prior_count:  # with a prior, a zero entry would make the objective -inf
+    if snap and not cfg.prior_count:  # with a prior, a zero entry would make the objective -inf
         q = em.snap(q, cfg.kkt_tol)
     return q, residual, updates
 
@@ -661,6 +663,8 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
 
     records = [record("init", None, 0.0)]
     start = objective(records[0].log_likelihood)
+    # Only the last P half snaps; see the module docstring.
+    last_p_half = cfg.half_iterations - 1 - cfg.half_iterations % 2
     for half in range(cfg.half_iterations):
         t0 = time.perf_counter()
         if half % 2 == 0:
@@ -672,7 +676,7 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
             del A, obj  # free before the P half, whose group build is training's memory peak
             records.append(record("w", res.kkt_residual, time.perf_counter() - t0, res.iterations))
         elif not cfg.weight_only:
-            q, residual, updates = _p_half(stats, matrix, w, cfg, entry)
+            q, residual, updates = _p_half(stats, matrix, w, cfg, entry, snap=half == last_p_half)
             matrix = SparseStochasticMatrix.from_csr(matrix.n, matrix.indptr, matrix.cols, q)
             matrix, entry = _positive_support(matrix, entry)
             denom = _denominators(stats, lag_terms(), w)

@@ -7,7 +7,8 @@ term, and share no code with the package, so they can serve as oracles for
 the optimized implementations.  The chain-analysis references (the
 ``ref_*`` functions after the instance builders) read matrices only through
 their row and dense accessors, and walk states one at a time in Python, in
-the order that fixes the package's state ids and sums.  The n-gram
+the order that fixes the package's state ids and sums; ``ref_generate``
+is the sampler as a per-step loop over each row's own cumulative sums.  The n-gram
 references count and score one position at a time through dict-of-dict
 tables, in the expression order that fixes the baselines' bits.  The
 corpus references are the corpus transforms as they were written before
@@ -24,6 +25,7 @@ within each position must give EM the same bits.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from typing import NamedTuple
@@ -34,6 +36,7 @@ from hypothesis import strategies as st
 from lamp.core import (
     Corpus,
     DataError,
+    EmptyRowError,
     HistoryDistribution,
     LampModel,
     NumericError,
@@ -563,6 +566,38 @@ def ref_exponents(w, t_max, seed):
     for t in range(2, t_max + 1):
         e[t] = e[max(t - lags[t - 2], 0)] + 1
     return e[1:]
+
+
+def ref_generate(model, start, length, seed):
+    """``generate`` one step at a time: each step bisects w's cumulative sums
+    for its lag and the source row's own cumulative sums for the next state,
+    every row's last sum pinned to 1."""
+    samplers = []
+    for i in range(1, model.k + 1):
+        m = model.matrix_for_lag(i)
+        cum = np.concatenate([np.cumsum(probs) for probs in m.row_probs])
+        cum[m.indptr[1:][np.diff(m.indptr) > 0] - 1] = 1.0
+        samplers.append((m.cols.tolist(), cum.tolist(), m.indptr.tolist()))
+    rng = np.random.default_rng(seed)
+    seq = [start]
+    if length == 1:
+        return np.asarray(seq, dtype=np.int64)
+    m = length - 1
+    u = rng.random((m, 2))
+    u_lag, u_row = u[:, 0], u[:, 1]
+    cum_w = np.cumsum(model.w.weights)
+    cum_w[-1] = 1.0
+    cum_w = cum_w.tolist()
+    for t in range(m):
+        lag = bisect.bisect_right(cum_w, u_lag[t]) + 1
+        pos = len(seq)
+        src = seq[pos - lag] if lag <= pos else seq[0]
+        cols, cum, indptr = samplers[lag - 1]
+        lo, hi = indptr[src], indptr[src + 1]
+        if lo == hi:
+            raise EmptyRowError(f"state {src} has no outgoing transitions")
+        seq.append(cols[bisect.bisect_right(cum, u_row[t], lo, hi)])
+    return np.asarray(seq, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 the exponent process, and the renewal-based mixing bound."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import (
     ref_exponents,
     ref_is_ergodic,
     ref_mixing_time,
+    ref_stationary,
     worked_matrix,
 )
 
@@ -27,6 +29,7 @@ from lamp.core import (
     SparseStochasticMatrix,
     Vocabulary,
 )
+from lamp import analysis
 from lamp.analysis import (
     ErgodicityReport,
     ExponentTrace,
@@ -63,6 +66,35 @@ def brute_mixing(dense, delta, horizon=100_000):
         if 0.5 * np.max(np.abs(M - pi).sum(axis=1)) <= delta:
             return t
     raise AssertionError("chain did not mix within the horizon")
+
+
+def ring_chain(rng, n, ring):
+    """Row i moves to i+1 with probability ``ring`` and to two random states
+    with the rest, so every row holds at most three entries."""
+    rows = np.repeat(np.arange(n), 3)
+    cols = np.stack([np.arange(1, n + 1) % n, *(rng.integers(0, n, (2, n)))], axis=1).ravel()
+    probs = np.column_stack([np.full(n, ring), (1.0 - ring) * rng.dirichlet(np.ones(2), size=n)])
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), probs.ravel())
+    return SparseStochasticMatrix.from_dense(dense)
+
+
+def stepwise_tv(P, t_max):
+    """d(1..t_max) over the stepwise products P^t = P^(t-1) P; d[0] is unused."""
+    pi, dense = ref_stationary(P), P.dense()
+    M, d = np.eye(P.n), [math.inf]
+    for _ in range(t_max):
+        M = M @ dense
+        d.append(0.5 * float(np.max(np.abs(M - pi).sum(axis=1))))
+    return d
+
+
+def counting_row_steps(monkeypatch):
+    """Count the sparse unit steps that mixing_time takes from now on."""
+    calls = []
+    row_steps = analysis._sparse_times
+    monkeypatch.setattr(analysis, "_sparse_times", lambda *args: calls.append(1) or row_steps(*args))
+    return calls
 
 
 class TestErgodicity:
@@ -214,12 +246,14 @@ class TestMixingTime:
         (1, 1, (0.0, 0.3), (0.8, 1.0)),
         (2, 8, (0.0, 0.6), (0.0, 0.0)),
         (17, 10_000, (0.9, 0.98), (0.0, 0.0)),
+        (9, 16, (0.7, 0.9), (0.0, 0.0)),
     ])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_stepwise_oracle(self, low, high, ring, common, data):
         # Each case draws chains whose stepwise mixing time lies in
-        # [low, high]: one step, within the first giant step, and past two.
+        # [low, high]: one step, within the first giant step, past two, and
+        # within the second.
         # A ring of weight r mixes slowly, a common row shared with weight c
         # mixes in one step, and random rows mix in a few.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
@@ -233,6 +267,79 @@ class TestMixingTime:
         expected = ref_mixing_time(P, delta)
         assume(low <= expected <= high)
         assert mixing_time(P, delta) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(144, 200), ring=st.floats(0.05, 0.9),
+           delta=st.floats(0.005, 0.3))
+    def test_row_steps_match_stepwise_oracle(self, seed, n, ring, delta):
+        # At most three entries per row and n >= 144 states: the unit steps
+        # go through P's rows.
+        P = ring_chain(np.random.default_rng(seed), n, ring)
+        assume(is_ergodic(P).ergodic)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_row_steps(mp)
+            assert mixing_time(P, delta) == ref_mixing_time(P, delta)
+        assert calls
+
+    @pytest.mark.parametrize("n, rows_taken", [(150, True), (100, False)])
+    def test_bisection_finds_every_crossing_in_a_bracket(self, n, rows_taken, monkeypatch):
+        # A threshold between d(t - 1) and d(t) puts the crossing at t.  For
+        # t = 9..16, every offset of the bracket (8, 16], the bisection keeps
+        # its lower half (t <= 12) or its upper half, and at most four unit
+        # steps follow.  Three entries per row take the row steps at n = 150
+        # and dense products at n = 100.
+        P = ring_chain(np.random.default_rng(5), n, 0.8)
+        d = stepwise_tv(P, 16)
+        calls = counting_row_steps(monkeypatch)
+        row_steps = []
+        for t in range(9, 17):
+            assert d[t - 1] > 1.001 * d[t]
+            delta = math.sqrt(d[t - 1] * d[t])
+            assert ref_mixing_time(P, delta) == t
+            calls.clear()
+            assert mixing_time(P, delta) == t
+            row_steps.append(len(calls))
+        assert max(row_steps) <= 4
+        assert (max(row_steps) > 0) == rows_taken
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_memory_stays_within_four_dense_arrays(self, dense):
+        # Four n x n arrays live at once (P^8, P^4 or P, and two powers),
+        # plus one block of rows for total variation and the row steps, and
+        # a quarter of an array for vectors and ufunc buffers.
+        n = 300
+        rng = np.random.default_rng(9)
+        if dense:
+            P = SparseStochasticMatrix.from_dense(
+                0.9 * np.roll(np.eye(n), 1, axis=1) + 0.1 * rng.dirichlet(np.ones(n), size=n))
+        else:
+            P = ring_chain(rng, n, 0.9)
+        t = mixing_time(P, 0.01)  # the first call loads what numpy imports lazily
+        tracemalloc.start()
+        try:
+            assert mixing_time(P, 0.01) == t
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array = n * n * 8
+        block = max(analysis._TV_BLOCK // n, 3) * n * 8
+        assert peak <= 4 * array + block + array // 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**31), rows=st.integers(1, 12), block=st.integers(1, 5),
+           stop=st.floats(0.0, 1.0))
+    def test_worst_tv_stops_only_above_the_threshold(self, seed, rows, block, stop):
+        rng = np.random.default_rng(seed)
+        M = rng.dirichlet(np.ones(4), size=rows)
+        pi = rng.dirichlet(np.ones(4))
+        buf = np.empty((block, 4))
+        full = analysis._worst_tv(M, pi, buf)
+        assert full == 0.5 * float(np.abs(M - pi).sum(axis=1).max())
+        got = analysis._worst_tv(M, pi, buf, stop)
+        if full > stop:
+            assert stop < got <= full
+        else:
+            assert got == full
 
     def test_empty_row_is_named(self):
         P = SparseStochasticMatrix.from_rows(3, [[(1, 1.0)], [(0, 0.5), (1, 0.5)], []])

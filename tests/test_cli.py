@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lamp
-from lamp.cli import main
+from lamp.cli import build_parser, main
 from lamp.core import (
     HistoryDistribution,
     LampModel,
@@ -55,6 +55,52 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0
     assert "usage" in out
+
+
+HELP_AND_USAGE_ERRORS = [
+    [],
+    ["--help"],
+    ["bogus"],
+    *([command, "--help"] for command in
+      ("preprocess", "train", "evaluate", "generate", "analyze", "baseline")),
+    *(["analyze", sub, "--help"] for sub in ("stationary", "mixing", "exponent", "bound")),
+    ["preprocess", "c.txt"],
+    ["train", "c.json", "--output", "m.json"],
+    ["train", "c.json", "--output", "m.json", "--k", "two"],
+    ["evaluate", "m.json", "c.json", "--output", "e.json", "--extra"],
+    ["generate", "m.json", "--output", "g.json", "--length"],
+    ["analyze"],
+    ["analyze", "bound", "m.json"],
+    ["analyze", "spectrum", "m.json"],
+    ["baseline", "c.json", "--output", "b.json", "--order", "3", "--smoothing", "witten_bell"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE_ERRORS, ids=" ".join)
+def test_help_and_usage_errors_match_a_fresh_parser(capsys, argv):
+    # main builds its parser once per process; help and usage errors keep
+    # the bytes and exit codes of a parser built for the call.
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(argv)
+    fresh = capsys.readouterr()
+    want = (int(info.value.code) if info.value.code else 0, fresh.out, fresh.err)
+    assert want[0] in (0, 1) and fresh.out + fresh.err
+    for _ in range(2):
+        assert run(capsys, argv) == want
+
+
+def test_main_calls_share_no_parsed_values(capsys, tmp_path):
+    model_path, _ = save_worked_model(tmp_path)
+    exponent, first, second = (str(tmp_path / name) for name in ("exp.json", "a.json", "b.json"))
+    argv = ["analyze", "exponent", "--w", "0.5,0.5", "--steps", "20", "--seed", "5", "--output", exponent]
+    assert run(capsys, argv)[0] == 0
+    argv = ["generate", model_path, "--start", "s1", "--length", "3", "--seed", "7", "--output", first]
+    assert run(capsys, argv)[0] == 0
+    assert run(capsys, ["generate", model_path, "--output", second])[0] == 0
+    doc = json.loads(open(second).read())
+    assert (doc["start"], doc["length"], doc["seed"]) == ("s0", 10, 0)
+    config = json.loads(open(second + ".manifest.json").read())["config"]
+    assert config == {"model": model_path, "output": second, "start": None, "length": 10, "seed": 0}
 
 
 def save_two_matrix_model(tmp_path):
@@ -315,9 +361,10 @@ def test_train_weight_only_never_touches_matrix(capsys, tmp_path):
     assert {r["block"] for r in records} == {"init", "w"}
 
 
-#: A corpus whose training snaps entries to zero (they leave the trained
-#: support) and ends with a zero lag weight and the empty rows of d and e,
-#: which only end sequences.
+#: A corpus whose training drives three entries of P below 1e-22, which
+#: the snap after the last P half keeps (dropping them would lower the
+#: log-likelihood by rounding), and ends with a zero lag weight and the empty
+#: rows of d and e, which only end sequences.
 GOLDEN_CORPUS = (
     "a b c a b c a b d\n"
     "b c a b c a b c e\n"
@@ -335,13 +382,13 @@ def test_train_writes_frozen_bytes(capsys, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["w"][-1] == 0.0
     assert all(prob > 0.0 for _, _, prob in doc["matrix"])
-    assert (0, 3) not in {(r, c) for r, c, _ in doc["matrix"]}  # snapped to zero, then dropped
+    assert (0, 3) in {(r, c) for r, c, _ in doc["matrix"]}  # near zero, kept by the snap's guard
     assert {t[0] for t in doc["matrix"]} == {0, 1, 2}
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("model.json", "model.report.jsonl")}
     assert digests == {
-        "model.json": "7d1a52b669c684662913ff04378fa68dd79e17a7e254c92b6d5a6aca80eb617f",
-        "model.report.jsonl": "b6ab408c09d9ddf7f65377a16fa37f0291294154bc60f3fefceef2c742fdf27b",
+        "model.json": "d7ab4e87f6d28c2ddbe431587d56014a09cbee9617000876f93e1c5bc592a025",
+        "model.report.jsonl": "1e7f3396df0904861ed298e2f5f2fdc19dd956b694c2c00ba33ccb25f6418887",
     }
 
 

@@ -31,6 +31,7 @@ from conftest import (
     random_stochastic_matrix,
     ref_floored_log_likelihood,
     ref_floored_probabilities,
+    ref_generate,
     ref_log_likelihood,
     ref_transition_distribution,
     sparse_models,
@@ -543,6 +544,39 @@ def test_generate_draws_by_each_rows_cumulative_sums():
         cum[-1] = 1.0
         want.append(int(cols[np.searchsorted(cum, u_row, side="right")]))
     assert core.generate(model, 2, 300, seed=9).tolist() == want
+
+
+def test_generate_matches_the_stepwise_reference_bitwise():
+    # Models with one matrix and several, zero lag weights, stored zeros and
+    # empty rows; lengths 1, 2 and past k, so early lags clamp to the start;
+    # lags drawn in blocks of 1, 3 and the shipped size.
+    seen = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=sparse_models(max_matrices=3), data=st.data())
+    def check(model, data):
+        start = data.draw(st.integers(0, model.n - 1))
+        length = data.draw(st.sampled_from([1, 2]) | st.integers(model.k + 1, 40))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        block = data.draw(st.sampled_from([1, 3, core._GENERATE_BLOCK]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_GENERATE_BLOCK", block)
+            try:
+                want = ref_generate(model, start, length, seed)
+            except EmptyRowError as exc:
+                with pytest.raises(EmptyRowError) as info:
+                    core.generate(model, start, length, seed)
+                assert str(info.value) == str(exc)
+                seen["empty row"] += 1
+            else:
+                got = core.generate(model, start, length, seed)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        seen["several matrices"] += model.n_matrices > 1
+        seen["past k"] += length > model.k
+        seen["several blocks"] += length - 1 > block
+
+    check()
+    assert min(seen[key] for key in ("empty row", "several matrices", "past k", "several blocks")) > 0
 
 
 def test_generate_empty_row_error():

@@ -688,6 +688,50 @@ def penalized(report, model, cfg):
     return ll + cfg.prior_count * (float(np.log(model.w.weights).sum()) + float(np.log(model.P.probs).sum()))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 6), k=st.integers(2, 3))
+def test_long_training_leaves_every_snapped_entry_at_a_kkt_point(seed, n, k):
+    # Embed the P trained for 20.5 rounds in the initializer's support, w
+    # fixed.  On the simplex, an entry the snap set to zero is optimal only
+    # if its gradient g is at most its row's multiplier lambda = sum(q * g);
+    # allow 1% for halves that stop at kkt_tol.  A snap after every P half
+    # breaks this: later halves cannot undo its zeros once w has moved on.
+    rng = np.random.default_rng(seed)
+    dense = random_stochastic_matrix(rng, n)
+    dense[rng.random((n, n)) < 0.5] = 0.0
+    dense[np.arange(n), (np.arange(n) + 1) % n] += 0.2
+    source = make_model(rng.dirichlet(np.full(k, 4.0)), dense / dense.sum(axis=1, keepdims=True))
+    seqs = [generate(source, int(rng.integers(n)), int(rng.integers(20, 60)), seed=i).tolist()
+            for i in range(int(rng.integers(2, 6)))]
+    corpus = make_corpus(source, seqs)
+    cfg = TrainConfig(k=k, rounds=20.5)
+    snapped = set()  # (row, column) pairs that a snap set to zero
+    p_half, snap = learn._p_half, learn._EMHalf.snap
+
+    def recording_p_half(stats, P, *args, **kwargs):
+        def recording_snap(em, q, tol):
+            out = snap(em, q, tol)
+            zeroed = (q > 0.0) & (out == 0.0)
+            snapped.update(zip(P._entry_rows[zeroed].tolist(), P.cols[zeroed].tolist()))
+            return out
+
+        mp.setattr(learn._EMHalf, "snap", recording_snap)
+        return p_half(stats, P, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learn, "_p_half", recording_p_half)
+        model, _ = alternate_minimize(corpus, cfg)
+    init = empirical_transition_matrix(corpus, k, cfg.support_epsilon)
+    q = model.P.lookup_pairs(init._entry_rows, init.cols)
+    embedded = SparseStochasticMatrix.from_csr(n, init.indptr, init.cols, q)
+    g = np.concatenate(grad_P(LampModel(model.w, embedded, model.vocab), corpus))
+    lam = np.bincount(init._entry_rows, weights=q * g, minlength=n)[init._entry_rows]
+    pairs = zip(init._entry_rows.tolist(), init.cols.tolist())
+    checked = np.array([pair in snapped for pair in pairs], dtype=bool)
+    assert np.all(q[checked] == 0.0)
+    assert np.all(g[checked] <= 1.01 * lam[checked])
+
+
 class TestReferenceTrainer:
     @pytest.mark.parametrize("seed", range(3))
     def test_larger_corpus_reaches_reference_likelihood(self, seed):
