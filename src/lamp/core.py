@@ -9,8 +9,9 @@ reaching past the start of the history clamp to x_0:
 
 With w = (1, 0, ..., 0) this is an ordinary first-order Markov chain.  The
 generalized model keeps a bank of matrices and lets lag i read the matrix
-lag_map[i]; the transition rule, the generator and the JSON format here
-serve both, while scoring and training need a single matrix.
+lag_map[i]; the transition rule, scoring, the generator and the JSON format
+here serve both, each reading lag i's rows through one stacked matrix (see
+``LampModel._bank``), while training needs a single matrix.
 """
 
 from __future__ import annotations
@@ -531,8 +532,8 @@ class LampModel:
 
     @property
     def P(self) -> SparseStochasticMatrix:
-        """The one matrix of a single-matrix model; scoring, training and
-        the chain analyses need one."""
+        """The one matrix of a single-matrix model; training and the chain
+        analyses need one."""
         if self.n_matrices != 1:
             raise DataError(f"model has {self.n_matrices} matrices; this operation needs one")
         return self.matrices[0]
@@ -542,6 +543,28 @@ class LampModel:
         if not 1 <= i <= self.k:
             raise DataError(f"lag {i} outside 1..{self.k}")
         return self.matrices[self.lag_map[i - 1] - 1]
+
+    @cached_property
+    def _bank(self) -> SparseStochasticMatrix:
+        """Every matrix stacked into one square matrix over n_matrices·n
+        states, whose columns all lie below n: row x of matrix j is row
+        (j-1)·n + x.  Every kernel reads lag i's matrix here, at row
+        ``x + _lag_rows[i-1]``.  A single-matrix model's bank is its matrix."""
+        if self.n_matrices == 1:
+            return self.matrices[0]
+        ends = np.cumsum([0] + [m.support_size for m in self.matrices])
+        return SparseStochasticMatrix(
+            self.n_matrices * self.n,
+            np.concatenate([m.indptr[:-1] + end for m, end in zip(self.matrices, ends)] + [ends[-1:]]),
+            np.concatenate([m.cols for m in self.matrices]),
+            np.concatenate([m.probs for m in self.matrices]),
+        )
+
+    @cached_property
+    def _lag_rows(self) -> np.ndarray:
+        """The bank row offset of each lag: lag i reads row x of its matrix
+        at bank row ``x + _lag_rows[i-1]``."""
+        return _as_readonly((np.array(self.lag_map, dtype=np.int64) - 1) * self.n)
 
 
 @dataclass(frozen=True)
@@ -632,10 +655,11 @@ class ScoredPositions:
         self.src = flat[np.maximum(at[:, None] - np.arange(1, k + 1), first[:, None])]
         self.T = int(self.tgt.size)
 
-    def lag_probabilities(self, P: SparseStochasticMatrix) -> np.ndarray:
-        """The (T, k) matrix A with ``A[t, i-1] = P(src[t, i-1], tgt[t])``, so
-        that ``A @ w`` is every position's mixture probability."""
-        return P.lookup_pairs(self.src, self.tgt[:, None])
+    def lag_probabilities(self, model: LampModel) -> np.ndarray:
+        """The (T, k) matrix A with ``A[t, i-1] = M_i(src[t, i-1], tgt[t])``,
+        where M_i is the matrix lag i reads, so that ``A @ w`` is every
+        position's mixture probability."""
+        return model._bank.lookup_pairs(self.src + model._lag_rows, self.tgt[:, None])
 
 
 @dataclass(frozen=True)
@@ -700,12 +724,12 @@ def transition_distribution(model: LampModel, history: Sequence[int]) -> np.ndar
         raise DataError("history contains a state id outside the vocabulary")
     out = np.zeros(n)
     L = len(hist)
-    w = model.w.weights
+    w, bank, lag_rows = model.w.weights, model._bank, model._lag_rows
     for i in range(1, model.k + 1):
         if w[i - 1] == 0.0:
             continue
         src = int(hist[L - i]) if i <= L else int(hist[0])
-        cols, probs = model.matrix_for_lag(i).row(src)
+        cols, probs = bank.row(src + int(lag_rows[i - 1]))
         if cols.size == 0:
             raise EmptyRowError(f"state {src} has no outgoing transitions")
         out[cols] += w[i - 1] * probs
@@ -733,9 +757,10 @@ def _floored_probabilities(
     Every one of the n states is raised to at least ``floor`` and the
     distribution is renormalized, so a position scores
     ``max(acc[tgt], floor) / (sum(max(acc, floor)) + (n - |acc|) * floor)``
-    where ``acc`` sums ``w_i * P(src_i, .)`` over the stored entries of the k
-    source rows.  Those entries are gathered as slices of the flat storage and
-    summed per (position, column) cell, one chunk of positions at a time.
+    where ``acc`` sums ``w_i * M_i(src_i, .)`` over the stored entries of the
+    k source rows, each read from the bank row of its lag's matrix.  Those
+    entries are gathered as slices of the bank's flat storage and summed per
+    (position, column) cell, one chunk of positions at a time.
 
     A chunk of m positions whose E gathered entries span at most
     ``_CELLS_PER_ENTRY`` times E cells is counted: one ``bincount`` over all
@@ -746,9 +771,10 @@ def _floored_probabilities(
     as the mixture does, and the norm adds the stored cells in column order;
     the two branches give the same bits.
     """
-    P, n = model.P, model.n
-    indptr, cols, probs, w = P.indptr, P.cols, P.probs, model.w.weights
-    sizes = np.diff(indptr)[positions.src]  # stored entries per (position, lag)
+    bank, n = model._bank, model.n
+    indptr, cols, probs, w = bank.indptr, bank.cols, bank.probs, model.w.weights
+    rows = positions.src + model._lag_rows  # bank row of every (position, lag)
+    sizes = np.diff(indptr)[rows]  # stored entries per (position, lag)
     per_position = sizes.sum(axis=1)
     ends = np.cumsum(per_position)
     out = np.empty(positions.T)
@@ -757,7 +783,7 @@ def _floored_probabilities(
         base = ends[start - 1] if start else 0
         stop = max(int(np.searchsorted(ends, base + _FLOOR_CHUNK, side="right")), start + 1)
         m = stop - start
-        entry = _row_entries(indptr, positions.src[start:stop].ravel())
+        entry = _row_entries(indptr, rows[start:stop].ravel())
         # Entries come in (position, lag) order: repeat each position's
         # first cell and each lag's weight over its entries.
         first = np.arange(0, m * n, n)
@@ -793,12 +819,12 @@ def log_likelihood(
     ``floor=EVALUATION_FLOOR`` enables floor smoothing so that no scored
     transition has probability zero.  Without it, an empty row contributes
     zero mass, and a position whose mixture probability is zero counts as
-    impossible.  A model with several matrices raises :class:`DataError`.
+    impossible.  Each lag reads the matrix the model maps to it.
     """
     _check_vocab(model.vocab, corpus.vocab)
     positions = ScoredPositions(corpus, model.k)
     if floor is None:
-        p = positions.lag_probabilities(model.P) @ model.w.weights
+        p = positions.lag_probabilities(model) @ model.w.weights
     else:
         p = _floored_probabilities(model, positions, floor)
     return LogLikelihood.of_positions(positions, p)
@@ -834,7 +860,7 @@ def generate(model: LampModel, start: int, length: int, seed: int) -> np.ndarray
         raise DataError(f"start state {start} out of range")
     if length < 1:
         raise DataError("length must be at least 1")
-    samplers = [model.matrix_for_lag(i)._samplers for i in range(1, model.k + 1)]
+    cols, cum, indptr = model._bank._samplers
     rng = np.random.default_rng(seed)
     seq = [start]
     # One row of uniforms per step, so a longer run with the same seed
@@ -844,10 +870,10 @@ def generate(model: LampModel, start: int, length: int, seed: int) -> np.ndarray
         block = u[first:first + _GENERATE_BLOCK]
         lags = np.searchsorted(model.w._cum, block[:, 0], side="right") + 1
         source = np.maximum(np.arange(first + 1, first + 1 + len(block)) - lags, 0)  # clamped to 0
-        for at, lag, x in zip(source.tolist(), lags.tolist(), block[:, 1].tolist()):
+        for at, offset, x in zip(source.tolist(), model._lag_rows[lags - 1].tolist(), block[:, 1].tolist()):
             src = seq[at]
-            cols, cum, indptr = samplers[lag - 1]
-            lo, hi = indptr[src], indptr[src + 1]
+            row = src + offset
+            lo, hi = indptr[row], indptr[row + 1]
             if lo == hi:
                 raise EmptyRowError(f"state {src} has no outgoing transitions")
             seq.append(cols[bisect.bisect_right(cum, x, lo, hi)])

@@ -4,11 +4,17 @@ average of the mapped matrices, whose stationary vector is the process's
 limiting state distribution; and an exact lift of the process to a
 first-order chain over k-tuples of states.
 
+Both read lag i's rows where scoring and generation do: in the model's
+stack of every matrix (``LampModel._bank``), at the lag's row offset.  The
+mixture sums the entries of every positive-weight lag in one pass, cell by
+cell in lag order, without an n x n array.
+
 The lift walks base-n tuple codes breadth first, a chunk of states at a
-time, and still numbers the states exactly as a one-state-at-a-time FIFO
-walk would: in order of discovery, where a state's successors are met lag
-by lag (lag 1 first) and by ascending column within a lag.  Each entry of
-Q sums its per-lag terms in lag order, so Q is the same to the last bit.
+time, gathering the rows of every (state, lag) of a chunk at once, and
+still numbers the states exactly as a one-state-at-a-time FIFO walk would:
+in order of discovery, where a state's successors are met lag by lag (lag
+1 first) and by ascending column within a lag.  Each entry of Q sums its
+per-lag terms in lag order, so Q is the same to the last bit.
 """
 
 from __future__ import annotations
@@ -57,12 +63,24 @@ def mixture_matrix(model: LampModel) -> SparseStochasticMatrix:
     """Lag-weighted average of the mapped matrices.
 
     The process's limiting state distribution is the stationary vector of
-    this matrix whenever it (and the lifted chain) is ergodic.
+    this matrix whenever it (and the lifted chain) is ergodic.  Each entry
+    sums its per-lag terms in lag order, and entries that sum to zero are
+    dropped.  A row empty at every positive-weight lag stays empty; a row
+    empty at only some of them raises :class:`EmptyRowError`.
     """
-    dense = np.zeros((model.n, model.n))
-    for i in range(1, model.k + 1):
-        dense += model.w.weights[i - 1] * model.matrix_for_lag(i).dense()
-    return SparseStochasticMatrix.from_dense(dense)
+    n, bank, w = model.n, model._bank, model.w.weights
+    lags = np.flatnonzero(w > 0.0)
+    rows = model._lag_rows[lags, None] + np.arange(n)  # bank rows, lag-major
+    sizes = np.diff(bank.indptr)[rows]
+    partly = np.flatnonzero((sizes == 0).any(axis=0) & (sizes > 0).any(axis=0))
+    if partly.size:
+        raise EmptyRowError(f"state {partly[0]} has no outgoing transitions")
+    entry = _row_entries(bank.indptr, rows.ravel())
+    terms = np.repeat(w[lags], sizes.sum(axis=1)) * bank.probs[entry]
+    cells, group = np.unique(np.repeat(rows.ravel() % n, sizes.ravel()) * n + bank.cols[entry], return_inverse=True)
+    acc = np.bincount(group, weights=terms, minlength=cells.size)  # each cell's terms in lag order
+    keep = acc != 0.0
+    return SparseStochasticMatrix._from_entries(n, *np.divmod(cells[keep], n), acc[keep])
 
 
 @dataclass(frozen=True)
@@ -115,8 +133,9 @@ def lift_to_kth_order(
         for x in starts:
             if not 0 <= x < n:
                 raise DataError(f"start state {x} out of range")
-    w = model.w.weights
-    lags = [i for i in range(1, k + 1) if w[i - 1] != 0.0]
+    w, bank = model.w.weights, model._bank
+    row_sizes = np.diff(bank.indptr)
+    lags = np.flatnonzero(w > 0.0)  # 0-based
     place = n ** np.arange(k, dtype=np.int64)  # lag i reads the digit of place n^(i-1)
     top = n ** (k - 1)
     codes = np.empty(n**k, dtype=np.int64)  # codes[s]: base-n code of states[s]
@@ -129,25 +148,18 @@ def lift_to_kth_order(
     done = 0
     while done < m:  # states in id order, a chunk at a time; new ids follow m
         chunk = codes[done:min(m, done + _LIFT_CHUNK)]
-        # Every positive (state, lag, column) term, lag-major for now.
-        state, col, term, empty = [], [], [], []
-        for i in lags:
-            mat = model.matrix_for_lag(i)
-            x = chunk // place[i - 1] % n
-            sizes = mat.indptr[x + 1] - mat.indptr[x]
-            empty.append(sizes == 0)
-            owner, entry = np.repeat(np.arange(x.size), sizes), _row_entries(mat.indptr, x)
-            keep = mat.probs[entry] > 0.0
-            state.append(owner[keep])
-            col.append(mat.cols[entry[keep]])
-            term.append(w[i - 1] * mat.probs[entry[keep]])
-        empty = np.stack(empty, axis=1)  # (state, lag), in the order a FIFO walk reads rows
-        if empty.any():
-            s, j = divmod(int(np.argmax(empty)), len(lags))
-            x = chunk[s] // place[lags[j] - 1] % n
-            raise EmptyRowError(f"state {x} has no outgoing transitions")
-        order = np.argsort(np.concatenate(state), kind="stable")
-        state, col, term = (np.concatenate(a)[order] for a in (state, col, term))
+        # The bank row of every (state, lag), in the order a FIFO walk reads rows.
+        x = chunk[:, None] // place[lags] % n
+        rows = x + model._lag_rows[lags]
+        sizes = row_sizes[rows]
+        if (sizes == 0).any():
+            raise EmptyRowError(f"state {x.flat[np.argmax(sizes == 0)]} has no outgoing transitions")
+        # Every positive (state, lag, column) term, in that order.
+        entry = _row_entries(bank.indptr, rows.ravel())
+        keep = bank.probs[entry] > 0.0
+        state = np.repeat(np.arange(chunk.size), sizes.sum(axis=1))[keep]
+        col = bank.cols[entry[keep]]
+        term = (np.repeat(np.tile(w[lags], chunk.size), sizes.ravel()) * bank.probs[entry])[keep]
         # Unseen next tuples get ids in order of first appearance, as a FIFO walk gives them.
         nxt = chunk[state] % top * n + col
         unseen = nxt[id_of[nxt] < 0]

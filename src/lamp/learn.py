@@ -227,7 +227,7 @@ def _mixture(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-lag terms A and mixture probabilities A @ w of every scored
     position; a zero mixture probability is a numeric error."""
-    A = stats.lag_probabilities(P)
+    A = P.lookup_pairs(stats.src, stats.tgt[:, None])
     return A, _denominators(stats, A, w)
 
 
@@ -642,7 +642,7 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     entry = matrix.pair_indices(stats.src, stats.tgt[:, None])  # the support only shrinks
 
     def lag_terms() -> np.ndarray:
-        """What ``stats.lag_probabilities(matrix)`` returns."""
+        """What ``matrix.lookup_pairs(stats.src, stats.tgt[:, None])`` returns."""
         return np.append(matrix.probs, 0.0)[entry]
 
     denom = _denominators(stats, lag_terms(), w)

@@ -7,8 +7,10 @@ term, and share no code with the package, so they can serve as oracles for
 the optimized implementations.  The chain-analysis references (the
 ``ref_*`` functions after the instance builders) read matrices only through
 their row and dense accessors, and walk states one at a time in Python, in
-the order that fixes the package's state ids and sums; ``ref_generate``
-is the sampler as a per-step loop over each row's own cumulative sums.  The n-gram
+the order that fixes the package's state ids and sums; ``ref_mixture_matrix``
+is the mixture matrix as a dense sum of the mapped matrices in lag order;
+``ref_generate`` is the sampler as a per-step loop over each row's own
+cumulative sums.  The n-gram
 references count and score one position at a time through dict-of-dict
 tables, in the expression order that fixes the baselines' bits.  The
 corpus references are the corpus transforms as they were written before
@@ -103,6 +105,33 @@ def ref_floored_log_likelihood(w, P_dense, sequences, floor):
             dist = np.maximum(ref_transition_distribution(w, P_dense, seq[:j]), floor)
             total += math.log(dist[seq[j]] / dist.sum())
     return total
+
+
+def ref_per_lag_log_likelihood(model, sequences, floor=None):
+    """(per-sequence natural-log likelihoods, impossible count) of a model
+    whose lags may read different matrices, one position at a time: lag i
+    reads the dense copy of ``matrix_for_lag(i)`` at its clamped source.
+    With ``floor``, every state of the mixture is raised to at least
+    ``floor`` and the distribution is renormalized."""
+    w = model.w.weights
+    dense = [model.matrix_for_lag(i).dense() for i in range(1, model.k + 1)]
+    per_sequence, impossible = [], 0
+    for seq in sequences:
+        total = 0.0
+        for j in range(1, len(seq)):
+            dist = np.zeros(model.n)
+            for i in range(1, model.k + 1):
+                dist += w[i - 1] * dense[i - 1][seq[j - i] if j - i >= 0 else seq[0]]
+            if floor is not None:
+                dist = np.maximum(dist, floor)
+                dist /= dist.sum()
+            if dist[seq[j]] <= 0.0:
+                impossible += 1
+                total = -math.inf
+            elif total != -math.inf:
+                total += math.log(dist[seq[j]])
+        per_sequence.append(total)
+    return per_sequence, impossible
 
 
 def ref_floored_probabilities(model, positions, floor, chunk):
@@ -509,6 +538,17 @@ def ref_mixing_time(P, delta):
             assert d <= delta, "total variation rose back above delta"
             if d <= delta / 10.0 or t >= 10 * P.n * t_first:
                 return t_first
+
+
+def ref_mixture_matrix(model):
+    """The mixture matrix as a dense sum: each lag's mapped matrix, made
+    dense and scaled by its weight, added in lag order; the nonzero cells
+    are kept.  A row empty at only some positive-weight lags fails the
+    matrix's row-sum check."""
+    dense = np.zeros((model.n, model.n))
+    for i in range(1, model.k + 1):
+        dense += model.w.weights[i - 1] * model.matrix_for_lag(i).dense()
+    return SparseStochasticMatrix.from_dense(dense)
 
 
 def ref_lift(model, starts):

@@ -195,7 +195,7 @@ EXIT_CODES = [
     ("bad-delta", lambda t: ["analyze", "mixing", save_worked_model(t)[0],
                              "--output", str(t / "o.json"), "--delta", "-1"], 2),
     ("evaluate-two-matrix", lambda t: ["evaluate", save_two_matrix_model(t), worked_corpus(t),
-                                       "--output", str(t / "e.json")], 2),
+                                       "--output", str(t / "e.json")], 0),
     ("stationary-two-matrix", lambda t: ["analyze", "stationary", save_two_matrix_model(t),
                                          "--output", str(t / "o.json")], 2),
     ("generate-two-matrix", lambda t: ["generate", save_two_matrix_model(t),
@@ -491,6 +491,23 @@ def test_evaluate_worked_example(capsys, tmp_path):
     assert doc["perplexity"] == pytest.approx(4.385290096535146, abs=1e-4)
     assert doc["log_likelihood"] == pytest.approx(math.log(0.1) + math.log(0.52), rel=1e-12)
     assert doc["scored_transitions"] == 2
+
+
+def test_evaluate_two_matrix_model_worked_example(capsys, tmp_path):
+    # Lag 1 reads the worked matrix and lag 2 the swap, each at weight 0.5.
+    # On s0 s1 s0 s0 the positions score 0.5 * 0.1 + 0.5 * 1 (lag 2 clamped
+    # to s0), 0.5 * 0.2 + 0.5 * 0 and 0.5 * 0.9 + 0.5 * 1.  Every state of
+    # every mixture is above the floor, so flooring changes no term.
+    model_path, corpus_path = save_two_matrix_model(tmp_path), worked_corpus(tmp_path)
+    for flags in ([], ["--floor"]):
+        out = str(tmp_path / "eval.json")
+        code, stdout, err = run(capsys, ["evaluate", model_path, corpus_path, "--output", out, *flags])
+        assert code == 0, err
+        doc = json.loads(open(out).read())
+        assert (doc["scored_transitions"], doc["impossible_transitions"]) == (3, 0)
+        assert doc["log_likelihood"] == pytest.approx(math.log(0.55 * 0.1 * 0.95), rel=1e-12)
+        assert doc["perplexity"] == pytest.approx((0.55 * 0.1 * 0.95) ** (-1 / 3), rel=1e-12)
+        assert f"perplexity={json.dumps(doc['perplexity'])}" in stdout
 
 
 def test_evaluate_floor_toggles_impossible_transitions(capsys, tmp_path):

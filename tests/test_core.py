@@ -33,6 +33,7 @@ from conftest import (
     ref_floored_probabilities,
     ref_generate,
     ref_log_likelihood,
+    ref_per_lag_log_likelihood,
     ref_transition_distribution,
     sparse_models,
     worked_matrix,
@@ -418,6 +419,47 @@ def test_scoring_kernel_matches_dense_oracle(data):
         assert got == -math.inf if imp else close(got, want)
     assert plain.impossible_transitions == impossible
     assert plain.total == sum(plain.per_sequence)
+
+
+def test_per_lag_scoring_matches_the_per_position_oracle():
+    # Lag i reads matrix lag_map[i] through the same kernel as a
+    # single-matrix model: plain and floored scores against a per-position
+    # walk over matrix_for_lag, on models with impossible positions, empty
+    # rows, zero lag weights, lags sharing a matrix and clamped starts.
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=sparse_models(max_matrices=3), data=st.data())
+    def check(model, data):
+        seqs = data.draw(st.lists(
+            st.lists(st.integers(0, model.n - 1), min_size=1, max_size=7), min_size=1, max_size=4,
+        ))
+        corpus = make_corpus(model, seqs)
+
+        def close(got, want):
+            return math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
+
+        plain = core.log_likelihood(model, corpus)
+        want, impossible = ref_per_lag_log_likelihood(model, seqs)
+        assert plain.impossible_transitions == impossible
+        for got, ref in zip(plain.per_sequence, want):
+            assert got == ref == -math.inf or close(got, ref)
+        assert plain.total == sum(plain.per_sequence)
+        floored = core.log_likelihood(model, corpus, floor=core.EVALUATION_FLOOR)
+        want, _ = ref_per_lag_log_likelihood(model, seqs, floor=core.EVALUATION_FLOOR)
+        assert floored.impossible_transitions == 0
+        for got, ref in zip(floored.per_sequence, want):
+            assert close(got, ref)
+        seen["several matrices"] += model.n_matrices > 1
+        seen["impossible"] += impossible > 0
+        seen["empty row"] += any(m.empty_rows() for m in model.matrices)
+        seen["zero weight"] += bool((model.w.weights == 0.0).any())
+        seen["shared matrix"] += 1 < model.n_matrices and len(set(model.lag_map)) < model.k
+        seen["clamped"] += model.k > 1 and any(len(s) > 1 for s in seqs)
+
+    check()
+    assert min(seen[key] for key in (
+        "several matrices", "impossible", "empty row", "zero weight", "shared matrix", "clamped")) > 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -847,7 +889,7 @@ def test_scoring_memory_stays_bounded_on_a_large_sparse_vocabulary():
     queries = positions.T * k
     bound = 64 * queries + 64 * core._FLOOR_CHUNK * 8  # bytes
     for run in (lambda: core.log_likelihood(model, corpus, floor=core.EVALUATION_FLOOR),
-                lambda: positions.lag_probabilities(model.P)):
+                lambda: positions.lag_probabilities(model)):
         run()  # cached views of the matrix are built outside the measurement
         tracemalloc.start()
         try:

@@ -2,6 +2,7 @@
 generation, the mixture matrix, the exact k-tuple lift, and serialization."""
 
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     random_simplex,
     random_stochastic_matrix,
     ref_lift,
+    ref_mixture_matrix,
     sparse_models,
 )
 
@@ -207,6 +209,60 @@ class TestMixtureMatrix:
         rng = np.random.default_rng(6)
         model = make_model(random_simplex(rng, 3), random_stochastic_matrix(rng, 4))
         assert np.allclose(mixture_matrix(model).dense(), model.matrices[0].dense(), atol=1e-12)
+
+
+    def test_row_empty_at_some_positive_lags_raises(self):
+        # Row 1 is empty in A (lag 1) but not in B (lag 2): its mixture
+        # would hold half a distribution.
+        a = SparseStochasticMatrix.from_rows(2, [[(1, 1.0)], []])
+        b = SparseStochasticMatrix.from_rows(2, [[(0, 1.0)], [(0, 1.0)]])
+        model = LampModel.per_lag(
+            HistoryDistribution.from_weights([0.5, 0.5]), (a, b), (1, 2), Vocabulary.from_size(2))
+        with pytest.raises(EmptyRowError, match="^state 1 has no outgoing transitions$"):
+            mixture_matrix(model)
+        # Empty at every positive-weight lag, the row stays empty.
+        first_only = LampModel.per_lag(
+            HistoryDistribution.from_weights([1.0, 0.0]), (a, b), (1, 2), Vocabulary.from_size(2))
+        mix = mixture_matrix(first_only)
+        assert mix.empty_rows() == [1] and mix.dense().tolist() == [[0.0, 1.0], [0.0, 0.0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=sparse_models(max_matrices=3))
+    def test_matches_the_dense_sum_bitwise(self, model):
+        # Stored zeros, zero-weight lags and empty rows included.
+        positive = [i for i in range(1, model.k + 1) if model.w.weights[i - 1] > 0.0]
+        empty = np.array([[model.matrix_for_lag(i).row(x)[0].size == 0 for x in range(model.n)]
+                          for i in positive])
+        partly = np.flatnonzero(empty.any(axis=0) & ~empty.all(axis=0))
+        if partly.size:
+            with pytest.raises(EmptyRowError, match=f"^state {partly[0]} has"):
+                mixture_matrix(model)
+            return
+        got, want = mixture_matrix(model), ref_mixture_matrix(model)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.cols, want.cols)
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+    def test_builds_no_dense_matrix(self):
+        # 2000 states with 3 entries a row in each of two matrices: one
+        # 2000 x 2000 float64 array would take 32 MB.
+        n, rng = 2000, np.random.default_rng(17)
+        matrices = [
+            SparseStochasticMatrix.from_rows(n, [
+                [(int(c), 1 / 3) for c in np.sort(rng.choice(n, size=3, replace=False))]
+                for _ in range(n)])
+            for _ in range(2)
+        ]
+        model = LampModel.per_lag(
+            HistoryDistribution.from_weights([0.5, 0.3, 0.2]), matrices, (1, 2, 1), Vocabulary.from_size(n))
+        tracemalloc.start()
+        try:
+            mix = mixture_matrix(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        assert mix.probs.tobytes() == ref_mixture_matrix(model).probs.tobytes()
 
 
 def assert_same_lift(lifted, states, indptr, cols, probs):

@@ -352,7 +352,7 @@ class TestSimplexBlock:
         # every position: three equal columns of A.
         corpus = make_corpus(Vocabulary.from_size(3), [[0, 1, 2, 1], [1, 0, 0], [2, 2, 1, 0]])
         stats = ScoredPositions(corpus, 6)
-        A = stats.lag_probabilities(empirical_transition_matrix(corpus, 6))
+        A = empirical_transition_matrix(corpus, 6).lookup_pairs(stats.src, stats.tgt[:, None])
         obj = learn._WeightObjective(A, 0.0)
         start = HistoryDistribution.geometric(0.8, 6).weights
         assert np.linalg.matrix_rank(obj.derivatives(start)[1]) < 6

@@ -6,9 +6,10 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lamp.core import Corpus, Vocabulary
+from lamp.core import Corpus, HistoryDistribution, LampModel, SparseStochasticMatrix, Vocabulary
 from lamp.learn import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -51,3 +52,26 @@ def test_training_calls_the_traced_learn_functions(tracing):
         restore()
     assert "learn.empirical_init_s" in {name for name, *_ in tracer.spans}
     assert tracer.counts["learn.blocks"] == 2
+
+
+def test_glamp_calls_through_the_modules_reach_their_layers(tracing):
+    # The benchmark's lift calls lift_to_kth_order and mixture_matrix as
+    # attributes of lamp.glamp; both layers and the state count must fill.
+    modules = {name: importlib.import_module(name) for name, _ in tracing.PLAN}
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer, modules)
+    try:
+        glamp = modules["lamp.glamp"]
+        model = LampModel.per_lag(
+            HistoryDistribution.from_weights([0.5, 0.5]),
+            (SparseStochasticMatrix.from_dense(np.full((2, 2), 0.5)),
+             SparseStochasticMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))),
+            (1, 2),
+            Vocabulary.from_size(2),
+        )
+        lifted = glamp.lift_to_kth_order(model)
+        glamp.mixture_matrix(model)
+    finally:
+        restore()
+    assert {"glamp.lift_s", "glamp.mixture_s"} <= {name for name, *_ in tracer.spans}
+    assert tracer.counts["glamp.lifted_states"] == len(lifted.states) == 4
