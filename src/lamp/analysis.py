@@ -1,19 +1,20 @@
 """Chain structure checks and the model's equilibrium/mixing machinery.
 
 Covers stationary distributions, ergodicity classification, exact mixing
-times by dense powering, simulation of the exponent (renewal) process that
-drives the model's equilibrium behavior, Bernstein-type constants, and the
-resulting mixing-time bound for the history-mixture process.
+times by powering the transition matrix, simulation of the exponent
+(renewal) process that drives the model's equilibrium behavior,
+Bernstein-type constants, and the resulting mixing-time bound for the
+history-mixture process.
 
 Ergodicity is a breadth-first search over the CSR arrays, forwards and over
 the reversed edges, with the period taken as one gcd over all edges.  The
 mixing time brackets the first crossing of delta with giant steps of P^8,
-halves the bracket with one product by P^4, finds the crossing with at most
-four unit steps by P, and certifies it with giant-step probes (see
-:func:`mixing_time`).  A unit step multiplies through P's rows when they
-are short enough, and is a dense product otherwise; at most four n x n
-arrays are live.  The result can depart from a stepwise search over
-P^t = P^(t-1) P only where d(t) ties delta to within rounding, about 1 ulp.
+halves the bracket with one product by P^4, and returns the first crossing
+that at most four unit steps by P find (see :func:`mixing_time`).  A unit
+step multiplies through P's rows when they are short enough, and is a
+dense product otherwise; at most four n x n arrays are live.  The result
+can depart from a stepwise search over P^t = P^(t-1) P only where d(t)
+ties delta to within rounding, about 1 ulp.
 The analyses that need an ergodic matrix name its first empty row, when it
 has one, as the cause.
 """
@@ -51,7 +52,6 @@ __all__ = [
     "lamp_mixing_bound",
     "empirical_state_distribution",
     "export_trace_csv",
-    "analysis_report",
 ]
 
 #: Dense matrix powering is used for exact mixing times; refuse larger n.
@@ -233,13 +233,12 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     and at most four unit steps P^t = P P^(t-1) from its low end find the
     crossing.  A unit step goes through P's rows, padded to the longest,
     when that row holds at most n / ``_CSR_STEP_RATIO`` entries, and is a
-    dense product otherwise.  While the question is only whether d > delta,
-    the total variation scan stops at the first row above delta.  From the
-    crossing, giant steps by G certify that the threshold stays satisfied:
-    every probe must have d <= delta, and certification ends once
-    d <= delta/10 or t reaches the 10 * n * t horizon.  At most four dense
-    n x n buffers are live (G, P^4 or P, and two powers); TV and the sparse
-    steps work through one block of rows.
+    dense product otherwise.  The total variation scan stops at the first
+    row above delta, since the search asks only whether d > delta.  Four
+    dense n x n buffers are live: they hold G, P^4 and two powers while the
+    bracket is walked, and once it is halved every one but P^base is free
+    for the unit steps (P, for dense steps, and the next powers).  TV and
+    the sparse steps work through one block of rows.
 
     The powers are formed in a different order from the stepwise products
     P^t = P^(t-1) P, so d(t) may differ from theirs by rounding: the result
@@ -281,9 +280,9 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     if _worst_tv(mid, pi, buf, delta) > delta:
         base, lo = base + 4, mid
 
-    # Unit steps from P^base to the first crossing; every buffer but G and
-    # P^base is free, one of them holding P for dense steps.
-    free = [m for m in (a, b, quarter) if m is not lo]
+    # Unit steps from P^base to the first crossing; every buffer but P^base
+    # is free, one of them holding P for dense steps.
+    free = [m for m in (a, b, quarter, giant) if m is not lo]
     if sparse:
         cols, probs = _padded_rows(P)
 
@@ -301,19 +300,10 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
             P.dense(out=nxt)
         else:
             times_p(cur, nxt)
-            if cur is not giant:
-                free.append(cur)
+            free.append(cur)
         t, cur = t + 1, nxt
         d = _worst_tv(cur, pi, buf, delta)
-    t_first, spare = t, free.pop()
-    while d > delta / 10.0 and t < 10 * n * t_first:
-        np.matmul(cur, giant, out=spare)
-        cur, spare = spare, cur
-        t += _GIANT_STEP
-        d = _worst_tv(cur, pi, buf)
-        if d > delta:
-            raise NumericError("total variation rose back above delta during certification")
-    return t_first
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -531,20 +521,3 @@ def export_trace_csv(trace: ExponentTrace, path: str) -> None:
         fh.write("t,e_t\n")
         for t in range(1, trace.t_max + 1):
             fh.write(f"{t},{int(trace.exponents[t - 1])}\n")
-
-
-def analysis_report(
-    operation: str,
-    inputs: dict,
-    outputs: dict,
-    tolerances: dict,
-    passed: bool | None,
-) -> dict:
-    """JSON-ready analysis record: {operation, inputs, outputs, tolerances, pass}."""
-    return {
-        "operation": operation,
-        "inputs": inputs,
-        "outputs": outputs,
-        "tolerances": tolerances,
-        "pass": passed,
-    }

@@ -34,7 +34,6 @@ from lamp.analysis import (
     ErgodicityReport,
     ExponentTrace,
     MixingBound,
-    analysis_report,
     bernstein_constant,
     empirical_state_distribution,
     export_trace_csv,
@@ -247,6 +246,7 @@ class TestMixingTime:
         (2, 8, (0.0, 0.6), (0.0, 0.0)),
         (17, 10_000, (0.9, 0.98), (0.0, 0.0)),
         (9, 16, (0.7, 0.9), (0.0, 0.0)),
+        pytest.param(1, 10_000, None, None, id="lazy-cycle"),
     ])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -255,14 +255,20 @@ class TestMixingTime:
         # [low, high]: one step, within the first giant step, past two, and
         # within the second.
         # A ring of weight r mixes slowly, a common row shared with weight c
-        # mixes in one step, and random rows mix in a few.
+        # mixes in one step, and random rows mix in a few.  A lazy cycle
+        # (no ring range) keeps state 0 with probability lazy and moves
+        # every other state to its successor, so d(t) sits on a plateau
+        # before it falls.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-        n = data.draw(st.integers(2, 8))
+        n = data.draw(st.integers(2, 30 if ring is None else 8))
         delta = data.draw(st.floats(0.005, 0.3))
-        r, c = data.draw(st.floats(*ring)), data.draw(st.floats(*common))
-        noise = random_stochastic_matrix(rng, n, min_entry=0.05)
-        dense = r * np.roll(np.eye(n), 1, axis=1) + (1.0 - r) * noise
-        dense = (1.0 - c) * dense + c * rng.dirichlet(np.ones(n))
+        if ring is None:
+            dense = cycle_matrix(n, data.draw(st.sampled_from((0.2, 0.5, 0.8))))
+        else:
+            r, c = data.draw(st.floats(*ring)), data.draw(st.floats(*common))
+            noise = random_stochastic_matrix(rng, n, min_entry=0.05)
+            dense = r * np.roll(np.eye(n), 1, axis=1) + (1.0 - r) * noise
+            dense = (1.0 - c) * dense + c * rng.dirichlet(np.ones(n))
         P = SparseStochasticMatrix.from_dense(dense)
         expected = ref_mixing_time(P, delta)
         assume(low <= expected <= high)
@@ -302,11 +308,27 @@ class TestMixingTime:
         assert max(row_steps) <= 4
         assert (max(row_steps) > 0) == rows_taken
 
+    @pytest.mark.parametrize("n", [100, 150])
+    def test_last_power_read_is_the_crossing(self, n, monkeypatch):
+        # d(t) never rises, so nothing past the first crossing is read: the
+        # last matrix whose total variation is taken is P^t itself.  Three
+        # entries per row take dense unit steps at n = 100 and row steps at
+        # n = 150.
+        P = ring_chain(np.random.default_rng(5), n, 0.8)
+        last = []
+        worst_tv = analysis._worst_tv
+        monkeypatch.setattr(analysis, "_worst_tv", lambda M, *args: last.append(M.copy()) or worst_tv(M, *args))
+        for delta in (0.3, 0.05, 0.01):
+            last.clear()
+            t = mixing_time(P, delta)
+            np.testing.assert_allclose(last[-1], np.linalg.matrix_power(P.dense(), t), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("dense", [False, True])
     def test_memory_stays_within_four_dense_arrays(self, dense):
-        # Four n x n arrays live at once (P^8, P^4 or P, and two powers),
-        # plus one block of rows for total variation and the row steps, and
-        # a quarter of an array for vectors and ufunc buffers.
+        # Four n x n arrays live at once (P^8, P^4 and two powers while the
+        # bracket is walked, then P and the powers of the unit steps), plus
+        # one block of rows for total variation and the row steps, and a
+        # quarter of an array for vectors and ufunc buffers.
         n = 300
         rng = np.random.default_rng(9)
         if dense:
@@ -624,19 +646,3 @@ class TestReporting:
         path = tmp_path / "trace.csv"
         export_trace_csv(trace, str(path))
         assert path.read_text(encoding="utf-8") == "t,e_t\n1,1\n2,2\n3,3\n"
-
-    def test_analysis_report_shape(self):
-        rec = analysis_report(
-            "mixing",
-            inputs={"delta": 0.01},
-            outputs={"mixing_time": 12},
-            tolerances={},
-            passed=True,
-        )
-        assert rec == {
-            "operation": "mixing",
-            "inputs": {"delta": 0.01},
-            "outputs": {"mixing_time": 12},
-            "tolerances": {},
-            "pass": True,
-        }

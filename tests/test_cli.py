@@ -147,6 +147,14 @@ def empty_row_model(tmp_path):
     return path
 
 
+def three_state_chain_model(tmp_path):
+    """A 3-state ergodic chain; rounding keeps its powers more than 1e-30
+    from the stationary law in total variation."""
+    path = str(tmp_path / "chain.json")
+    save_model(make_model([1.0], [[0.3, 0.7, 0.0], [0.0, 0.6, 0.4], [0.55, 0.0, 0.45]]), path)
+    return path
+
+
 def cache_argv(tmp_path, sequences):
     """``train`` on a corpus cache over s0, s1 whose "sequences" field is the
     JSON text ``sequences``."""
@@ -212,6 +220,9 @@ EXIT_CODES = [
                                       "--output", str(t / "o.json"), "--tol", "nan"], 2, "tol"),
     ("mixing-delta-nan", lambda t: ["analyze", "mixing", save_worked_model(t)[0],
                                     "--output", str(t / "o.json"), "--delta", "nan"], 2, "delta"),
+    ("mixing-horizon", lambda t: ["analyze", "mixing", three_state_chain_model(t),
+                                  "--output", str(t / "o.json"), "--delta", "1e-30"], 3,
+     "mixing-time horizon exceeded"),
     ("bound-epsilon-nan", lambda t: ["analyze", "bound", save_worked_model(t)[0],
                                      "--output", str(t / "o.json"), "--epsilon", "nan"], 2,
      "epsilon"),

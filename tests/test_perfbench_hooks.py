@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import cycle_matrix
 from lamp.core import Corpus, HistoryDistribution, LampModel, SparseStochasticMatrix, Vocabulary
 from lamp.learn import TrainConfig
 
@@ -75,3 +76,24 @@ def test_glamp_calls_through_the_modules_reach_their_layers(tracing):
         restore()
     assert {"glamp.lift_s", "glamp.mixture_s"} <= {name for name, *_ in tracer.spans}
     assert tracer.counts["glamp.lifted_states"] == len(lifted.states) == 4
+
+
+def test_analysis_calls_through_the_module_reach_their_layers(tracing):
+    # The benchmark's mixing and bound commands call mixing_time and
+    # lamp_mixing_bound as attributes of lamp.analysis; the bound's own call
+    # of mixing_time and each call's ergodicity check must be traced too.
+    modules = {name: importlib.import_module(name) for name, _ in tracing.PLAN}
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer, modules)
+    try:
+        analysis = modules["lamp.analysis"]
+        P = SparseStochasticMatrix.from_dense(cycle_matrix(6, 0.5))
+        t = analysis.mixing_time(P, 0.01)
+        bound = analysis.lamp_mixing_bound(HistoryDistribution.from_weights([0.5, 0.5]), P, 0.01, 0.1, 10)
+    finally:
+        restore()
+    spans = [name for name, *_ in tracer.spans]
+    assert bound.chain_mixing_time == t > 0
+    assert spans.count("analysis.mixing_time_s") == 2
+    assert tracer.counts["analysis.mixing_steps"] == 2 * t
+    assert spans.count("analysis.is_ergodic_s") == 2
