@@ -4,6 +4,13 @@ The log-likelihood is concave in the lag weights w with P fixed, and, with
 w fixed, jointly concave in P over the product of its row simplices, but not
 concave in both together.  Training therefore alternates two block updates.
 
+Both blocks read one flat table over the empirical initializer's support:
+its flat probabilities q and ``entry``, computed once, whose [t, i-1] is the
+index of the pair (source at lag i, target) of scored position t in that
+support, -1 outside it.  A = q[entry] (0 at -1) holds every position's
+per-lag terms and d = A @ w its mixture probabilities, the same bits the
+scoring kernel computes from the trained model.
+
 A w half-round solves the k-simplex block by projected Newton steps on the
 full k x k Hessian -B^T B, B = A / d row by row (``optimize_simplex_block``).
 Each step solves the Newton system on the active face, cuts its length by
@@ -11,36 +18,34 @@ the ratio test that keeps w nonnegative, and backtracks until the Armijo
 condition holds; a step that would lower the objective by more than its
 rounding error ends the block.
 
-A P half-round runs EM over every row at once.  Once per half (a group's
-weight m depends on w), each scored position's k lags are pooled by clamped
-source row: lags that read one row form a group, whose weight m is their lag
-weights summed in lag order and whose entry is the stored (row, target) pair.
-Position t's mixture probability is the sum of m * q[entry] over its groups,
-in row order.  One update computes the gradient
-g = bincount(entry, m / d[t]) and sets each row to q * g / sum(q * g), or
-to (q * g + c) normalized under ``prior_count`` c, the MAP form of the same
-step.  The update never lowers the objective, and its fixed points with
-positive entries are the block's stationary points.  Rows that no group
-reaches keep their values.  The half stops when the largest entry change of
-one update is at most ``kkt_tol``, or after ``max_newton_iters`` updates;
-that change, q_j * |g_j - lambda_x| / lambda_x without a prior, is the P
-record's KKT residual.  EM drives boundary entries toward zero without
-reaching it, so without a prior the last P half of a run closes with one
-guarded snap: every entry at most ``kkt_tol`` whose gradient is below its
-row's lambda_x = sum(q * g) becomes zero, the touched rows are
-renormalized, and the result is kept only if the log-likelihood does not
-fall.  EM keeps a zero entry at zero, so a snap in an earlier half, against
-a w still far from its optimum, could never be undone; and after each P
-half the support only shrinks: the
-matrix keeps just its positive entries.  Dropping an exact zero only removes
-+0.0 terms from the sums, so every later half computes the same bits.
+A P half-round runs EM over every row at once.  One update computes the
+gradient g = bincount(entry, w_i / d[t]) over the (position, lag) pairs with
+w_i > 0 inside the support, position-major, and sets each row to
+q * g / sum(q * g), or to (q * g + c) normalized under ``prior_count`` c,
+the MAP form of the same step (Berchtold & Raftery 2002).  The update never
+lowers the objective, and its fixed points with positive entries are the
+block's stationary points.  Rows that no pair reaches keep their values.
+The half stops when the largest entry change of one update is at most
+``kkt_tol``, or after ``max_newton_iters`` updates; that change,
+q_j * |g_j - lambda_x| / lambda_x without a prior, is the P record's KKT
+residual.  EM drives boundary entries toward zero without reaching it, so
+without a prior the last P half of a run closes with one guarded snap:
+every entry at most ``kkt_tol`` whose gradient is below its row's
+lambda_x = sum(q * g) becomes zero, the touched rows are renormalized, and
+the result is kept unless it lowers the log-likelihood by more than its
+rounding error.  EM keeps a zero entry at zero, so a snap in an earlier
+half, against a w still far from its optimum, could never be undone.
+
+Exact zeros stay in q while training runs: they add only +0.0 to every sum.
+The returned matrix is built once, from the positive entries of q, so a
+trained model stores no zero.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -54,6 +59,7 @@ from lamp.core import (
     ScoredPositions,
     SparseStochasticMatrix,
     _check_vocab,
+    _integers,
 )
 
 __all__ = [
@@ -103,11 +109,29 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Fields are checked by type, as the model loader checks its
+        # numbers: a boolean is no number, and an integral number such as
+        # 2.0 is read as the integer 2.
+        for field in fields(self):
+            name, value = field.name, getattr(self, field.name)
+            if field.type == "bool":
+                if not isinstance(value, (bool, np.bool_)):
+                    raise DataError(f"{name} {value!r} is not a boolean")
+                value = bool(value)
+            elif field.type == "int":
+                value = int(_integers([value], -math.inf, math.inf, name)[0])
+            else:
+                if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                    raise DataError(f"{name} {value!r} is not a number")
+                try:
+                    value = float(value)
+                except OverflowError:  # an integer past the float range
+                    value = math.inf
+                if not math.isfinite(value):
+                    raise DataError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         if self.k < 1:
             raise DataError("k must be at least 1")
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DataError(f"{name} must be finite")
         halves = self.rounds * 2.0
         if abs(halves - round(halves)) > 1e-9 or round(halves) < 1:
             raise DataError("rounds must be a positive multiple of 0.5")
@@ -210,25 +234,17 @@ class BlockResult:
 # Mixture probabilities of the scored positions
 
 
-def _denominators(stats: ScoredPositions, A: np.ndarray, w: np.ndarray) -> np.ndarray:
-    denom = A @ w
-    bad = np.nonzero(denom <= 0.0)[0]
+def _denominators(stats: ScoredPositions, d: np.ndarray) -> np.ndarray:
+    """d, the mixture probabilities of the scored positions; a zero one is a
+    numeric error."""
+    bad = np.nonzero(d <= 0.0)[0]
     if bad.size:
         t = int(bad[0])
         raise NumericError(
             "zero-probability scored transition at sequence "
             f"{int(stats.seq_id[t])} position {int(stats.pos[t])}"
         )
-    return denom
-
-
-def _mixture(
-    stats: ScoredPositions, P: SparseStochasticMatrix, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-lag terms A and mixture probabilities A @ w of every scored
-    position; a zero mixture probability is a numeric error."""
-    A = P.lookup_pairs(stats.src, stats.tgt[:, None])
-    return A, _denominators(stats, A, w)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +315,8 @@ def grad_w(model: LampModel, corpus: Corpus) -> np.ndarray:
     stats = ScoredPositions(corpus, model.k)
     if stats.T == 0:
         return np.zeros(model.k)
-    A, denom = _mixture(stats, model.P, model.w.weights)
-    return A.T @ (1.0 / denom)
+    A = stats.lag_probabilities(model)
+    return A.T @ (1.0 / _denominators(stats, A @ model.w.weights))
 
 
 def grad_P(model: LampModel, corpus: Corpus) -> list[np.ndarray]:
@@ -314,8 +330,9 @@ def grad_P(model: LampModel, corpus: Corpus) -> list[np.ndarray]:
     stats = ScoredPositions(corpus, model.k)
     flat = np.zeros(model.P.support_size)
     if stats.T:
-        _, denom = _mixture(stats, model.P, model.w.weights)
-        flat = _EMHalf(stats, model.P, model.w.weights, 0.0).gradient(denom)
+        w = model.w.weights
+        d = _denominators(stats, stats.lag_probabilities(model) @ w)
+        flat = _EMHalf(stats, model.P, w, 0.0).gradient(d)
     return np.split(flat, model.P.indptr[1:-1])
 
 
@@ -484,51 +501,40 @@ class _WeightObjective:
 class _EMHalf:
     """The EM update of one P half, over every row at once.
 
-    Works on the flat probabilities q of P's stored entries; the support and
-    w stay as they were at construction.  ``prior`` is the ``prior_count``
-    of the MAP form q * g + prior.  ``entry`` is what
-    ``P.pair_indices(stats.src, stats.tgt[:, None])`` returns, computed when
-    None; training computes it once and remaps it as the support only
-    shrinks (:func:`_positive_support`).
+    Works on flat probabilities q over the stored entries of ``support``,
+    whose own probabilities it never reads; w stays as it was at
+    construction.  ``prior`` is the ``prior_count`` of the MAP form
+    q * g + prior.  ``entry`` is what
+    ``support.pair_indices(stats.src, stats.tgt[:, None])`` returns, computed
+    when None; training computes it once.
 
-    The groups are (t, m, entry) triples, position-major and, within a
-    position, in source-row order; a group of zero weight, or whose target
-    lies outside its row's support, is dropped.  So the mixture sums each
-    position's groups in row order and the gradient each entry's groups in
-    position order.
+    The mixture is A @ w with A = q[entry], as every block computes it.  The
+    gradient adds w_i / d[t] over the (position, lag) pairs with w_i > 0
+    whose pair lies in the support, position-major.
     """
 
     def __init__(
-        self, stats: ScoredPositions, P: SparseStochasticMatrix, w: np.ndarray, prior: float,
+        self, stats: ScoredPositions, support: SparseStochasticMatrix, w: np.ndarray, prior: float,
         entry: np.ndarray | None = None,
     ) -> None:
         if entry is None:
-            entry = P.pair_indices(stats.src, stats.tgt[:, None])
-        T, k = stats.src.shape
-        # Each position's lags stably sorted by source row, as indices into
-        # the position-major pairs: lags that read one row become adjacent.
-        pair = (np.argsort(stats.src, axis=1, kind="stable") + np.arange(0, T * k, k)[:, None]).ravel()
-        rows = stats.src.ravel()[pair]
-        start = np.ones(T * k, dtype=bool)  # a group's first pair
-        start[1:] = rows[1:] != rows[:-1]
-        start[::k] = True  # groups never span two positions
-        m = np.bincount(np.cumsum(start) - 1, weights=w[pair % k])  # adds each group left to right
-        first = np.flatnonzero(start)
-        t, entry = first // k, entry.ravel()[pair[first]]
-        keep = (m > 0.0) & (entry >= 0)
-        self.t, self.m, self.entry = t[keep], m[keep], entry[keep]
-        self.T, self.n, self.size = stats.T, P.n, P.support_size
-        self.row = np.repeat(np.arange(P.n), np.diff(P.indptr))  # each entry's row
-        self.reached = np.bincount(self.row[self.entry], minlength=P.n) > 0  # rows with a group
+            entry = support.pair_indices(stats.src, stats.tgt[:, None])
+        self.entry, self.w = entry, w
+        pair = np.flatnonzero((entry >= 0) & (w > 0.0))  # position-major
+        self.t, lag = np.divmod(pair, stats.k)
+        self.weight, self.pair_entry = w[lag], entry.ravel()[pair]
+        self.n, self.size = support.n, support.support_size
+        self.row = support._entry_rows
+        self.reached = np.bincount(self.row[self.pair_entry], minlength=self.n) > 0  # rows with a pair
         self.prior = prior
 
     def mixture(self, q: np.ndarray) -> np.ndarray:
         """Mixture probability of every scored position."""
-        return np.bincount(self.t, weights=self.m * q[self.entry], minlength=self.T)
+        return np.append(q, 0.0)[self.entry] @ self.w  # index -1 reads the 0
 
     def gradient(self, d: np.ndarray) -> np.ndarray:
         """Log-likelihood gradient in q, given the mixture probabilities d."""
-        return np.bincount(self.entry, weights=self.m / d[self.t], minlength=self.size)
+        return np.bincount(self.pair_entry, weights=self.weight / d[self.t], minlength=self.size)
 
     def _normalized(self, z: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """z divided by its row sums on the given rows whose sum is
@@ -540,16 +546,16 @@ class _EMHalf:
 
     def update(self, q: np.ndarray, d: np.ndarray) -> np.ndarray:
         """One EM update of q, whose mixture probabilities are d.  A row no
-        group reaches keeps its values."""
+        pair reaches keeps its values."""
         z = q * self.gradient(d)
         if self.prior:
             z += self.prior
         return self._normalized(z, q, self.reached)
 
-    def iterate(self, q: np.ndarray, tol: float, cap: int) -> tuple[np.ndarray, float, int]:
+    def iterate(self, q: np.ndarray, tol: float, cap: int) -> tuple[np.ndarray, np.ndarray, float, int]:
         """Updates from q until one changes no entry by more than ``tol``, or
-        ``cap`` of them; returns the last point, the last update's largest
-        entry change and the number of updates."""
+        ``cap`` of them; returns the last point, its mixture probabilities,
+        the last update's largest entry change and the number of updates."""
         d = self.mixture(q)
         for done in range(1, cap + 1):
             new = self.update(q, d)
@@ -557,55 +563,45 @@ class _EMHalf:
             q, d = new, self.mixture(new)
             if change <= tol:
                 break
-        return q, change, done
+        return q, d, change, done
 
-    def snap(self, q: np.ndarray, tol: float) -> np.ndarray:
+    def snap(self, q: np.ndarray, d: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """q with every entry in (0, tol] whose gradient is below its row's
         lambda = sum(q * g) set to zero and the touched rows renormalized,
-        if that does not lower the log-likelihood; q itself otherwise."""
-        d = self.mixture(q)
+        unless that lowers the log-likelihood by more than its rounding
+        error; q itself otherwise.  d is q's mixture probabilities; returns
+        the point and its mixture probabilities."""
         g = self.gradient(d)
         lam = np.bincount(self.row, weights=q * g, minlength=self.n)
         drop = (q > 0.0) & (q <= tol) & (g < lam[self.row])
         if not drop.any():
-            return q
+            return q, d
         touched = np.zeros(self.n, dtype=bool)
         touched[self.row[drop]] = True
         trial = np.where(drop, 0.0, q)
         trial = self._normalized(trial, trial, touched)
+        trial_d = self.mixture(trial)
         with np.errstate(divide="ignore"):
-            kept = np.log(self.mixture(trial)).sum() >= np.log(d).sum()
-        return trial if kept else q
+            ll, trial_ll = float(np.log(d).sum()), float(np.log(trial_d).sum())
+        if trial_ll >= ll - _ROUNDING * abs(ll):
+            return trial, trial_d
+        return q, d
 
 
 def _p_half(
-    stats: ScoredPositions, P: SparseStochasticMatrix, w: np.ndarray, cfg: TrainConfig,
-    entry: np.ndarray | None = None, snap: bool = True,
-) -> tuple[np.ndarray, float, int]:
-    """One P half from P with w fixed: EM updates, then, with ``snap`` and
-    without a prior, the guarded zero snap.  Returns the new flat
-    probabilities, the last update's largest entry change and the number of
-    updates; ``entry`` is as for :class:`_EMHalf`."""
-    em = _EMHalf(stats, P, w, cfg.prior_count, entry)
-    q, residual, updates = em.iterate(P.probs, cfg.kkt_tol, cfg.max_newton_iters)
+    stats: ScoredPositions, support: SparseStochasticMatrix, q: np.ndarray, w: np.ndarray,
+    cfg: TrainConfig, entry: np.ndarray | None = None, snap: bool = True,
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """One P half from the flat probabilities q with w fixed: EM updates,
+    then, with ``snap`` and without a prior, the guarded zero snap.  Returns
+    the new flat probabilities, their mixture probabilities, the last
+    update's largest entry change and the number of updates; ``support``
+    and ``entry`` are as for :class:`_EMHalf`."""
+    em = _EMHalf(stats, support, w, cfg.prior_count, entry)
+    q, d, residual, updates = em.iterate(q, cfg.kkt_tol, cfg.max_newton_iters)
     if snap and not cfg.prior_count:  # with a prior, a zero entry would make the objective -inf
-        q = em.snap(q, cfg.kkt_tol)
-    return q, residual, updates
-
-
-def _positive_support(
-    P: SparseStochasticMatrix, entry: np.ndarray
-) -> tuple[SparseStochasticMatrix, np.ndarray]:
-    """P reduced to its positive entries, and ``entry`` (indices into P's
-    flat storage, -1 where absent) remapped to the reduced storage: a
-    dropped entry maps to -1, which reads the appended 0.0 as the zero did."""
-    keep = P.probs > 0.0
-    if keep.all():
-        return P, entry
-    kept = np.cumsum(keep)
-    index = np.append(np.where(keep, kept - 1, -1), -1)  # slot `size` answers an absent pair's -1
-    indptr = np.append(0, kept)[P.indptr]
-    return SparseStochasticMatrix(P.n, indptr, P.cols[keep], P.probs[keep]), index[entry]
+        q, d = em.snap(q, d, cfg.kkt_tol)
+    return q, d, residual, updates
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +614,9 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     P starts from the empirical transition matrix and w from weights
     proportional to ``init_decay ** lag``.  Half-rounds alternate starting
     with w; with ``weight_only`` the P halves are skipped and the returned
-    matrix is exactly the empirical one.  After each P half the matrix
-    keeps only its positive entries, so the returned one stores no zero.
-    The objective the blocks ascend, the log-likelihood plus
+    matrix is exactly the empirical one.  Every half works on the
+    initializer's support; the returned matrix keeps only its positive
+    entries.  The objective the blocks ascend, the log-likelihood plus
     ``prior_count * (sum(log w) + sum(log P))``, never decreases across
     recorded steps; with ``prior_count`` 0 that is the log-likelihood the
     records report.
@@ -628,24 +624,25 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     if corpus.total_transitions < 1:
         raise DataError("training requires at least one scored transition")
     stats = ScoredPositions(corpus, cfg.k)
-    matrix = empirical_transition_matrix(corpus, cfg.k, cfg.support_epsilon)
+    init = empirical_transition_matrix(corpus, cfg.k, cfg.support_epsilon)
+    q = init.probs
     w = HistoryDistribution.geometric(cfg.init_decay, cfg.k).weights.copy()
+    entry = init.pair_indices(stats.src, stats.tgt[:, None])
 
     def active_size() -> int:
-        return int(np.count_nonzero(w > 0)) + int(np.count_nonzero(matrix.probs > 0))
+        return int(np.count_nonzero(w > 0)) + int(np.count_nonzero(q > 0))
 
     def objective(ll: float) -> float:
         if not cfg.prior_count:
             return ll
-        return ll + cfg.prior_count * (float(np.log(w).sum()) + float(np.log(matrix.probs).sum()))
-
-    entry = matrix.pair_indices(stats.src, stats.tgt[:, None])  # the support only shrinks
+        return ll + cfg.prior_count * (float(np.log(w).sum()) + float(np.log(q).sum()))
 
     def lag_terms() -> np.ndarray:
-        """What ``matrix.lookup_pairs(stats.src, stats.tgt[:, None])`` returns."""
-        return np.append(matrix.probs, 0.0)[entry]
+        """The per-lag terms ``stats.lag_probabilities`` gives the model of
+        q's positive entries."""
+        return np.append(q, 0.0)[entry]
 
-    denom = _denominators(stats, lag_terms(), w)
+    denom = _denominators(stats, lag_terms() @ w)
     T = stats.T
 
     def record(block: str, residual: float | None, seconds: float, iterations: int = 0) -> HalfIterationRecord:
@@ -672,17 +669,17 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
             obj = _WeightObjective(A, cfg.prior_count)
             res = optimize_simplex_block(obj.value, obj.derivatives, w, cfg)
             w = res.point
-            denom = _denominators(stats, A, w)
-            del A, obj  # free before the P half, whose group build is training's memory peak
+            denom = _denominators(stats, A @ w)
+            del A, obj  # free before the P half
             records.append(record("w", res.kkt_residual, time.perf_counter() - t0, res.iterations))
         elif not cfg.weight_only:
-            q, residual, updates = _p_half(stats, matrix, w, cfg, entry, snap=half == last_p_half)
-            matrix = SparseStochasticMatrix.from_csr(matrix.n, matrix.indptr, matrix.cols, q)
-            matrix, entry = _positive_support(matrix, entry)
-            denom = _denominators(stats, lag_terms(), w)
+            q, d, residual, updates = _p_half(stats, init, q, w, cfg, entry, snap=half == last_p_half)
+            denom = _denominators(stats, d)
             records.append(record("P", residual, time.perf_counter() - t0, updates))
 
     if objective(records[-1].log_likelihood) < start - 1e-9:
         raise NumericError("training decreased its objective; numeric failure")
-    model = LampModel(w=HistoryDistribution(w), P=matrix, vocab=corpus.vocab)
+    keep = q > 0.0
+    P = SparseStochasticMatrix(init.n, np.append(0, np.cumsum(keep))[init.indptr], init.cols[keep], q[keep])
+    model = LampModel(w=HistoryDistribution(w), P=P, vocab=corpus.vocab)
     return model, TrainReport(tuple(records), final_model=model)

@@ -20,9 +20,9 @@ reference trainer at the end of this file is the P half-round as one block
 solve per row, with each row's inputs gathered by its own ``np.unique``; the
 package's EM trainer must end no lower than it on pinned corpora, and its
 row solve checks that a converged EM half leaves no row to improve.  Before
-it, ``ref_block_layout`` groups a P half's (position, lag) pairs row by row
-through one global sort, as the trainer once did; the trainer's pooling
-within each position must give EM the same bits.
+it, ``ref_grad_P`` adds each (position, lag) pair's term to its entry in a
+Python loop, positions first and then lags, the order whose bits EM's
+gradient must give.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -51,8 +50,6 @@ from lamp.learn import (
     HalfIterationRecord,
     TrainReport,
     _denominators,
-    _EMHalf,
-    _mixture,
     empirical_transition_matrix,
 )
 
@@ -808,21 +805,21 @@ def ref_row_block_inputs(row_positions, stats, x, cols, q, w, denom):
 
 
 def ref_grad_P(model, corpus):
-    """Per-row gradient of the log-likelihood in P's stored entries, as
-    bincount(colidx, m / mixture probability) over each row's block."""
+    """Per-row gradient of the log-likelihood in P's stored entries: each
+    (position, lag) pair adds w_i / (mixture probability) to its entry,
+    positions first and then lags."""
     stats = ScoredPositions(corpus, model.k)
     w = model.w.weights
-    _, denom = _mixture(stats, model.P, w)
-    positions = ref_row_positions(stats)
-    out = []
-    for x in range(model.n):
-        cols, probs = model.P.row(x)
-        inputs = ref_row_block_inputs(positions, stats, x, cols, probs, w, denom)
-        if inputs is None:
-            out.append(np.zeros(cols.size))
-        else:
-            upos, m, cidx, _ = inputs
-            out.append(np.bincount(cidx, weights=m / denom[upos], minlength=cols.size))
+    denom = _denominators(stats, stats.lag_probabilities(model) @ w)
+    out = [np.zeros(model.P.row(x)[0].size) for x in range(model.n)]
+    for t in range(stats.T):
+        y = int(stats.tgt[t])
+        for i in range(stats.k):
+            x = int(stats.src[t, i])
+            cols = model.P.row(x)[0]
+            j = int(np.searchsorted(cols, y))
+            if j < cols.size and cols[j] == y:
+                out[x][j] += w[i] / denom[t]
     return out
 
 
@@ -834,56 +831,13 @@ def ref_optimize_row(model, corpus, state, cfg):
         return np.ones(1)
     stats = ScoredPositions(corpus, model.k)
     w = model.w.weights
-    _, denom = _mixture(stats, model.P, w)
+    denom = _denominators(stats, stats.lag_probabilities(model) @ w)
     inputs = ref_row_block_inputs(ref_row_positions(stats), stats, state, cols, q, w, denom)
     if inputs is None:
         return q
     _, m, cidx, base = inputs
     value, derivatives = ref_row_objective(base, m, cidx, cols.size, cfg.prior_count)
     return ref_optimize_simplex_block(value, derivatives, q, cfg).point
-
-
-class RefBlockLayout(NamedTuple):
-    offsets: np.ndarray
-    t: np.ndarray
-    m: np.ndarray
-    entry: np.ndarray
-
-
-def ref_block_layout(stats, n, entry, w):
-    """Group the (position, lag) pairs of the scored positions by their
-    clamped source row, then by position.
-
-    ``entry`` holds each pair's index into the flat storage of an n-state
-    P, -1 where P does not store it.  Row x's groups are
-    ``offsets[x]:offsets[x+1]``, positions ascending.  ``t`` is each group's
-    index into the scored positions, ``m`` its total lag weight, summed in
-    lag order, and ``entry`` the index of (x, target).  Groups of zero
-    weight, or whose target lies outside the row's support, are dropped.
-    m depends on w, so a layout serves one P half.
-    """
-    flat = stats.src.ravel()  # position-major, lag minor
-    order = np.argsort(flat.astype(np.min_scalar_type(n)), kind="stable")  # narrow keys sort by radix
-    rows, t = flat[order], order // stats.k
-    start = np.ones(order.size, dtype=bool)
-    start[1:] = (rows[1:] != rows[:-1]) | (t[1:] != t[:-1])
-    m = np.bincount(np.cumsum(start) - 1, weights=w[order % stats.k])  # adds each group left to right
-    rows, t, entry = rows[start], t[start], entry.ravel()[order[start]]
-    keep = (m > 0.0) & (entry >= 0)
-    rows, t, m, entry = rows[keep], t[keep], m[keep], entry[keep]
-    offsets = np.searchsorted(rows, np.arange(n + 1))
-    return RefBlockLayout(offsets, t, m, entry)
-
-
-def ref_layout_em(stats, P, w, prior):
-    """The P half's EM with its groups read from :func:`ref_block_layout`:
-    row-major, positions ascending within a row, and a row reached when it
-    has a group."""
-    em = _EMHalf(stats, P, w, prior)
-    layout = ref_block_layout(stats, P.n, P.pair_indices(stats.src, stats.tgt[:, None]), w)
-    em.t, em.m, em.entry = layout.t, layout.m, layout.entry
-    em.reached = np.diff(layout.offsets) > 0
-    return em
 
 
 def ref_alternate_minimize(corpus, cfg):
@@ -899,7 +853,8 @@ def ref_alternate_minimize(corpus, cfg):
     indptr, cols = P0.indptr, P0.cols
     q = P0.probs.copy()
     matrix = P0
-    A, denom = _mixture(stats, matrix, w)
+    A = matrix.lookup_pairs(stats.src, stats.tgt[:, None])
+    denom = _denominators(stats, A @ w)
 
     def record(block, residual):
         ll = float(np.log(denom).sum())
@@ -914,7 +869,7 @@ def ref_alternate_minimize(corpus, cfg):
             value, derivatives = ref_weight_objective(A, cfg.prior_count)
             res = ref_optimize_simplex_block(value, derivatives, w, cfg)
             w = res.point
-            denom = _denominators(stats, A, w)
+            denom = _denominators(stats, A @ w)
             records.append(record("w", res.kkt_residual))
         elif not cfg.weight_only:
             worst = 0.0
@@ -932,7 +887,8 @@ def ref_alternate_minimize(corpus, cfg):
                 denom[upos] = base + m * res.point[cidx]
                 worst = max(worst, res.kkt_residual)
             matrix = SparseStochasticMatrix.from_csr(n, indptr, cols, q)
-            A, denom = _mixture(stats, matrix, w)
+            A = matrix.lookup_pairs(stats.src, stats.tgt[:, None])
+            denom = _denominators(stats, A @ w)
             records.append(record("P", worst))
     model = LampModel(w=HistoryDistribution(w), P=matrix, vocab=corpus.vocab)
     return model, TrainReport(tuple(records), final_model=model)
