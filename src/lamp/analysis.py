@@ -240,6 +240,12 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     for the unit steps (P, for dense steps, and the next powers).  TV and
     the sparse steps work through one block of rows.
 
+    The search raises :class:`NumericError` after ``_MIXING_HORIZON``
+    powers, or at the first giant step above delta whose rows agree within
+    n·2^-52 in total variation: later powers average those rows, so d moves
+    only by rounding.  A merely flat d goes on; it can be flat while the
+    rows differ.
+
     The powers are formed in a different order from the stepwise products
     P^t = P^(t-1) P, so d(t) may differ from theirs by rounding: the result
     can differ from the stepwise search only where d(t) ties delta to
@@ -269,7 +275,8 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     # ping-pong between a and b.
     base, lo, hi = 0, None, giant
     while _worst_tv(hi, pi, buf, delta) > delta:
-        if base > _MIXING_HORIZON:
+        converged = _worst_tv(hi, hi[0], buf, n * 2.0**-52) <= n * 2.0**-52  # rows agree to rounding
+        if base > _MIXING_HORIZON or converged:
             raise NumericError("mixing-time horizon exceeded")
         base += _GIANT_STEP
         out = lo if lo is a or lo is b else (b if hi is a else a)

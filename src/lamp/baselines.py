@@ -101,29 +101,28 @@ def _events(corpus: Corpus, order: int) -> _Events:
     return _Events(nodes, keys, counts)
 
 
-def _counted_events(counts: dict, n: int, order: int) -> _Events:
-    """The events of a {context: {next: count}} table, which must hold
-    contexts no longer than the order, each with events, state ids of the
-    vocabulary and positive integer counts."""
-    if not counts:
+def _counted_events(triples: list, n: int, order: int) -> _Events:
+    """The events of [context, next, count] triples, which must hold
+    contexts no longer than the order, state ids of the vocabulary, positive
+    integer counts and no (context, next) pair twice."""
+    if not triples:
         raise DataError("model has no training events")
-    contexts, targets = list(counts), list(counts.values())
+    contexts, targets, cs = (list(part) for part in zip(*triples, strict=True))  # ValueError unless triples
     m = np.fromiter(map(len, contexts), np.int64, len(contexts))
-    sizes = np.fromiter(map(len, targets), np.int64, len(targets))
     if m.max() > order:
         raise DataError(f"context {contexts[m.argmax()]} longer than the model order")
-    if sizes.min() == 0:
-        raise DataError(f"context {contexts[sizes.argmin()]} has no events")
-    ids = [*chain.from_iterable(contexts), *chain.from_iterable(targets)]
-    ids = _integers(ids, 0, n, "state id").astype(np.int64)
-    cs = _integers([c for t in targets for c in t.values()], 1, np.inf, "count").astype(np.float64)
+    ids = _integers([*chain.from_iterable(contexts), *targets], 0, n, "state id").astype(np.int64)
+    cs = _integers(cs, 1, np.inf, "count").astype(np.float64)
     owner = np.repeat(np.arange(m.size), m)
     lags = np.zeros((m.size, int(m.max())), dtype=np.int64)
     lags[owner, np.cumsum(m)[owner] - np.arange(owner.size) - 1] = ids[: owner.size]
     nodes, own = _trie(lags, m, n)
-    context_of = np.repeat(np.arange(m.size), sizes)
-    keys, length = own[context_of] * n + ids[owner.size :], m[context_of]
-    by_length = [length == j for j in range(len(nodes))]
+    keys = own * n + ids[owner.size :]
+    _, first = np.unique(keys * (order + 1) + m, return_index=True)  # one per (context, next) pair
+    if first.size < keys.size:
+        i = np.setdiff1d(np.arange(keys.size), first)[0]
+        raise DataError(f"repeated n-gram event {[contexts[i], targets[i]]!r}")
+    by_length = [m == j for j in range(len(nodes))]
     return _Events(nodes, [keys[at] for at in by_length], [cs[at] for at in by_length])
 
 
@@ -167,7 +166,10 @@ class NgramModel:
         if self.smoothing == "kneser_ney" and not 0.0 < self.discount < 1.0:
             raise DataError("discount must lie strictly between 0 and 1")
         if not isinstance(counts, _Events):
-            counts = _counted_events(counts, self.n, order)
+            empty = [ctx for ctx, targets in counts.items() if not targets]
+            if empty:
+                raise DataError(f"context {empty[0]} has no events")
+            counts = _counted_events([(ctx, y, c) for ctx, t in counts.items() for y, c in t.items()], self.n, order)
         if not any(c.size for c in counts.counts):
             raise DataError("model has no training events")
         object.__setattr__(self, "_events", counts)
@@ -323,24 +325,18 @@ def ngram_to_dict(model: NgramModel) -> dict:
 
 
 def ngram_from_dict(doc: dict) -> NgramModel:
-    """Inverse of :func:`ngram_to_dict`; a repeated (context, next) pair is
-    refused, and the model checks every count and state id."""
-    counts: dict[tuple, dict] = {}
+    """Inverse of :func:`ngram_to_dict`; the events are read straight from
+    the triples, which must not repeat a (context, next) pair."""
     try:
         order = int(_integers([doc["order"]], 1, np.inf, "order")[0])
         smoothing, discount = str(doc["smoothing"]), doc["discount"]
         if isinstance(discount, bool) or not isinstance(discount, (int, float)):
             raise DataError(f"discount {discount!r} is not a number")
-        tokens = [str(t) for t in doc["vocab"]]
-        for ctx, y, c in doc["counts"]:
-            targets = counts.setdefault(tuple(ctx), {})
-            if y in targets:
-                raise DataError(f"repeated n-gram event {[ctx, y]!r}")
-            targets[y] = c
+        vocab = Vocabulary.from_tokens([str(t) for t in doc["vocab"]], doc.get("rare_token"))
+        events = _counted_events(doc["counts"], len(vocab), order)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed n-gram document: {exc}") from exc
-    vocab = Vocabulary.from_tokens(tokens, doc.get("rare_token"))
-    return NgramModel(order, smoothing, float(discount), vocab, counts)
+    return NgramModel(order, smoothing, float(discount), vocab, events)
 
 
 def save_ngram(model: NgramModel, path: str) -> None:

@@ -338,8 +338,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.w is None and args.model is None:
             raise DataError("analyze exponent needs --w or --model")
         if args.w is not None:
-            weights = [float(v) for v in args.w.split(",") if v.strip() != ""]
-            w = HistoryDistribution.from_weights(weights)
+            try:
+                w = HistoryDistribution.from_weights(float(v) for v in args.w.split(",") if v.strip() != "")
+            except ValueError as exc:  # float() names the value it could not read
+                raise DataError(f"lag weight is not a number: {exc}") from None
             inputs = []
         else:
             w = load_model(args.model).w

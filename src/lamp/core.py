@@ -11,7 +11,10 @@ With w = (1, 0, ..., 0) this is an ordinary first-order Markov chain.  The
 generalized model keeps a bank of matrices and lets lag i read the matrix
 lag_map[i]; the transition rule, scoring, the generator and the JSON format
 here serve both, each reading lag i's rows through one stacked matrix (see
-``LampModel._bank``), while training needs a single matrix.
+``LampModel._bank``), while training needs a single matrix.  The sum over
+lags has one kernel: ``_lag_terms`` gathers a batch of histories' weighted
+rows and ``_cell_sums`` adds them per (history, column) cell in lag order,
+for the transition rule, floored scoring and ``lamp.glamp``.
 """
 
 from __future__ import annotations
@@ -718,35 +721,62 @@ def transition_distribution(model: LampModel, history: Sequence[int]) -> np.ndar
     """
     if len(history) == 0:
         raise DataError("history must contain at least one state")
-    n = model.n
     hist = np.asarray(history, dtype=np.int64)
-    if hist.min() < 0 or hist.max() >= n:
+    if hist.min() < 0 or hist.max() >= model.n:
         raise DataError("history contains a state id outside the vocabulary")
-    out = np.zeros(n)
-    L = len(hist)
-    w, bank, lag_rows = model.w.weights, model._bank, model._lag_rows
-    for i in range(1, model.k + 1):
-        if w[i - 1] == 0.0:
-            continue
-        src = int(hist[L - i]) if i <= L else int(hist[0])
-        cols, probs = bank.row(src + int(lag_rows[i - 1]))
-        if cols.size == 0:
-            raise EmptyRowError(f"state {src} has no outgoing transitions")
-        out[cols] += w[i - 1] * probs
+    w = model.w.weights
+    lags = np.flatnonzero(w > 0.0)
+    src = hist[np.maximum(hist.size - 1 - lags, 0)]  # clamped to the first state
+    rows = src + model._lag_rows[lags]
+    empty = model._bank.indptr[rows + 1] == model._bank.indptr[rows]
+    if empty.any():
+        raise EmptyRowError(f"state {src[empty.argmax()]} has no outgoing transitions")
+    cols, acc = _cell_sums(*_lag_terms(model, rows[None, :], w[lags]), model.n)
+    out = np.zeros(model.n)
+    out[cols] = acc
     return out
+
+
+def _lag_terms(model: LampModel, rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every term of sum_j weights[j] * (bank row rows[h, j]) for a batch of
+    histories h, as (cell, value) pairs with cell h·n + column, in
+    (history, lag, column) order.  ``rows`` is (histories, lags); this and
+    :func:`_cell_sums` are the only code that gathers and sums lag rows."""
+    bank = model._bank
+    sizes = bank.indptr[rows + 1] - bank.indptr[rows]
+    entry = _row_entries(bank.indptr, rows.ravel())
+    cell = np.repeat(np.arange(0, rows.shape[0] * model.n, model.n), sizes.sum(axis=1)) + bank.cols[entry]
+    terms = np.repeat(np.broadcast_to(weights, rows.shape).ravel(), sizes.ravel()) * bank.probs[entry]
+    return cell, terms
+
+
+#: ``_cell_sums`` counts its cells instead of sorting its terms when there
+#: are at most this many cells per term.  Timed on a 2-core x86-64 machine
+#: with numpy 2.4 on chunks of 2^14 terms and n of 150 or 2000: counting took
+#: 0.25-0.6 of the sort's time up to 4 cells per term and broke even near 8.
+#: The counting scratch is then 9 bytes per cell, at most 36 bytes per term.
+_CELLS_PER_ENTRY = 4
+
+
+def _cell_sums(cell: np.ndarray, terms: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``cell`` (each in 0..cells-1) in ascending
+    order, each with its ``terms`` added in input order from 0.0, so a
+    history's terms from :func:`_lag_terms` add in lag order.  Up to
+    ``_CELLS_PER_ENTRY`` cells per term one ``bincount`` over every cell
+    sums them, else ``np.unique`` sorts the cells; the bits are the same."""
+    if cells <= _CELLS_PER_ENTRY * cell.size:
+        acc = np.bincount(cell, weights=terms, minlength=cells)
+        present = np.zeros(cells, dtype=bool)
+        present[cell] = True
+        keys = np.flatnonzero(present)
+        return keys, acc[keys]
+    keys, inverse = np.unique(cell, return_inverse=True)
+    return keys, np.bincount(inverse, weights=terms, minlength=keys.size)
 
 
 #: Most stored entries one chunk of floored scoring gathers at once; bounds
 #: the scratch memory whatever the corpus size.
 _FLOOR_CHUNK = 1 << 14
-
-#: Floored scoring counts a chunk's cells instead of sorting its entries when
-#: the chunk spans at most this many (position, column) cells per gathered
-#: entry.  Timed on a 2-core x86-64 machine with numpy 2.4 on chunks of
-#: 2^14 entries and n of 150 or 2000: counting took 0.25-0.6 of the sort's
-#: time up to 4 cells per entry and broke even near 8.  The counting scratch
-#: is then 9 bytes per cell, at most 36 bytes per gathered entry.
-_CELLS_PER_ENTRY = 4
 
 
 def _floored_probabilities(
@@ -758,49 +788,24 @@ def _floored_probabilities(
     distribution is renormalized, so a position scores
     ``max(acc[tgt], floor) / (sum(max(acc, floor)) + (n - |acc|) * floor)``
     where ``acc`` sums ``w_i * M_i(src_i, .)`` over the stored entries of the
-    k source rows, each read from the bank row of its lag's matrix.  Those
-    entries are gathered as slices of the bank's flat storage and summed per
-    (position, column) cell, one chunk of positions at a time.
-
-    A chunk of m positions whose E gathered entries span at most
-    ``_CELLS_PER_ENTRY`` times E cells is counted: one ``bincount`` over all
-    m·n cells sums the terms, a flag per cell marks the stored ones, and each
-    target is read straight from the accumulator.  A wider chunk sorts its
-    cell keys with ``np.unique`` and looks the targets up.  ``bincount`` adds
-    in input order from 0.0 in both, so each cell's terms add in lag order,
-    as the mixture does, and the norm adds the stored cells in column order;
-    the two branches give the same bits.
+    k source rows, zero-weight lags included.  :func:`_lag_terms` and
+    :func:`_cell_sums` form ``acc`` one chunk of positions at a time; each
+    target is looked up among the chunk's ascending cells, and the norm adds
+    the stored cells in column order.
     """
     bank, n = model._bank, model.n
-    indptr, cols, probs, w = bank.indptr, bank.cols, bank.probs, model.w.weights
     rows = positions.src + model._lag_rows  # bank row of every (position, lag)
-    sizes = np.diff(indptr)[rows]  # stored entries per (position, lag)
-    per_position = sizes.sum(axis=1)
-    ends = np.cumsum(per_position)
+    ends = np.cumsum((bank.indptr[rows + 1] - bank.indptr[rows]).sum(axis=1))
     out = np.empty(positions.T)
     start = 0
     while start < positions.T:
         base = ends[start - 1] if start else 0
         stop = max(int(np.searchsorted(ends, base + _FLOOR_CHUNK, side="right")), start + 1)
         m = stop - start
-        entry = _row_entries(indptr, rows[start:stop].ravel())
-        # Entries come in (position, lag) order: repeat each position's
-        # first cell and each lag's weight over its entries.
-        first = np.arange(0, m * n, n)
-        cell = np.repeat(first, per_position[start:stop]) + cols[entry]
-        terms = np.repeat(np.tile(w, m), sizes[start:stop].ravel()) * probs[entry]
-        want = first + positions.tgt[start:stop]
-        if m * n <= _CELLS_PER_ENTRY * cell.size:
-            acc = np.bincount(cell, weights=terms, minlength=m * n)
-            stored = np.zeros(m * n, dtype=bool)
-            stored[cell] = True
-            keys = np.flatnonzero(stored)
-            at_tgt = acc[want]
-            acc = acc[keys]
-        else:
-            keys, inverse = np.unique(cell, return_inverse=True)
-            acc = np.bincount(inverse, weights=terms, minlength=keys.size)
-            at_tgt = np.append(acc, 0.0)[_find_sorted(keys, want)]  # index -1 reads the 0
+        keys, acc = _cell_sums(*_lag_terms(model, rows[start:stop], model.w.weights), m * n)
+        want = np.arange(0, m * n, n) + positions.tgt[start:stop]  # ascending, like keys
+        at = np.searchsorted(keys, want)
+        at_tgt = np.where(np.append(keys, -1)[at] == want, np.append(acc, 0.0)[at], 0.0)
         local = keys // n
         norm = (np.bincount(local, weights=np.maximum(acc, floor), minlength=m)
                 + (n - np.bincount(local, minlength=m)) * floor)

@@ -4,17 +4,13 @@ average of the mapped matrices, whose stationary vector is the process's
 limiting state distribution; and an exact lift of the process to a
 first-order chain over k-tuples of states.
 
-Both read lag i's rows where scoring and generation do: in the model's
-stack of every matrix (``LampModel._bank``), at the lag's row offset.  The
-mixture sums the entries of every positive-weight lag in one pass, cell by
-cell in lag order, without an n x n array.
-
-The lift walks base-n tuple codes breadth first, a chunk of states at a
-time, gathering the rows of every (state, lag) of a chunk at once, and
-still numbers the states exactly as a one-state-at-a-time FIFO walk would:
+Both are sums of lag rows formed by the next-state kernel that scoring and
+the transition rule use (``lamp.core._lag_terms`` and ``_cell_sums``), so
+each entry adds its per-lag terms in lag order.  The mixture reads every
+state as a history.  The lift reads each tuple state, a chunk at a time,
+and numbers the states exactly as a one-state-at-a-time FIFO walk would:
 in order of discovery, where a state's successors are met lag by lag (lag
-1 first) and by ascending column within a lag.  Each entry of Q sums its
-per-lag terms in lag order, so Q is the same to the last bit.
+1 first) and by ascending column within a lag.
 """
 
 from __future__ import annotations
@@ -29,7 +25,8 @@ from lamp.core import (
     EmptyRowError,
     LampModel,
     SparseStochasticMatrix,
-    _row_entries,
+    _cell_sums,
+    _lag_terms,
     generate,
     load_model,
     transition_distribution,
@@ -68,17 +65,14 @@ def mixture_matrix(model: LampModel) -> SparseStochasticMatrix:
     dropped.  A row empty at every positive-weight lag stays empty; a row
     empty at only some of them raises :class:`EmptyRowError`.
     """
-    n, bank, w = model.n, model._bank, model.w.weights
+    n, w = model.n, model.w.weights
     lags = np.flatnonzero(w > 0.0)
-    rows = model._lag_rows[lags, None] + np.arange(n)  # bank rows, lag-major
-    sizes = np.diff(bank.indptr)[rows]
-    partly = np.flatnonzero((sizes == 0).any(axis=0) & (sizes > 0).any(axis=0))
+    rows = np.arange(n)[:, None] + model._lag_rows[lags]  # bank rows, state-major
+    sizes = np.diff(model._bank.indptr)[rows]
+    partly = np.flatnonzero((sizes == 0).any(axis=1) & (sizes > 0).any(axis=1))
     if partly.size:
         raise EmptyRowError(f"state {partly[0]} has no outgoing transitions")
-    entry = _row_entries(bank.indptr, rows.ravel())
-    terms = np.repeat(w[lags], sizes.sum(axis=1)) * bank.probs[entry]
-    cells, group = np.unique(np.repeat(rows.ravel() % n, sizes.ravel()) * n + bank.cols[entry], return_inverse=True)
-    acc = np.bincount(group, weights=terms, minlength=cells.size)  # each cell's terms in lag order
+    cells, acc = _cell_sums(*_lag_terms(model, rows, w[lags]), n * n)
     keep = acc != 0.0
     return SparseStochasticMatrix._from_entries(n, *np.divmod(cells[keep], n), acc[keep])
 
@@ -133,8 +127,7 @@ def lift_to_kth_order(
         for x in starts:
             if not 0 <= x < n:
                 raise DataError(f"start state {x} out of range")
-    w, bank = model.w.weights, model._bank
-    row_sizes = np.diff(bank.indptr)
+    w, indptr = model.w.weights, model._bank.indptr
     lags = np.flatnonzero(w > 0.0)  # 0-based
     place = n ** np.arange(k, dtype=np.int64)  # lag i reads the digit of place n^(i-1)
     top = n ** (k - 1)
@@ -144,41 +137,36 @@ def lift_to_kth_order(
     codes[:m] = first
     id_of = np.full(n**k, -1, dtype=np.int64)
     id_of[first] = np.arange(m)
-    q_sizes, q_cols, q_probs = [], [], []
+    entries = []  # Q's rows, columns and probabilities, a chunk at a time
     done = 0
     while done < m:  # states in id order, a chunk at a time; new ids follow m
         chunk = codes[done:min(m, done + _LIFT_CHUNK)]
         # The bank row of every (state, lag), in the order a FIFO walk reads rows.
         x = chunk[:, None] // place[lags] % n
         rows = x + model._lag_rows[lags]
-        sizes = row_sizes[rows]
-        if (sizes == 0).any():
-            raise EmptyRowError(f"state {x.flat[np.argmax(sizes == 0)]} has no outgoing transitions")
-        # Every positive (state, lag, column) term, in that order.
-        entry = _row_entries(bank.indptr, rows.ravel())
-        keep = bank.probs[entry] > 0.0
-        state = np.repeat(np.arange(chunk.size), sizes.sum(axis=1))[keep]
-        col = bank.cols[entry[keep]]
-        term = (np.repeat(np.tile(w[lags], chunk.size), sizes.ravel()) * bank.probs[entry])[keep]
+        empty = indptr[rows + 1] == indptr[rows]
+        if empty.any():
+            raise EmptyRowError(f"state {x.flat[empty.argmax()]} has no outgoing transitions")
+        # Every positive (state, lag, column) term, in that order, and its next tuple.
+        cell, term = _lag_terms(model, rows, w[lags])
+        cell, term = cell[term > 0.0], term[term > 0.0]
+        shifted = chunk % top * n  # the next tuple's code less its newest symbol
+        nxt = shifted[cell // n] + cell % n
         # Unseen next tuples get ids in order of first appearance, as a FIFO walk gives them.
-        nxt = chunk[state] % top * n + col
-        unseen = nxt[id_of[nxt] < 0]
-        new, at = np.unique(unseen, return_index=True)
+        new, at = np.unique(nxt[id_of[nxt] < 0], return_index=True)
         new = new[np.argsort(at)]
         id_of[new] = np.arange(m, m + new.size)
         codes[m:m + new.size] = new
         m += new.size
         # Each (state, y) probability sums its per-lag terms in lag order;
-        # each row of Q lists its targets by id.
-        _, at, group = np.unique(state * n + col, return_index=True, return_inverse=True)
-        row, target = state[at], id_of[nxt[at]]
+        # the cells ascend by state, and each row of Q lists its targets by id.
+        cells, q = _cell_sums(cell, term, chunk.size * n)
+        row = cells // n
+        target = id_of[shifted[row] + cells % n]
         order = np.lexsort((target, row))
-        q_sizes.append(np.bincount(row, minlength=chunk.size))
-        q_cols.append(target[order])
-        q_probs.append(np.bincount(group, weights=term)[order])
+        entries.append((done + row, target[order], q[order]))
         done += chunk.size
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(q_sizes))))
-    Q = SparseStochasticMatrix(m, indptr, np.concatenate(q_cols), np.concatenate(q_probs))
+    Q = SparseStochasticMatrix._from_entries(m, *map(np.concatenate, zip(*entries)))
     digits = codes[:m, None] // place[::-1] % n  # oldest symbol first
     states = tuple(map(tuple, digits.tolist()))
     return LiftedChain(n=n, states=states, index=dict(zip(states, range(m))), Q=Q)

@@ -26,6 +26,7 @@ from lamp.core import (
     HistoryDistribution,
     LampModel,
     NonErgodicError,
+    NumericError,
     SparseStochasticMatrix,
     Vocabulary,
 )
@@ -322,6 +323,23 @@ class TestMixingTime:
             last.clear()
             t = mixing_time(P, delta)
             np.testing.assert_allclose(last[-1], np.linalg.matrix_power(P.dense(), t), rtol=0, atol=1e-12)
+
+    def test_converged_powers_end_the_search(self, monkeypatch):
+        # From about t = 48 the rows of this chain's powers agree to rounding
+        # and d sits near 2.2e-13, the error of the power-iteration pi.  A
+        # delta below that ends at the next giant step instead of walking
+        # _MIXING_HORIZON powers (125 002 total variation scans); a delta
+        # above it is still found.
+        P = SparseStochasticMatrix.from_dense(np.array([[0.3, 0.7, 0.0], [0.0, 0.6, 0.4], [0.55, 0.0, 0.45]]))
+        calls = []
+        worst_tv = analysis._worst_tv
+        monkeypatch.setattr(analysis, "_worst_tv", lambda *args: calls.append(1) or worst_tv(*args))
+        for delta in (1e-30, 1e-13):
+            calls.clear()
+            with pytest.raises(NumericError, match="mixing-time horizon exceeded"):
+                mixing_time(P, delta)
+            assert len(calls) <= 20
+        assert mixing_time(P, 1e-12) == 39
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_memory_stays_within_four_dense_arrays(self, dense):

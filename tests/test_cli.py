@@ -229,6 +229,8 @@ EXIT_CODES = [
     ("bound-epsilon-inf", lambda t: ["analyze", "bound", save_worked_model(t)[0],
                                      "--output", str(t / "o.json"), "--epsilon", "inf"], 2,
      "epsilon must be positive and finite"),
+    ("exponent-word-weight", lambda t: ["analyze", "exponent", "--w", "1,abc", "--output", str(t / "o.json")], 2,
+     "lag weight is not a number: could not convert string to float: 'abc'"),
     ("cache-fractional-id", lambda t: cache_argv(t, "[[0, 1.7, 0]]"), 2, "state id 1.7"),
     ("cache-string-id", lambda t: cache_argv(t, '[[0, "1", 0]]'), 2, "state id '1'"),
     ("cache-huge-id", lambda t: cache_argv(t, "[[0, 1e30, 0]]"), 2, "state id 1e+30"),

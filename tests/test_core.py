@@ -742,24 +742,18 @@ def floor_models(draw, near_dense):
 def floored_both_ways(model, corpus, chunk, branches=None):
     """The package's floored probabilities and the sorting reference's, at
     ``chunk`` gathered entries per chunk; ``branches`` tallies the chunks
-    each branch of the package handled."""
+    that ``_cell_sums`` counted and sorted."""
     positions = core.ScoredPositions(corpus, model.k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_FLOOR_CHUNK", chunk)
         if branches is not None:
-            row_entries, find_sorted = core._row_entries, core._find_sorted
+            cell_sums = core._cell_sums
 
-            def chunk_started(*args):
-                branches["count"] += 1  # a sorted chunk moves its tally back below
-                return row_entries(*args)
+            def tallied(cell, terms, cells):
+                branches["count" if cells <= core._CELLS_PER_ENTRY * cell.size else "sort"] += 1
+                return cell_sums(cell, terms, cells)
 
-            def chunk_sorted(*args):
-                branches["count"] -= 1
-                branches["sort"] += 1
-                return find_sorted(*args)
-
-            mp.setattr(core, "_row_entries", chunk_started)
-            mp.setattr(core, "_find_sorted", chunk_sorted)
+            mp.setattr(core, "_cell_sums", tallied)
         got = core._floored_probabilities(model, positions, core.EVALUATION_FLOOR)
     return got, ref_floored_probabilities(model, positions, core.EVALUATION_FLOOR, chunk)
 
@@ -832,6 +826,21 @@ def test_floored_probabilities_edge_chunks(chunk):
         got, want = floored_both_ways(sparse, make_corpus(sparse, seqs), chunk)
         assert np.array_equal(got, want)
         np.testing.assert_allclose(got[-29:], 1.0 / n, rtol=1e-12)
+
+
+@pytest.mark.parametrize("per_term", [0, 4, 10**6])  # always sort, as shipped, always count
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), cell=st.lists(st.integers(0, 40), max_size=60))
+def test_cell_sums_add_each_cell_in_input_order(per_term, data, cell):
+    terms = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(cell), max_size=len(cell)))
+    want = {}
+    for c, t in zip(cell, terms):
+        want[c] = want.get(c, 0.0) + t
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_CELLS_PER_ENTRY", per_term)
+        keys, sums = core._cell_sums(np.array(cell, dtype=np.int64), np.array(terms, dtype=float), 41)
+    assert keys.tolist() == sorted(want)
+    assert [s.hex() for s in sums.tolist()] == [want[c].hex() for c in sorted(want)]
 
 
 def brute_find(sorted_keys, keys):
