@@ -8,11 +8,14 @@ history-mixture process.
 
 Ergodicity is a breadth-first search over the CSR arrays, forwards and over
 the reversed edges, with the period taken as one gcd over all edges.  The
-mixing time brackets the first crossing of delta with giant steps of P^8,
-halves the bracket with one product by P^4, and returns the first crossing
-that at most four unit steps by P find (see :func:`mixing_time`).  A unit
-step multiplies through P's rows when they are short enough, and is a
-dense product otherwise; at most four n x n arrays are live.  The result
+mixing time walks unit steps by P up to P^8 (or squares up to it, when P's
+rows are too long for row steps), then takes giant steps of P^8 while the
+geometric prediction d(8j)^2 / d(8j - 8) says the next one will not cross
+delta, and walks unit steps from the last giant step to the first crossing
+(see :func:`mixing_time`).  A unit step multiplies through P's rows when
+they are short enough, and is a dense product otherwise; three n x n arrays
+are live with row steps and four with dense ones.  Its pi is the power
+iteration's, moved on by P^8 until it settles near rounding.  The result
 can depart from a stepwise search over P^t = P^(t-1) P only where d(t)
 ties delta to within rounding, about 1 ulp.
 The analyses that need an ergodic matrix name its first empty row, when it
@@ -60,19 +63,26 @@ MIXING_STATE_GUARD = 2000
 #: Hard cap on powering steps before declaring non-convergence.
 _MIXING_HORIZON = 1_000_000
 
-#: Powers of P per giant step of the mixing-time search: three squarings.
+#: Powers of P per giant step of the mixing-time search, G = P^8.
 _GIANT_STEP = 8
 
-#: Entries per row block when total variation is taken over a dense power;
-#: the sparse unit steps gather rows of P^t into the same block.
+#: Entries per row block when total variation is taken over a dense power.
 _TV_BLOCK = 1 << 14
+
+#: Entries of the block that a row step gathers rows of P^t into; total
+#: variation then works through the same block.  Timed like the ratio below
+#: at n = 600 with 4 entries per row, best of 30 steps: 2.2 ms with 6 rows
+#: per block, 1.24-1.29 ms with 16 to 32 rows, and 1.4 ms and up from 54.
+_GATHER_BLOCK = 1 << 16
 
 #: Unit steps of the mixing-time search go through P's rows when the longest
 #: holds at most n / _CSR_STEP_RATIO entries, and are dense products
 #: otherwise.  Timed on a 2-core x86-64 machine with numpy 2.4 and one BLAS
-#: thread for n from 64 to 2000 and 1 to 64 entries per row: the row step
-#: broke even with the dense product between n/40 and n/25 entries per row,
-#: so 48 keeps it on the side where it wins.
+#: thread, best of 3 to 9 runs: one row step through the gather block above
+#: against one dense n x n product, for n from 64 to 2000 and 1 to 64
+#: entries per row.  From n = 128 up, the row step broke even between n/36
+#: and n/18 entries per row; at n = 64 the dense product won at every
+#: width.  48 keeps the row step on the side where it wins.
 _CSR_STEP_RATIO = 48
 
 
@@ -177,6 +187,26 @@ def stationary_distribution(
     return _power_iteration(P, tol, max_iters)
 
 
+def _settled(P: SparseStochasticMatrix, pi: np.ndarray, giant: np.ndarray | None) -> np.ndarray:
+    """The power-iteration vector ``pi`` moved on by P^8 while each move
+    shrinks its L1 change, so that its error nears rounding instead of the
+    iteration's tolerance.  A move is one product by ``giant`` = P^8 when it
+    is given, and eight steps through P's rows otherwise."""
+    change = math.inf
+    while True:
+        if giant is None:
+            nxt = pi
+            for _ in range(_GIANT_STEP):
+                nxt = P.left_multiply(nxt)
+        else:
+            nxt = pi @ giant
+        nxt /= nxt.sum()
+        moved = float(np.abs(nxt - pi).sum())
+        if not moved < change:
+            return pi
+        pi, change = nxt, moved
+
+
 def _worst_tv(M: np.ndarray, pi: np.ndarray, buf: np.ndarray, stop: float = math.inf) -> float:
     """max_z TV(M[z], pi), a block of rows at a time; each row's sum is the
     same pairwise sum as over the whole matrix.  The scan ends at the first
@@ -224,32 +254,45 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     """Smallest t with worst-start total variation d(t) = max_z TV(P^t(z, .), pi) <= delta.
 
     d(t) never increases with t (Levin, Peres & Wilmer, *Markov Chains and
-    Mixing Times*, section 4.4), so the first crossing time is the mixing
-    time and a bracket around it can be halved without losing it.  Three
-    squarings give P^2, P^4 and G = P^8.  The search walks P^8, P^16, ...
-    to the first power with d <= delta, which brackets the crossing in
-    (base, base + 8] with P^base the last giant step whose d was above delta
-    (P^0 = I if none).  One product by P^4 halves the bracket to four steps,
-    and at most four unit steps P^t = P P^(t-1) from its low end find the
-    crossing.  A unit step goes through P's rows, padded to the longest,
-    when that row holds at most n / ``_CSR_STEP_RATIO`` entries, and is a
-    dense product otherwise.  The total variation scan stops at the first
-    row above delta, since the search asks only whether d > delta.  Four
-    dense n x n buffers are live: they hold G, P^4 and two powers while the
-    bracket is walked, and once it is halved every one but P^base is free
-    for the unit steps (P, for dense steps, and the next powers).  TV and
-    the sparse steps work through one block of rows.
+    Mixing Times*, section 4.4), so the first crossing is the mixing time,
+    and the search reads d only at powers up to it, plus at most one giant
+    step past it.
 
-    The search raises :class:`NumericError` after ``_MIXING_HORIZON``
-    powers, or at the first giant step above delta whose rows agree within
-    n·2^-52 in total variation: later powers average those rows, so d moves
-    only by rounding.  A merely flat d goes on; it can be flat while the
-    rows differ.
+    **Schedule.**  A unit step P^t = P P^(t-1) goes through P's rows, padded
+    to the longest, when that row holds at most n / ``_CSR_STEP_RATIO``
+    entries, and is a dense product otherwise.  On the row-step branch a
+    warm-up walks the unit steps P^1 .. P^8 and checks each, so a crossing
+    at t <= 8 ends there and P^8 becomes the giant step G; the dense branch
+    forms G by three squarings.  From P^(8j) (P^0 = I) the search takes the
+    giant step P^(8j+8) = P^(8j) G only when the geometric prediction
+    d(8j)^2 / d(8j-8) > delta says it will not cross, with d(0) and d(-8)
+    taken as 1.  When the prediction says it will cross, or when a giant step
+    lands at or below delta, the search walks unit steps from P^(8j) to the
+    first crossing.  A predicted walk that reaches P^(8j+8) without crossing
+    carries on from there as if the giant step had been taken.  A power at
+    a multiple of 8 is scanned in full, which gives d(8j) for the next
+    prediction; any other scan stops at the first row above delta, since
+    only d > delta is asked.
 
-    The powers are formed in a different order from the stepwise products
-    P^t = P^(t-1) P, so d(t) may differ from theirs by rounding: the result
-    can differ from the stepwise search only where d(t) ties delta to
-    within that rounding, about 1 ulp.
+    **Buffers.**  The row-step branch keeps three n x n arrays live: G and
+    two powers that the steps write in turn.  The dense branch keeps four:
+    P, G and two powers.  Total variation and the row steps work through one
+    block of rows.
+
+    **Stop.**  The search raises :class:`NumericError` after
+    ``_MIXING_HORIZON`` powers, or at the first power P^(8j) above delta
+    whose rows agree within n·2^-52 in total variation: later powers average
+    those rows, so d moves only by rounding.  A merely flat d goes on; it
+    can be flat while the rows differ.
+
+    **Rounding.**  pi is the power-iteration vector moved on by P^8 while
+    each move still shrinks its L1 change, so d(t) floors near rounding
+    rather than at the power iteration's tolerance; where P^8 contracts
+    slowly, the floor is rounding over that contraction.  The powers are formed
+    in a different order from the stepwise products P^t = P^(t-1) P, so d(t)
+    may differ from theirs by rounding: the result can differ from the
+    stepwise search only where d(t) ties delta to within that rounding,
+    about 1 ulp.
     """
     if not delta > 0.0:
         raise DataError("delta must be positive")
@@ -261,56 +304,75 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     _require_ergodic(P)
     if delta >= 1.0:
         return 0
-    pi = _power_iteration(P)
+    pi = _power_iteration(P)  # before the n x n arrays, which its temporaries would join
     width = int(np.diff(P.indptr).max())
-    sparse = width * _CSR_STEP_RATIO <= n
-    buf = np.empty((max(1, _TV_BLOCK // n, width if sparse else 0), n))
-    a = P.dense()
-    b, quarter, giant = np.empty_like(a), np.empty_like(a), np.empty_like(a)
-    np.matmul(a, a, out=b)
-    np.matmul(b, b, out=quarter)
-    np.matmul(quarter, quarter, out=giant)
+    free: list[np.ndarray] = []  # n x n arrays no live power holds
 
-    # Bracket: lo holds P^base (None for I) and hi P^(base + 8); products
-    # ping-pong between a and b.
-    base, lo, hi = 0, None, giant
-    while _worst_tv(hi, pi, buf, delta) > delta:
-        converged = _worst_tv(hi, hi[0], buf, n * 2.0**-52) <= n * 2.0**-52  # rows agree to rounding
-        if base > _MIXING_HORIZON or converged:
-            raise NumericError("mixing-time horizon exceeded")
-        base += _GIANT_STEP
-        out = lo if lo is a or lo is b else (b if hi is a else a)
-        np.matmul(hi, giant, out=out)
-        lo, hi = hi, out
-    # Halve it: P^(base + 4) goes to hi, which the unit steps no longer need.
-    mid = quarter if lo is None else np.matmul(lo, quarter, out=hi)
-    if _worst_tv(mid, pi, buf, delta) > delta:
-        base, lo = base + 4, mid
-
-    # Unit steps from P^base to the first crossing; every buffer but P^base
-    # is free, one of them holding P for dense steps.
-    free = [m for m in (a, b, quarter, giant) if m is not lo]
-    if sparse:
+    if width * _CSR_STEP_RATIO <= n:
         cols, probs = _padded_rows(P)
+        buf = np.empty((max(1, _GATHER_BLOCK // (width * n)) * width, n))
+        step = giant = None  # the warm-up walk forms G
 
         def times_p(m, out):
             _sparse_times(cols, probs, m, out, buf)
     else:
-        step = P.dense(out=free.pop())
+        buf = np.empty((max(1, _TV_BLOCK // n), n))
+        step = P.dense()
+        half = np.matmul(step, step)
+        quarter = np.matmul(half, half)
+        giant = np.matmul(quarter, quarter, out=half)
+        free.append(quarter)
 
         def times_p(m, out):
             np.matmul(step, m, out=out)
-    t, cur, d = base, lo, math.inf
-    while d > delta:
-        nxt = free.pop()
-        if cur is None:
-            P.dense(out=nxt)
+
+    pi = _settled(P, pi, giant)
+
+    def fresh():
+        return free.pop() if free else np.empty((n, n))
+
+    def release(m):
+        if m is not None and m is not step and m is not giant:
+            free.append(m)
+
+    def walk(base, cur):
+        """Unit steps from P^base (None for I) to the first crossing, or to
+        P^(base + 8) if none comes first: (t, P^t, d(t) or a value above
+        delta)."""
+        for t in range(base + 1, base + _GIANT_STEP + 1):
+            if cur is None:
+                cur = step if step is not None else P.dense(out=fresh())
+            else:
+                nxt = fresh()
+                times_p(cur, nxt)
+                release(cur)
+                cur = nxt
+            d = _worst_tv(cur, pi, buf, math.inf if t % _GIANT_STEP == 0 else delta)
+            if d <= delta:
+                break
+        return t, cur, d
+
+    base, cur, d, d_last = 0, None, 1.0, 1.0  # P^base, d(base), d(base - 8)
+    while True:
+        if giant is None or d * d <= delta * d_last:  # warm-up, or a predicted crossing
+            t, nxt, d_next = walk(base, cur)
+            if giant is None:
+                giant = nxt
         else:
-            times_p(cur, nxt)
-            free.append(cur)
-        t, cur = t + 1, nxt
-        d = _worst_tv(cur, pi, buf, delta)
-    return t
+            t = base + _GIANT_STEP
+            nxt = giant if cur is None else np.matmul(cur, giant, out=fresh())
+            d_next = _worst_tv(nxt, pi, buf)
+            if d_next <= delta:  # overshot: walk from P^base instead
+                release(nxt)
+                t, nxt, d_next = walk(base, cur)
+            else:
+                release(cur)
+        if d_next <= delta:
+            return t
+        base, cur, d, d_last = t, nxt, d_next, d
+        converged = _worst_tv(cur, cur[0], buf, n * 2.0**-52) <= n * 2.0**-52  # rows agree to rounding
+        if base > _MIXING_HORIZON or converged:
+            raise NumericError("mixing-time horizon exceeded")
 
 
 # ---------------------------------------------------------------------------

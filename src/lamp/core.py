@@ -364,9 +364,14 @@ class SparseStochasticMatrix:
         return tuple(np.split(self.probs, self.indptr[1:-1]))
 
     @cached_property
+    def _row_sizes(self) -> np.ndarray:
+        """The number of stored entries in every row."""
+        return np.diff(self.indptr)
+
+    @cached_property
     def _entry_rows(self) -> np.ndarray:
         """The row of every stored entry."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        return np.repeat(np.arange(self.n, dtype=np.int64), self._row_sizes)
 
     @cached_property
     def _entry_slots(self) -> np.ndarray:
@@ -387,7 +392,7 @@ class SparseStochasticMatrix:
 
     def left_multiply(self, pi: np.ndarray) -> np.ndarray:
         """Row-vector product pi @ P without densifying."""
-        return np.bincount(self.cols, weights=pi[self._entry_rows] * self.probs, minlength=self.n)
+        return np.bincount(self.cols, weights=np.repeat(pi, self._row_sizes) * self.probs, minlength=self.n)
 
     @cached_property
     def _samplers(self) -> tuple[list[int], list[float], list[int]]:

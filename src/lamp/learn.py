@@ -251,6 +251,16 @@ def _denominators(stats: ScoredPositions, d: np.ndarray) -> np.ndarray:
 # Empirical transition matrix
 
 
+def _positions(corpus: Corpus, k: int) -> ScoredPositions:
+    """The position table of ``corpus`` at k lags.  The trainer hands its own
+    table to :func:`empirical_transition_matrix` in place of the corpus, so
+    that training builds the table once and still calls the public
+    initializer."""
+    if isinstance(corpus, ScoredPositions) and corpus.k == k:
+        return corpus
+    return ScoredPositions(corpus, k)
+
+
 def empirical_transition_matrix(
     corpus: Corpus,
     k: int,
@@ -269,7 +279,7 @@ def empirical_transition_matrix(
         raise DataError("k must be at least 1")
     if support_epsilon <= 0.0:
         raise DataError("support_epsilon must be positive")
-    stats = ScoredPositions(corpus, k)
+    stats = _positions(corpus, k)
     n = stats.n
     lag1_keys, lag1_counts = np.unique(stats.src[:, 0] * n + stats.tgt, return_counts=True)
     lag1_totals = np.bincount(stats.src[:, 0], minlength=n)
@@ -624,7 +634,7 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     if corpus.total_transitions < 1:
         raise DataError("training requires at least one scored transition")
     stats = ScoredPositions(corpus, cfg.k)
-    init = empirical_transition_matrix(corpus, cfg.k, cfg.support_epsilon)
+    init = empirical_transition_matrix(stats, cfg.k, cfg.support_epsilon)
     q = init.probs
     w = HistoryDistribution.geometric(cfg.init_decay, cfg.k).weights.copy()
     entry = init.pair_indices(stats.src, stats.tgt[:, None])

@@ -80,21 +80,35 @@ def ring_chain(rng, n, ring):
 
 
 def stepwise_tv(P, t_max):
-    """d(1..t_max) over the stepwise products P^t = P^(t-1) P; d[0] is unused."""
+    """d(0..t_max) over the stepwise products P^t = P^(t-1) P."""
     pi, dense = ref_stationary(P), P.dense()
-    M, d = np.eye(P.n), [math.inf]
+    M, d = np.eye(P.n), [1.0 - float(pi.min())]
     for _ in range(t_max):
         M = M @ dense
         d.append(0.5 * float(np.max(np.abs(M - pi).sum(axis=1))))
     return d
 
 
-def counting_row_steps(monkeypatch):
-    """Count the sparse unit steps that mixing_time takes from now on."""
-    calls = []
-    row_steps = analysis._sparse_times
-    monkeypatch.setattr(analysis, "_sparse_times", lambda *args: calls.append(1) or row_steps(*args))
-    return calls
+def schedule(monkeypatch, P):
+    """Record what mixing_time does from now on, in order: "r" for a unit
+    step through P's rows, "p" for a dense product with P on the left, "g"
+    for any other dense product and "F" for a full total-variation scan."""
+    events, dense = [], P.dense()
+    row_steps, matmul, worst_tv = analysis._sparse_times, np.matmul, analysis._worst_tv
+
+    def product(a, b, **kwargs):
+        events.append("p" if np.array_equal(a, dense) else "g")
+        return matmul(a, b, **kwargs)
+
+    def scan(M, pi, buf, stop=math.inf):
+        if stop == math.inf:
+            events.append("F")
+        return worst_tv(M, pi, buf, stop)
+
+    monkeypatch.setattr(analysis, "_sparse_times", lambda *args: events.append("r") or row_steps(*args))
+    monkeypatch.setattr(np, "matmul", product)
+    monkeypatch.setattr(analysis, "_worst_tv", scan)
+    return events
 
 
 class TestErgodicity:
@@ -284,30 +298,48 @@ class TestMixingTime:
         P = ring_chain(np.random.default_rng(seed), n, ring)
         assume(is_ergodic(P).ergodic)
         with pytest.MonkeyPatch.context() as mp:
-            calls = counting_row_steps(mp)
+            events = schedule(mp, P)
             assert mixing_time(P, delta) == ref_mixing_time(P, delta)
-        assert calls
+        assert "r" in events
 
     @pytest.mark.parametrize("n, rows_taken", [(150, True), (100, False)])
-    def test_bisection_finds_every_crossing_in_a_bracket(self, n, rows_taken, monkeypatch):
-        # A threshold between d(t - 1) and d(t) puts the crossing at t.  For
-        # t = 9..16, every offset of the bracket (8, 16], the bisection keeps
-        # its lower half (t <= 12) or its upper half, and at most four unit
-        # steps follow.  Three entries per row take the row steps at n = 150
-        # and dense products at n = 100.
+    def test_every_crossing_is_found_within_one_giant_step(self, n, rows_taken, monkeypatch):
+        # A threshold between d(t - 1) and d(t) puts the crossing at t, for
+        # every t = 1..40.  The row-step branch forms no dense product before
+        # P^8, and at most eight unit steps follow the last giant step (the
+        # warm-up's P^8 when no product follows it).  Three entries per row
+        # take the row steps at n = 150 and dense products at n = 100.
         P = ring_chain(np.random.default_rng(5), n, 0.8)
-        d = stepwise_tv(P, 16)
-        calls = counting_row_steps(monkeypatch)
-        row_steps = []
-        for t in range(9, 17):
+        d = stepwise_tv(P, 40)
+        events = schedule(monkeypatch, P)
+        kinds = set()
+        for t in range(1, 41):
             assert d[t - 1] > 1.001 * d[t]
             delta = math.sqrt(d[t - 1] * d[t])
             assert ref_mixing_time(P, delta) == t
-            calls.clear()
+            events.clear()
             assert mixing_time(P, delta) == t
-            row_steps.append(len(calls))
-        assert max(row_steps) <= 4
-        assert (max(row_steps) > 0) == rows_taken
+            products = [e for e in events if e != "F"]
+            kinds.update(products)
+            if rows_taken:
+                assert "g" not in products[:7]
+            last_giant = len(products) - products[::-1].index("g") if "g" in products else 7
+            assert len(products) - last_giant <= 8
+        assert kinds == ({"r", "g"} if rows_taken else {"p", "g"})
+
+    def test_a_predicted_walk_that_misses_carries_on(self, monkeypatch):
+        # The lazy cycle's d sits on plateaus: d(8) = 0.93, then d(16) =
+        # d(24) = 0.66.  At P^16 the prediction d(16)^2 / d(8) = 0.47 <= delta
+        # sends the search on a walk that reaches P^24 without crossing:
+        # eight unit steps and a full scan, then a giant step from there.  The
+        # search still ends at the stepwise crossing.
+        P = SparseStochasticMatrix.from_dense(cycle_matrix(13, 0.5))
+        d = stepwise_tv(P, 24)
+        delta = 0.5
+        assert d[16] ** 2 <= delta * d[8] and delta < d[24]
+        events = schedule(monkeypatch, P)
+        assert mixing_time(P, delta) == ref_mixing_time(P, delta) > 24
+        assert "p" * 8 + "Fg" in "".join(events)
 
     @pytest.mark.parametrize("n", [100, 150])
     def test_last_power_read_is_the_crossing(self, n, monkeypatch):
@@ -325,28 +357,30 @@ class TestMixingTime:
             np.testing.assert_allclose(last[-1], np.linalg.matrix_power(P.dense(), t), rtol=0, atol=1e-12)
 
     def test_converged_powers_end_the_search(self, monkeypatch):
-        # From about t = 48 the rows of this chain's powers agree to rounding
-        # and d sits near 2.2e-13, the error of the power-iteration pi.  A
-        # delta below that ends at the next giant step instead of walking
-        # _MIXING_HORIZON powers (125 002 total variation scans); a delta
-        # above it is still found.
-        P = SparseStochasticMatrix.from_dense(np.array([[0.3, 0.7, 0.0], [0.0, 0.6, 0.4], [0.55, 0.0, 0.45]]))
+        # From about t = 50 the rows of this chain's powers agree to rounding
+        # and d sits near 6e-16.  A delta below that ends at the next giant
+        # step instead of walking _MIXING_HORIZON powers (125 002 total
+        # variation scans); a delta above it is found at the crossing of the
+        # stepwise powers against a linear-solve pi.
+        dense = np.array([[0.3, 0.7, 0.0], [0.0, 0.6, 0.4], [0.55, 0.0, 0.45]])
+        P = SparseStochasticMatrix.from_dense(dense)
         calls = []
         worst_tv = analysis._worst_tv
         monkeypatch.setattr(analysis, "_worst_tv", lambda *args: calls.append(1) or worst_tv(*args))
-        for delta in (1e-30, 1e-13):
+        with pytest.raises(NumericError, match="mixing-time horizon exceeded"):
+            mixing_time(P, 1e-30)
+        assert len(calls) <= 20
+        for delta in (1e-13, 1e-12):
             calls.clear()
-            with pytest.raises(NumericError, match="mixing-time horizon exceeded"):
-                mixing_time(P, delta)
+            assert mixing_time(P, delta) == brute_mixing(dense, delta)
             assert len(calls) <= 20
-        assert mixing_time(P, 1e-12) == 39
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_memory_stays_within_four_dense_arrays(self, dense):
-        # Four n x n arrays live at once (P^8, P^4 and two powers while the
-        # bracket is walked, then P and the powers of the unit steps), plus
-        # one block of rows for total variation and the row steps, and a
-        # quarter of an array for vectors and ufunc buffers.
+        # The row steps keep three n x n arrays live (P^8 and two powers) and
+        # the dense steps four (P, P^8 and two powers), plus one block of
+        # rows for total variation and the row steps, and a quarter of an
+        # array for vectors and ufunc buffers.
         n = 300
         rng = np.random.default_rng(9)
         if dense:
@@ -362,8 +396,8 @@ class TestMixingTime:
         finally:
             tracemalloc.stop()
         array = n * n * 8
-        block = max(analysis._TV_BLOCK // n, 3) * n * 8
-        assert peak <= 4 * array + block + array // 4
+        arrays, block = (4, analysis._TV_BLOCK * 8) if dense else (3, analysis._GATHER_BLOCK * 8)
+        assert peak <= arrays * array + block + array // 4
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**31), rows=st.integers(1, 12), block=st.integers(1, 5),

@@ -475,6 +475,27 @@ class TestAlternateMinimize:
         # Skipped P halves leave only init + two w records.
         assert [r.block for r in report.records] == ["init", "w", "w"]
 
+    def test_training_builds_the_position_table_once(self, monkeypatch):
+        # The trainer hands its table to the initializer, which would build
+        # the same table again from the corpus; the trained model keeps its
+        # bits.
+        rng = np.random.default_rng(9)
+        corpus = make_corpus(Vocabulary.from_size(3), random_sequences(rng, 3, 5, 12))
+        cfg = TrainConfig(k=2, rounds=1.5)
+        expected, _ = alternate_minimize(corpus, cfg)
+        built = []
+
+        class CountingPositions(ScoredPositions):
+            def __init__(self, corpus, k):
+                built.append(k)
+                super().__init__(corpus, k)
+
+        monkeypatch.setattr(learn, "ScoredPositions", CountingPositions)
+        model, _ = alternate_minimize(corpus, cfg)
+        assert built == [2]
+        assert model.P.probs.tobytes() == expected.P.probs.tobytes()
+        assert model.w.weights.tobytes() == expected.w.weights.tobytes()
+
     def test_first_order_training_reaches_count_mle(self):
         # With k=1 the w block is trivial and the empirical start is already
         # the maximizer, so training returns the count MLE exactly.
