@@ -1,13 +1,19 @@
 """Command-line pipeline: preprocess, train, evaluate, generate, analyze,
 and n-gram baselines.
 
-Machine output is JSON only; each command prints exactly one human summary
-line to stdout, and every number on that line is the JSON rendering of a
-value stored in the command's JSON output.  Every run writes a manifest
-(<output>.manifest.json) recording the command, its configuration, sha256
-hashes of the inputs, the output paths, the seed, the wall time, and the
-library version.  All artifact JSON is byte-deterministic for fixed inputs
-and seed; wall time lives only in the manifest.
+Machine output is JSON only.  Each command reads its inputs, runs every
+check, writes any file other than --output, and returns a ``_Result``;
+:func:`main` alone finishes the run.  It writes the command's JSON document
+to --output (``preprocess`` and ``train`` write theirs themselves, last),
+then the manifest (<output>.manifest.json) recording the command, its
+configuration, sha256 hashes of the inputs, the output paths, the seed, the
+wall time and the library version, and last prints the command's one
+summary line to stdout.  Every number on that line is the JSON rendering of
+a value stored in the command's JSON output or manifest summary.  A command
+that fails leaves neither --output nor a manifest, and an error caused by
+an empty row names the state's token.  All artifact JSON is
+byte-deterministic for fixed inputs and seed; wall time lives only in the
+manifest.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad files, vocabulary
 mismatches, invalid values), 3 numeric error (non-ergodic matrices,
@@ -23,7 +29,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from lamp.core import (
     Corpus,
     DataError,
     EVALUATION_FLOOR,
+    EmptyRowError,
     HistoryDistribution,
     NonErgodicError,
     NumericError,
@@ -63,19 +71,17 @@ from lamp.data import (
 )
 from lamp.learn import TrainConfig, alternate_minimize
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config: dict
-    input_hashes: dict
-    outputs: list
-    seed: int | None
-    wall_time_s: float
-    version: str
-    summary: dict
+class _Result(NamedTuple):
+    """What a command hands :func:`main` to write."""
+
+    doc: dict | None  # written to outputs[0]; None when the command wrote it
+    inputs: list  # every file the command read
+    outputs: list  # every file it wrote, --output first
+    summary: dict  # the manifest's summary
+    line: str  # the one stdout line
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,32 +110,6 @@ def _sha256(path: str) -> str:
 
 def _json_stem(path: str) -> str:
     return path[:-5] if path.endswith(".json") else path
-
-
-def _write_manifest(
-    command: str,
-    args: argparse.Namespace,
-    inputs: list[str],
-    outputs: list[str],
-    summary: dict,
-    started: float,
-) -> None:
-    config = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "command", "analyze_command")
-    }
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        input_hashes={path: _sha256(path) for path in inputs},
-        outputs=list(outputs),
-        seed=getattr(args, "seed", None),
-        wall_time_s=time.perf_counter() - started,
-        version=__version__,
-        summary=summary,
-    )
-    _write_json(asdict(manifest), outputs[0] + ".manifest.json")
 
 
 def _load_any_corpus(path: str) -> Corpus:
@@ -164,12 +144,26 @@ def _align_corpus(corpus: Corpus, vocab: Vocabulary) -> Corpus:
     return Corpus(vocab, new_id[corpus.tokens], corpus.offsets)
 
 
+@contextlib.contextmanager
+def _naming_empty_state(vocab: Vocabulary):
+    """Re-raise an error caused by an empty row with the state's token in
+    place of its id."""
+    try:
+        yield
+    except (EmptyRowError, NonErgodicError) as exc:
+        if exc.empty_state is None:
+            raise
+        state = exc.empty_state
+        message = str(exc).replace(f"state {state} ", f"state {vocab.token(state)!r} ", 1)
+        raise type(exc)(message, state) from None
+
+
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each checks everything before its first write, writes any file
+# other than --output first, and returns a _Result for main to finish.
 
 
-def cmd_preprocess(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_preprocess(args: argparse.Namespace) -> _Result:
     corpus, load_report = load_corpus(args.input, limit=args.limit, return_report=True)
     cfg = PreprocessConfig(
         collapse_repeats=args.collapse_repeats,
@@ -179,7 +173,6 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         split_seed=args.split_seed,
     )
     out, report = preprocess(corpus, cfg)
-    save_corpus_cache(out, args.output)
     outputs = [args.output]
     summary = {
         "n_sequences": report.n_sequences_out,
@@ -197,17 +190,15 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         outputs += [train_path, test_path]
         summary["n_train_sequences"] = len(train)
         summary["n_test_sequences"] = len(test)
-    _write_manifest("preprocess", args, [args.input], outputs, summary, started)
-    print(
+    save_corpus_cache(out, args.output)
+    return _Result(None, [args.input], outputs, summary, (
         f"preprocess: kept {_fmt(summary['n_sequences'])} sequences"
         f" vocab={_fmt(summary['vocab_size'])}"
         f" dropped={_fmt(summary['dropped_short_sequences'])} -> {args.output}"
-    )
-    return 0
+    ))
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_train(args: argparse.Namespace) -> _Result:
     corpus = _load_any_corpus(args.corpus)
     cfg = TrainConfig(
         k=args.k,
@@ -220,10 +211,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     model, report = alternate_minimize(corpus, cfg)
-    save_model(model, args.output)
     report_path = args.report or _json_stem(args.output) + ".report.jsonl"
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_jsonl())
+    save_model(model, args.output)
     final = report.records[-1]
     summary = {
         "k": cfg.k,
@@ -236,16 +227,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             for r in report.records[1:]
         ],
     }
-    _write_manifest("train", args, [args.corpus], [args.output, report_path], summary, started)
-    print(
+    return _Result(None, [args.corpus], [args.output, report_path], summary, (
         f"train: k={_fmt(cfg.k)} rounds={_fmt(cfg.rounds)}"
         f" perplexity={_fmt(final.perplexity)} -> {args.output}"
-    )
-    return 0
+    ))
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_evaluate(args: argparse.Namespace) -> _Result:
     model = load_model(args.model)
     corpus = _align_corpus(_load_any_corpus(args.corpus), model.vocab)
     floor = EVALUATION_FLOOR if args.floor else None
@@ -260,25 +248,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "impossible_transitions": ll.impossible_transitions,
         "floor": floor,
     }
-    _write_json(doc, args.output)
     summary = {
         "perplexity": ppl,
         "impossible_transitions": ll.impossible_transitions,
     }
-    _write_manifest("evaluate", args, [args.model, args.corpus], [args.output], summary, started)
-    print(
+    return _Result(doc, [args.model, args.corpus], [args.output], summary, (
         f"evaluate: perplexity={_fmt(ppl)}"
         f" impossible={_fmt(ll.impossible_transitions)} -> {args.output}"
-    )
-    return 0
+    ))
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_generate(args: argparse.Namespace) -> _Result:
     model = load_model(args.model)
     start_token = args.start if args.start is not None else model.vocab.tokens[0]
     start = model.vocab.id(start_token)
-    ids = generate(model, start, args.length, args.seed)
+    with _naming_empty_state(model.vocab):
+        ids = generate(model, start, args.length, args.seed)
     tokens = decode_ids(model.vocab, ids)
     doc = {
         "model": args.model,
@@ -288,102 +273,75 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "tokens": tokens,
         "ids": ids.tolist(),
     }
-    _write_json(doc, args.output)
-    _write_manifest(
-        "generate", args, [args.model], [args.output], {"length": args.length}, started
-    )
-    print(" ".join(tokens))
-    return 0
+    return _Result(doc, [args.model], [args.output], {"length": args.length}, " ".join(tokens))
 
 
-@contextlib.contextmanager
-def _naming_empty_state(vocab: Vocabulary):
-    """Re-raise a NonErgodicError caused by an empty row with the state's token."""
-    try:
-        yield
-    except NonErgodicError as exc:
-        if exc.empty_state is None:
-            raise
-        token = vocab.token(exc.empty_state)
-        raise NonErgodicError(
-            f"matrix is not ergodic: state {token!r} has no outgoing transitions", exc.empty_state
-        ) from None
+def cmd_analyze_stationary(args: argparse.Namespace) -> _Result:
+    model = load_model(args.model)
+    with _naming_empty_state(model.vocab):
+        pi = [float(p) for p in stationary_distribution(model.P, tol=args.tol)]
+    doc = {"model": args.model, "tol": args.tol, "stationary": pi}
+    return _Result(doc, [args.model], [args.output], {"stationary": pi},
+                   f"analyze stationary: pi={_fmt(pi)} -> {args.output}")
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    sub = args.analyze_command
-    if sub == "stationary":
-        model = load_model(args.model)
-        with _naming_empty_state(model.vocab):
-            pi = stationary_distribution(model.P, tol=args.tol)
-        doc = {"model": args.model, "tol": args.tol, "stationary": [float(p) for p in pi]}
-        _write_json(doc, args.output)
-        summary = {"stationary": doc["stationary"]}
-        _write_manifest("analyze stationary", args, [args.model], [args.output], summary, started)
-        print(f"analyze stationary: pi={_fmt(doc['stationary'])} -> {args.output}")
-    elif sub == "mixing":
-        model = load_model(args.model)
-        with _naming_empty_state(model.vocab):
-            t_mix = mixing_time(model.P, args.delta)
-        doc = {"model": args.model, "delta": args.delta, "mixing_time": t_mix}
-        _write_json(doc, args.output)
-        summary = {"mixing_time": t_mix, "delta": args.delta}
-        _write_manifest("analyze mixing", args, [args.model], [args.output], summary, started)
-        print(
-            f"analyze mixing: mixing_time={_fmt(t_mix)}"
-            f" delta={_fmt(args.delta)} -> {args.output}"
-        )
-    elif sub == "exponent":
-        if args.w is None and args.model is None:
-            raise DataError("analyze exponent needs --w or --model")
-        if args.w is not None:
-            try:
-                w = HistoryDistribution.from_weights(float(v) for v in args.w.split(",") if v.strip() != "")
-            except ValueError as exc:  # float() names the value it could not read
-                raise DataError(f"lag weight is not a number: {exc}") from None
-            inputs = []
-        else:
-            w = load_model(args.model).w
-            inputs = [args.model]
-        trace = simulate_exponent_process(w, args.steps, args.seed)
-        est = renewal_rate_estimate(trace, w)
-        doc = {
-            "w": [float(v) for v in w.weights],
-            "t_max": args.steps,
-            "seed": args.seed,
-            "rate": est.rate,
-            "predicted": est.predicted,
-            "clt_statistic": est.clt_statistic,
-        }
-        _write_json(doc, args.output)
-        outputs = [args.output]
-        if args.trace_csv:
-            export_trace_csv(trace, args.trace_csv)
-            outputs.append(args.trace_csv)
-        summary = {"rate": est.rate, "predicted": est.predicted}
-        _write_manifest("analyze exponent", args, inputs, outputs, summary, started)
-        print(
-            f"analyze exponent: rate={_fmt(est.rate)}"
-            f" predicted={_fmt(est.predicted)} -> {args.output}"
-        )
-    else:  # bound
-        model = load_model(args.model)
-        with _naming_empty_state(model.vocab):
-            bound = lamp_mixing_bound(model.w, model.P, args.delta, args.epsilon, args.T)
-        doc = {"model": args.model, **asdict(bound)}
-        _write_json(doc, args.output)
-        summary = {"bound": bound.bound, "confidence": bound.confidence}
-        _write_manifest("analyze bound", args, [args.model], [args.output], summary, started)
-        print(
-            f"analyze bound: bound={_fmt(bound.bound)}"
-            f" confidence={_fmt(bound.confidence)} -> {args.output}"
-        )
-    return 0
+def cmd_analyze_mixing(args: argparse.Namespace) -> _Result:
+    model = load_model(args.model)
+    with _naming_empty_state(model.vocab):
+        t_mix = mixing_time(model.P, args.delta)
+    doc = {"model": args.model, "delta": args.delta, "mixing_time": t_mix}
+    summary = {"mixing_time": t_mix, "delta": args.delta}
+    return _Result(doc, [args.model], [args.output], summary, (
+        f"analyze mixing: mixing_time={_fmt(t_mix)}"
+        f" delta={_fmt(args.delta)} -> {args.output}"
+    ))
 
 
-def cmd_baseline(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_analyze_exponent(args: argparse.Namespace) -> _Result:
+    if args.w is None and args.model is None:
+        raise DataError("analyze exponent needs --w or --model")
+    if args.w is not None:
+        try:
+            w = HistoryDistribution.from_weights(float(v) for v in args.w.split(",") if v.strip() != "")
+        except ValueError as exc:  # float() names the value it could not read
+            raise DataError(f"lag weight is not a number: {exc}") from None
+        inputs = []
+    else:
+        w = load_model(args.model).w
+        inputs = [args.model]
+    trace = simulate_exponent_process(w, args.steps, args.seed)
+    est = renewal_rate_estimate(trace, w)
+    doc = {
+        "w": [float(v) for v in w.weights],
+        "t_max": args.steps,
+        "seed": args.seed,
+        "rate": est.rate,
+        "predicted": est.predicted,
+        "clt_statistic": est.clt_statistic,
+    }
+    outputs = [args.output]
+    if args.trace_csv:
+        export_trace_csv(trace, args.trace_csv)
+        outputs.append(args.trace_csv)
+    return _Result(doc, inputs, outputs, {"rate": est.rate, "predicted": est.predicted}, (
+        f"analyze exponent: rate={_fmt(est.rate)}"
+        f" predicted={_fmt(est.predicted)} -> {args.output}"
+    ))
+
+
+def cmd_analyze_bound(args: argparse.Namespace) -> _Result:
+    model = load_model(args.model)
+    with _naming_empty_state(model.vocab):
+        bound = lamp_mixing_bound(model.w, model.P, args.delta, args.epsilon, args.T)
+    doc = {"model": args.model, **asdict(bound)}
+    summary = {"bound": bound.bound, "confidence": bound.confidence}
+    return _Result(doc, [args.model], [args.output], summary, (
+        f"analyze bound: bound={_fmt(bound.bound)}"
+        f" confidence={_fmt(bound.confidence)} -> {args.output}"
+    ))
+
+
+def cmd_baseline(args: argparse.Namespace) -> _Result:
     corpus = _load_any_corpus(args.corpus)
     if args.smoothing == "naive":
         model = fit_naive_ngram(corpus, order=args.order)
@@ -397,25 +355,20 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         "train_perplexity": ngram_perplexity(model, corpus),
     }
     inputs = [args.corpus]
+    summary = {"train_perplexity": doc["train_perplexity"]}
     if args.eval_corpus:
         held_out = _align_corpus(_load_any_corpus(args.eval_corpus), model.vocab)
         doc["eval_corpus"] = args.eval_corpus
-        doc["eval_perplexity"] = ngram_perplexity(model, held_out)
+        doc["eval_perplexity"] = summary["eval_perplexity"] = ngram_perplexity(model, held_out)
         inputs.append(args.eval_corpus)
-    _write_json(doc, args.output)
     outputs = [args.output]
     if args.model_output:
         save_ngram(model, args.model_output)
         outputs.append(args.model_output)
-    summary = {"train_perplexity": doc["train_perplexity"]}
-    if "eval_perplexity" in doc:
-        summary["eval_perplexity"] = doc["eval_perplexity"]
-    _write_manifest("baseline", args, inputs, outputs, summary, started)
-    print(
+    return _Result(doc, inputs, outputs, summary, (
         f"baseline: order={_fmt(args.order)} smoothing={args.smoothing}"
         f" train_perplexity={_fmt(doc['train_perplexity'])} -> {args.output}"
-    )
-    return 0
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +428,13 @@ def build_parser() -> _Parser:
     q.add_argument("model")
     q.add_argument("--output", required=True)
     q.add_argument("--tol", type=float, default=1e-12)
-    q.set_defaults(func=cmd_analyze)
+    q.set_defaults(func=cmd_analyze_stationary)
 
     q = asub.add_parser("mixing", help="exact mixing time of P")
     q.add_argument("model")
     q.add_argument("--output", required=True)
     q.add_argument("--delta", type=float, default=0.01)
-    q.set_defaults(func=cmd_analyze)
+    q.set_defaults(func=cmd_analyze_mixing)
 
     q = asub.add_parser("exponent", help="simulate the exponent process")
     q.add_argument("--model", default=None, help="take lag weights from this model")
@@ -490,7 +443,7 @@ def build_parser() -> _Parser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--output", required=True)
     q.add_argument("--trace-csv", default=None, help="also export the trace as CSV")
-    q.set_defaults(func=cmd_analyze)
+    q.set_defaults(func=cmd_analyze_exponent)
 
     q = asub.add_parser("bound", help="high-probability mixing bound")
     q.add_argument("model")
@@ -498,7 +451,7 @@ def build_parser() -> _Parser:
     q.add_argument("--delta", type=float, default=0.01)
     q.add_argument("--epsilon", type=float, default=1.0)
     q.add_argument("--T", type=int, default=100)
-    q.set_defaults(func=cmd_analyze)
+    q.set_defaults(func=cmd_analyze_bound)
 
     p = sub.add_parser("baseline", help="fit and score an n-gram baseline")
     p.add_argument("corpus")
@@ -521,18 +474,38 @@ def _shared_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command: time it, write its document to --output after every
+    other file it wrote, then its manifest, then print its summary line."""
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        result = args.func(args)
+        input_hashes = {path: _sha256(path) for path in result.inputs}
+        if result.doc is not None:
+            _write_json(result.doc, result.outputs[0])
+        manifest = {
+            "command": " ".join(filter(None, (args.command, getattr(args, "analyze_command", None)))),
+            "config": {k: v for k, v in vars(args).items()
+                       if k not in ("func", "command", "analyze_command")},
+            "input_hashes": input_hashes,
+            "outputs": result.outputs,
+            "seed": getattr(args, "seed", None),
+            "wall_time_s": time.perf_counter() - started,
+            "version": __version__,
+            "summary": result.summary,
+        }
+        _write_json(manifest, result.outputs[0] + ".manifest.json")
     except NumericError as exc:
         print(f"lamp: numeric error: {exc}", file=sys.stderr)
         return 3
     except (DataError, OSError) as exc:
         print(f"lamp: data error: {exc}", file=sys.stderr)
         return 2
+    print(result.line)
+    return 0
 
 
 if __name__ == "__main__":

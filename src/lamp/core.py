@@ -77,7 +77,14 @@ class VocabularyMismatch(DataError):
 
 
 class EmptyRowError(NumericError):
-    """A state with no outgoing transitions was drawn from or queried."""
+    """A state with no outgoing transitions was drawn from or queried.
+
+    ``empty_state`` is that state's id, when the raiser knows it.
+    """
+
+    def __init__(self, message: str, empty_state: int | None = None) -> None:
+        super().__init__(message)
+        self.empty_state = empty_state
 
 
 class NonErgodicError(NumericError):
@@ -735,7 +742,8 @@ def transition_distribution(model: LampModel, history: Sequence[int]) -> np.ndar
     rows = src + model._lag_rows[lags]
     empty = model._bank.indptr[rows + 1] == model._bank.indptr[rows]
     if empty.any():
-        raise EmptyRowError(f"state {src[empty.argmax()]} has no outgoing transitions")
+        state = int(src[empty.argmax()])
+        raise EmptyRowError(f"state {state} has no outgoing transitions", state)
     cols, acc = _cell_sums(*_lag_terms(model, rows[None, :], w[lags]), model.n)
     out = np.zeros(model.n)
     out[cols] = acc
@@ -885,7 +893,7 @@ def generate(model: LampModel, start: int, length: int, seed: int) -> np.ndarray
             row = src + offset
             lo, hi = indptr[row], indptr[row + 1]
             if lo == hi:
-                raise EmptyRowError(f"state {src} has no outgoing transitions")
+                raise EmptyRowError(f"state {src} has no outgoing transitions", int(src))
             seq.append(cols[bisect.bisect_right(cum, x, lo, hi)])
     return np.asarray(seq, dtype=np.int64)
 

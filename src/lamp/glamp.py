@@ -71,7 +71,7 @@ def mixture_matrix(model: LampModel) -> SparseStochasticMatrix:
     sizes = np.diff(model._bank.indptr)[rows]
     partly = np.flatnonzero((sizes == 0).any(axis=1) & (sizes > 0).any(axis=1))
     if partly.size:
-        raise EmptyRowError(f"state {partly[0]} has no outgoing transitions")
+        raise EmptyRowError(f"state {partly[0]} has no outgoing transitions", int(partly[0]))
     cells, acc = _cell_sums(*_lag_terms(model, rows, w[lags]), n * n)
     keep = acc != 0.0
     return SparseStochasticMatrix._from_entries(n, *np.divmod(cells[keep], n), acc[keep])
@@ -146,7 +146,8 @@ def lift_to_kth_order(
         rows = x + model._lag_rows[lags]
         empty = indptr[rows + 1] == indptr[rows]
         if empty.any():
-            raise EmptyRowError(f"state {x.flat[empty.argmax()]} has no outgoing transitions")
+            state = int(x.flat[empty.argmax()])
+            raise EmptyRowError(f"state {state} has no outgoing transitions", state)
         # Every positive (state, lag, column) term, in that order, and its next tuple.
         cell, term = _lag_terms(model, rows, w[lags])
         cell, term = cell[term > 0.0], term[term > 0.0]

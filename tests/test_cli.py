@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -211,6 +212,9 @@ EXIT_CODES = [
     ("stationary-empty-row", lambda t: ["analyze", "stationary", empty_row_model(t),
                                         "--output", str(t / "o.json")], 3,
      "state 'c' has no outgoing transitions"),
+    ("generate-empty-row", lambda t: ["generate", empty_row_model(t), "--start", "c",
+                                      "--output", str(t / "g.json")], 3,
+     "state 'c' has no outgoing transitions"),
     ("train-rounds-nan", lambda t: train_argv(t, "--rounds", "nan"), 2, "rounds must be finite"),
     ("train-rounds-inf", lambda t: train_argv(t, "--rounds", "inf"), 2, "rounds must be finite"),
     ("train-kkt-tol-nan", lambda t: train_argv(t, "--kkt-tol", "nan"), 2, "kkt_tol must be finite"),
@@ -249,6 +253,32 @@ def test_exit_code_map(capsys, tmp_path, argv_for, expected, names):
     assert code == expected
     assert {0: "", 1: "error", 2: "data error", 3: "numeric error"}[code] in err
     assert names in err
+
+
+#: (id, argv from the test's tmp dir) of commands that read their inputs and
+#: then fail, at a check or at writing a file other than --output (out.json).
+FAILING_AFTER_READING = [
+    ("preprocess-split-one-line", lambda t: [
+        "preprocess", write_corpus_text(t, "a b a\n"), "--output", str(t / "out.json"),
+        "--split", "0.9"]),
+    ("exponent-trace-csv-missing-dir", lambda t: [
+        "analyze", "exponent", "--w", "0.5,0.5", "--steps", "20", "--output", str(t / "out.json"),
+        "--trace-csv", str(t / "missing" / "t.csv")]),
+    ("baseline-model-output-missing-dir", lambda t: [
+        "baseline", worked_corpus(t), "--order", "2", "--output", str(t / "out.json"),
+        "--model-output", str(t / "missing" / "ng.json")]),
+    ("train-report-missing-dir", lambda t: [
+        "train", worked_corpus(t), "--output", str(t / "out.json"), "--k", "2",
+        "--report", str(t / "missing" / "r.jsonl")]),
+]
+
+
+@pytest.mark.parametrize("argv_for", [pytest.param(f, id=name) for name, f in FAILING_AFTER_READING])
+def test_a_failing_command_leaves_no_output_or_manifest(capsys, tmp_path, argv_for):
+    code, _, err = run(capsys, argv_for(tmp_path))
+    assert code == 2 and "data error" in err
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out.json.manifest.json").exists()
 
 
 def test_module_entry_point_runs():
@@ -565,7 +595,7 @@ def test_evaluate_held_out_empty_row_is_impossible(capsys, tmp_path):
     code, _, err = run(capsys, ["generate", model_path, "--start", "c",
                                 "--output", str(tmp_path / "g.json")])
     assert code == 3
-    assert "state 2 has no outgoing transitions" in err
+    assert "state 'c' has no outgoing transitions" in err
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +781,37 @@ def test_analyze_writes_frozen_bytes(capsys, tmp_path, monkeypatch):
     }
 
 
+def test_evaluate_generate_and_baseline_write_frozen_bytes(capsys, tmp_path, monkeypatch):
+    # Relative paths: the documents record their input paths.  On the ring
+    # model the held-out s5 -> s1 is impossible, so --floor changes the score.
+    monkeypatch.chdir(tmp_path)
+    save_model(make_model((0.7, 0.3), ring_matrix(8)), "ring.json")
+    write_corpus_text(tmp_path, "s0 s1 s2 s4 s5 s1\ns3 s4 s6 s0 s0 s1\n", name="held.txt")
+    write_corpus_text(tmp_path, GOLDEN_CORPUS, name="train.txt")
+    write_corpus_text(tmp_path, "a b c a d\nc b a b c e\n", name="test.txt")
+    commands = {
+        "eval.json": ["evaluate", "ring.json", "held.txt"],
+        "eval_floor.json": ["evaluate", "ring.json", "held.txt", "--floor"],
+        "gen.json": ["generate", "ring.json", "--start", "s3", "--length", "40", "--seed", "9"],
+        "scores.json": ["baseline", "train.txt", "--order", "3", "--smoothing", "kneser_ney",
+                        "--eval-corpus", "test.txt", "--model-output", "ngram.json"],
+    }
+    for name, argv in commands.items():
+        code, _, err = run(capsys, argv + ["--output", name])
+        assert code == 0, err
+    assert json.loads((tmp_path / "eval.json").read_text())["impossible_transitions"] == 1
+    assert json.loads((tmp_path / "eval_floor.json").read_text())["impossible_transitions"] == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in [*commands, "ngram.json"]}
+    assert digests == {
+        "eval.json": "e6b20fe05c9aeaa72e55ff2c1065428e012def17a290faee40e9dd6ca113bd1a",
+        "eval_floor.json": "79e9c6e60b33ec9896c7d08a4d7051266b67370361d336bef6eda75b44fb8ce9",
+        "gen.json": "59676dd62008add285518b8d5ca3b24fd27d3c9e58f43779343f599a855fb202",
+        "scores.json": "a8aee9048a73f6adc89c6100bd5f9926f7483ddf1ceb3dd91b39e7a4da425921",
+        "ngram.json": "a529881973b07a368000597a14928f2fb812e307e087e7025dfac68591f07cf9",
+    }
+
+
 # ---------------------------------------------------------------------------
 # baseline
 
@@ -824,16 +885,60 @@ def test_manifest_records_run_metadata(capsys, tmp_path):
 
 
 def test_every_command_writes_exactly_one_manifest(capsys, tmp_path):
-    corpus_path = write_corpus_text(tmp_path, "a b a b a\n")
-    cache = str(tmp_path / "c.json")
-    run(capsys, ["preprocess", corpus_path, "--output", cache])
-    assert (tmp_path / "c.json.manifest.json").exists()
-    model = str(tmp_path / "m.json")
-    run(capsys, ["train", cache, "--output", model, "--k", "1"])
-    assert (tmp_path / "m.json.manifest.json").exists()
-    gen = str(tmp_path / "g.json")
-    run(capsys, ["generate", model, "--length", "3", "--output", gen])
-    assert (tmp_path / "g.json.manifest.json").exists()
+    # Every command form: exit 0, one stdout line, one manifest naming the
+    # command with --output first, every listed output on disk, a hash of
+    # every file read, and each "=" value on the line rendering a value of
+    # the document or the manifest summary (numbers as JSON, words as is).
+    corpus = write_corpus_text(tmp_path, "a b a b c a\nb a c a b\nc a b a\na c b a b\n")
+    model, _ = save_worked_model(tmp_path)
+    t = {name: str(tmp_path / name) for name in (
+        "c.json", "s.json", "s.train.json", "s.test.json", "m.json", "m.report.jsonl", "e.json",
+        "ef.json", "g.json", "pi.json", "mix.json", "exp.json", "trace.csv", "bound.json",
+        "b.json", "ng.json")}
+    # (command, argv, files read, outputs with --output first)
+    forms = [
+        ("preprocess", ["preprocess", corpus, "--output", t["c.json"]], [corpus], ["c.json"]),
+        ("preprocess", ["preprocess", corpus, "--output", t["s.json"], "--split", "0.5"], [corpus],
+         ["s.json", "s.train.json", "s.test.json"]),
+        ("train", ["train", t["s.train.json"], "--output", t["m.json"], "--k", "2"],
+         [t["s.train.json"]], ["m.json", "m.report.jsonl"]),
+        ("evaluate", ["evaluate", t["m.json"], t["s.test.json"], "--output", t["e.json"]],
+         [t["m.json"], t["s.test.json"]], ["e.json"]),
+        ("evaluate", ["evaluate", t["m.json"], t["s.test.json"], "--output", t["ef.json"], "--floor"],
+         [t["m.json"], t["s.test.json"]], ["ef.json"]),
+        ("generate", ["generate", t["m.json"], "--length", "5", "--output", t["g.json"]],
+         [t["m.json"]], ["g.json"]),
+        ("analyze stationary", ["analyze", "stationary", model, "--output", t["pi.json"]], [model],
+         ["pi.json"]),
+        ("analyze mixing", ["analyze", "mixing", model, "--output", t["mix.json"]], [model],
+         ["mix.json"]),
+        ("analyze exponent", ["analyze", "exponent", "--model", model, "--steps", "50",
+                              "--output", t["exp.json"], "--trace-csv", t["trace.csv"]], [model],
+         ["exp.json", "trace.csv"]),
+        ("analyze bound", ["analyze", "bound", model, "--output", t["bound.json"]], [model],
+         ["bound.json"]),
+        ("baseline", ["baseline", t["s.train.json"], "--order", "2", "--output", t["b.json"],
+                      "--eval-corpus", t["s.test.json"], "--model-output", t["ng.json"]],
+         [t["s.train.json"], t["s.test.json"]], ["b.json", "ng.json"]),
+    ]
+    for command, argv, inputs, outputs in forms:
+        before = set(tmp_path.glob("*.manifest.json"))
+        code, stdout, err = run(capsys, argv)
+        assert code == 0, (command, err)
+        assert stdout.count("\n") == 1, command
+        output = t[outputs[0]]
+        assert set(tmp_path.glob("*.manifest.json")) - before == {tmp_path / (outputs[0] + ".manifest.json")}
+        manifest = json.loads(open(output + ".manifest.json").read())
+        assert manifest["command"] == command
+        assert manifest["outputs"] == [t[name] for name in outputs]
+        assert all(os.path.exists(path) for path in manifest["outputs"])
+        assert set(manifest["input_hashes"]) == set(inputs), command
+        values = [*json.loads(open(output).read()).values(), *manifest["summary"].values()]
+        renderings = {json.dumps(v) for v in values} | {v for v in values if isinstance(v, str)}
+        line = stdout.rstrip("\n")
+        for at in (m.end() for m in re.finditer(r"\w=", line)):
+            assert any(line.startswith(r + " ", at) or line[at:] == r for r in renderings), (
+                command, line[at:])
 
 
 def test_pipeline_reruns_are_byte_identical(capsys, tmp_path, monkeypatch):
