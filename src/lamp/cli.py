@@ -2,16 +2,16 @@
 and n-gram baselines.
 
 Machine output is JSON only.  Each command reads its inputs, runs every
-check, writes any file other than --output, and returns a ``_Result``;
-:func:`main` alone finishes the run.  It writes the command's JSON document
-to --output (``preprocess`` and ``train`` write theirs themselves, last),
-then the manifest (<output>.manifest.json) recording the command, its
-configuration, sha256 hashes of the inputs, the output paths, the seed, the
-wall time and the library version, and last prints the command's one
-summary line to stdout.  Every number on that line is the JSON rendering of
-a value stored in the command's JSON output or manifest summary.  A command
-that fails leaves neither --output nor a manifest, and an error caused by
-an empty row names the state's token.  All artifact JSON is
+check and returns a ``_Result`` naming the files to write; it writes none.
+:func:`main` alone finishes the run.  It hashes the inputs and checks that
+every output's directory exists, then writes the files other than --output,
+then --output, then the manifest (<output>.manifest.json) recording the
+command, its configuration, sha256 hashes of the inputs as read, the output
+paths, the seed, the wall time and the library version, and last prints the
+command's one summary line to stdout.  Every number on that line is the JSON
+rendering of a value stored in the command's JSON output or manifest
+summary.  A command that fails leaves neither --output nor a manifest, and
+an error caused by an empty row names the state's token.  All artifact JSON is
 byte-deterministic for fixed inputs and seed; wall time lives only in the
 manifest.
 
@@ -27,6 +27,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -77,9 +78,8 @@ __all__ = ["main"]
 class _Result(NamedTuple):
     """What a command hands :func:`main` to write."""
 
-    doc: dict | None  # written to outputs[0]; None when the command wrote it
     inputs: list  # every file the command read
-    outputs: list  # every file it wrote, --output first
+    writes: list  # (path, write) of every file to write, --output first; write(path) writes it
     summary: dict  # the manifest's summary
     line: str  # the one stdout line
 
@@ -106,6 +106,16 @@ def _sha256(path: str) -> str:
     except OSError as exc:
         raise DataError(f"cannot read input {path}: {exc}") from exc
     return digest.hexdigest()
+
+
+def _json_writer(doc) -> functools.partial:
+    """A write that saves ``doc`` as artifact JSON."""
+    return functools.partial(_write_json, doc)
+
+
+def _write_text(text: str, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _json_stem(path: str) -> str:
@@ -159,8 +169,8 @@ def _naming_empty_state(vocab: Vocabulary):
 
 
 # ---------------------------------------------------------------------------
-# Commands: each checks everything before its first write, writes any file
-# other than --output first, and returns a _Result for main to finish.
+# Commands: each reads its inputs, checks everything and returns a _Result
+# for main to write.
 
 
 def cmd_preprocess(args: argparse.Namespace) -> _Result:
@@ -173,7 +183,7 @@ def cmd_preprocess(args: argparse.Namespace) -> _Result:
         split_seed=args.split_seed,
     )
     out, report = preprocess(corpus, cfg)
-    outputs = [args.output]
+    writes = [(args.output, functools.partial(save_corpus_cache, out))]
     summary = {
         "n_sequences": report.n_sequences_out,
         "vocab_size": report.vocab_size_out,
@@ -185,13 +195,11 @@ def cmd_preprocess(args: argparse.Namespace) -> _Result:
         train, test = split(out, cfg.split_fraction, cfg.split_seed, cfg.rare_token_label)
         stem = _json_stem(args.output)
         train_path, test_path = stem + ".train.json", stem + ".test.json"
-        save_corpus_cache(train, train_path)
-        save_corpus_cache(test, test_path)
-        outputs += [train_path, test_path]
+        writes += [(train_path, functools.partial(save_corpus_cache, train)),
+                   (test_path, functools.partial(save_corpus_cache, test))]
         summary["n_train_sequences"] = len(train)
         summary["n_test_sequences"] = len(test)
-    save_corpus_cache(out, args.output)
-    return _Result(None, [args.input], outputs, summary, (
+    return _Result([args.input], writes, summary, (
         f"preprocess: kept {_fmt(summary['n_sequences'])} sequences"
         f" vocab={_fmt(summary['vocab_size'])}"
         f" dropped={_fmt(summary['dropped_short_sequences'])} -> {args.output}"
@@ -212,9 +220,6 @@ def cmd_train(args: argparse.Namespace) -> _Result:
     )
     model, report = alternate_minimize(corpus, cfg)
     report_path = args.report or _json_stem(args.output) + ".report.jsonl"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_jsonl())
-    save_model(model, args.output)
     final = report.records[-1]
     summary = {
         "k": cfg.k,
@@ -227,7 +232,9 @@ def cmd_train(args: argparse.Namespace) -> _Result:
             for r in report.records[1:]
         ],
     }
-    return _Result(None, [args.corpus], [args.output, report_path], summary, (
+    writes = [(args.output, functools.partial(save_model, model)),
+              (report_path, functools.partial(_write_text, report.to_jsonl()))]
+    return _Result([args.corpus], writes, summary, (
         f"train: k={_fmt(cfg.k)} rounds={_fmt(cfg.rounds)}"
         f" perplexity={_fmt(final.perplexity)} -> {args.output}"
     ))
@@ -252,7 +259,7 @@ def cmd_evaluate(args: argparse.Namespace) -> _Result:
         "perplexity": ppl,
         "impossible_transitions": ll.impossible_transitions,
     }
-    return _Result(doc, [args.model, args.corpus], [args.output], summary, (
+    return _Result([args.model, args.corpus], [(args.output, _json_writer(doc))], summary, (
         f"evaluate: perplexity={_fmt(ppl)}"
         f" impossible={_fmt(ll.impossible_transitions)} -> {args.output}"
     ))
@@ -273,7 +280,7 @@ def cmd_generate(args: argparse.Namespace) -> _Result:
         "tokens": tokens,
         "ids": ids.tolist(),
     }
-    return _Result(doc, [args.model], [args.output], {"length": args.length}, " ".join(tokens))
+    return _Result([args.model], [(args.output, _json_writer(doc))], {"length": args.length}, " ".join(tokens))
 
 
 def cmd_analyze_stationary(args: argparse.Namespace) -> _Result:
@@ -281,7 +288,7 @@ def cmd_analyze_stationary(args: argparse.Namespace) -> _Result:
     with _naming_empty_state(model.vocab):
         pi = [float(p) for p in stationary_distribution(model.P, tol=args.tol)]
     doc = {"model": args.model, "tol": args.tol, "stationary": pi}
-    return _Result(doc, [args.model], [args.output], {"stationary": pi},
+    return _Result([args.model], [(args.output, _json_writer(doc))], {"stationary": pi},
                    f"analyze stationary: pi={_fmt(pi)} -> {args.output}")
 
 
@@ -291,7 +298,7 @@ def cmd_analyze_mixing(args: argparse.Namespace) -> _Result:
         t_mix = mixing_time(model.P, args.delta)
     doc = {"model": args.model, "delta": args.delta, "mixing_time": t_mix}
     summary = {"mixing_time": t_mix, "delta": args.delta}
-    return _Result(doc, [args.model], [args.output], summary, (
+    return _Result([args.model], [(args.output, _json_writer(doc))], summary, (
         f"analyze mixing: mixing_time={_fmt(t_mix)}"
         f" delta={_fmt(args.delta)} -> {args.output}"
     ))
@@ -319,11 +326,10 @@ def cmd_analyze_exponent(args: argparse.Namespace) -> _Result:
         "predicted": est.predicted,
         "clt_statistic": est.clt_statistic,
     }
-    outputs = [args.output]
+    writes = [(args.output, _json_writer(doc))]
     if args.trace_csv:
-        export_trace_csv(trace, args.trace_csv)
-        outputs.append(args.trace_csv)
-    return _Result(doc, inputs, outputs, {"rate": est.rate, "predicted": est.predicted}, (
+        writes.append((args.trace_csv, functools.partial(export_trace_csv, trace)))
+    return _Result(inputs, writes, {"rate": est.rate, "predicted": est.predicted}, (
         f"analyze exponent: rate={_fmt(est.rate)}"
         f" predicted={_fmt(est.predicted)} -> {args.output}"
     ))
@@ -335,7 +341,7 @@ def cmd_analyze_bound(args: argparse.Namespace) -> _Result:
         bound = lamp_mixing_bound(model.w, model.P, args.delta, args.epsilon, args.T)
     doc = {"model": args.model, **asdict(bound)}
     summary = {"bound": bound.bound, "confidence": bound.confidence}
-    return _Result(doc, [args.model], [args.output], summary, (
+    return _Result([args.model], [(args.output, _json_writer(doc))], summary, (
         f"analyze bound: bound={_fmt(bound.bound)}"
         f" confidence={_fmt(bound.confidence)} -> {args.output}"
     ))
@@ -361,11 +367,10 @@ def cmd_baseline(args: argparse.Namespace) -> _Result:
         doc["eval_corpus"] = args.eval_corpus
         doc["eval_perplexity"] = summary["eval_perplexity"] = ngram_perplexity(model, held_out)
         inputs.append(args.eval_corpus)
-    outputs = [args.output]
+    writes = [(args.output, _json_writer(doc))]
     if args.model_output:
-        save_ngram(model, args.model_output)
-        outputs.append(args.model_output)
-    return _Result(doc, inputs, outputs, summary, (
+        writes.append((args.model_output, functools.partial(save_ngram, model)))
+    return _Result(inputs, writes, summary, (
         f"baseline: order={_fmt(args.order)} smoothing={args.smoothing}"
         f" train_perplexity={_fmt(doc['train_perplexity'])} -> {args.output}"
     ))
@@ -474,8 +479,9 @@ def _shared_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    """Run one command: time it, write its document to --output after every
-    other file it wrote, then its manifest, then print its summary line."""
+    """Run one command: time it, hash its inputs and check its output
+    directories before the first write, write --output after every other
+    file, then its manifest, then print its summary line."""
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
@@ -484,20 +490,24 @@ def main(argv=None) -> int:
     try:
         result = args.func(args)
         input_hashes = {path: _sha256(path) for path in result.inputs}
-        if result.doc is not None:
-            _write_json(result.doc, result.outputs[0])
+        outputs = [path for path, _ in result.writes]
+        for path in outputs:
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise DataError(f"cannot write {path}: its directory does not exist")
+        for path, write in result.writes[1:] + result.writes[:1]:
+            write(path)
         manifest = {
             "command": " ".join(filter(None, (args.command, getattr(args, "analyze_command", None)))),
             "config": {k: v for k, v in vars(args).items()
                        if k not in ("func", "command", "analyze_command")},
             "input_hashes": input_hashes,
-            "outputs": result.outputs,
+            "outputs": outputs,
             "seed": getattr(args, "seed", None),
             "wall_time_s": time.perf_counter() - started,
             "version": __version__,
             "summary": result.summary,
         }
-        _write_json(manifest, result.outputs[0] + ".manifest.json")
+        _write_json(manifest, outputs[0] + ".manifest.json")
     except NumericError as exc:
         print(f"lamp: numeric error: {exc}", file=sys.stderr)
         return 3

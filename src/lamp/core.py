@@ -195,13 +195,19 @@ def _find_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     if sorted_keys[0] >= 0 and span <= _TABLE_SLOTS_PER_QUERY * keys.size:
         table = np.full(span + 1, -1, dtype=np.int64)  # slot `span` answers every key out of range
         table[sorted_keys] = np.arange(sorted_keys.size)
-        return table[np.clip(keys, -1, span)]  # -1 reads slot `span` too
-    found = np.empty(keys.size, dtype=np.int64)
+        slot = np.clip(keys, -1, span, out=np.empty(keys.shape, dtype=np.int64))
+        # "wrap" sends -1 to slot `span`.  take reads each index before it
+        # writes that place, so the answers can overwrite the slots.
+        return np.take(table, slot, out=slot, mode="wrap")
     order = np.argsort(keys, axis=None)
     needles = keys.ravel()[order]
-    at = np.minimum(np.searchsorted(sorted_keys, needles), sorted_keys.size - 1)
-    found[order] = np.where(sorted_keys[at] == needles, at, -1)
-    return found.reshape(keys.shape)
+    at = np.searchsorted(sorted_keys, needles)
+    np.minimum(at, sorted_keys.size - 1, out=at)
+    at[sorted_keys[at] != needles] = -1
+    del needles
+    found = np.empty(keys.shape, dtype=np.int64)
+    found.reshape(-1)[order] = at
+    return found
 
 
 def _integers(values: list, low: float, high: float, what: str) -> np.ndarray:
@@ -391,7 +397,10 @@ class SparseStochasticMatrix:
 
     def pair_indices(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         """Indices into the flat storage for (src, tgt) pairs, -1 if absent."""
-        return _find_sorted(self._pair_keys, src.astype(np.int64) * self.n + tgt.astype(np.int64))
+        keys = np.empty(np.broadcast_shapes(np.shape(src), np.shape(tgt)), dtype=np.int64)
+        np.multiply(src, self.n, out=keys, dtype=np.int64)
+        keys += tgt
+        return _find_sorted(self._pair_keys, keys)
 
     def lookup_pairs(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         """Vectorised P(src, tgt); zero for pairs outside the support."""
@@ -667,7 +676,9 @@ class ScoredPositions:
         at = np.flatnonzero(scored)
         self.pos = at - first
         self.tgt = flat[at]
-        self.src = flat[np.maximum(at[:, None] - np.arange(1, k + 1), first[:, None])]
+        source = at[:, None] - np.arange(1, k + 1)
+        np.maximum(source, first[:, None], out=source)  # clamped to the sequence start
+        self.src = flat[source]
         self.T = int(self.tgt.size)
 
     def lag_probabilities(self, model: LampModel) -> np.ndarray:

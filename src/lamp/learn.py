@@ -283,7 +283,10 @@ def empirical_transition_matrix(
     n = stats.n
     lag1_keys, lag1_counts = np.unique(stats.src[:, 0] * n + stats.tgt, return_counts=True)
     lag1_totals = np.bincount(stats.src[:, 0], minlength=n)
-    keys = np.sort(stats.src * n + stats.tgt[:, None], axis=None)  # row-major, columns ascending
+    keys = stats.src * n
+    keys += stats.tgt[:, None]
+    keys = keys.ravel()  # a view of the fresh array, sorted in place
+    keys.sort()  # row-major, columns ascending
     first = np.ones(keys.size, dtype=bool)  # each pair's first occurrence
     first[1:] = keys[1:] != keys[:-1]
     keys = keys[first]
@@ -519,8 +522,10 @@ class _EMHalf:
     when None; training computes it once.
 
     The mixture is A @ w with A = q[entry], as every block computes it.  The
-    gradient adds w_i / d[t] over the (position, lag) pairs with w_i > 0
-    whose pair lies in the support, position-major.
+    gradient adds w_i / d[t] over the live pairs: the (position, lag) pairs
+    with w_i > 0 whose pair lies in the support, position-major.  It keeps
+    each live pair's entry and weight and each position's number of live
+    pairs, which spreads d over them.
     """
 
     def __init__(
@@ -530,12 +535,15 @@ class _EMHalf:
         if entry is None:
             entry = support.pair_indices(stats.src, stats.tgt[:, None])
         self.entry, self.w = entry, w
-        pair = np.flatnonzero((entry >= 0) & (w > 0.0))  # position-major
-        self.t, lag = np.divmod(pair, stats.k)
-        self.weight, self.pair_entry = w[lag], entry.ravel()[pair]
+        live = (entry >= 0) & (w > 0.0)
+        self.live_count = np.count_nonzero(live, axis=1)
+        self.pair_entry = entry[live]  # position-major
+        self.weight = np.broadcast_to(w, entry.shape)[live]
         self.n, self.size = support.n, support.support_size
         self.row = support._entry_rows
-        self.reached = np.bincount(self.row[self.pair_entry], minlength=self.n) > 0  # rows with a pair
+        hit = np.zeros(self.size, dtype=bool)
+        hit[self.pair_entry] = True
+        self.reached = np.bincount(self.row, weights=hit, minlength=self.n) > 0  # rows with a pair
         self.prior = prior
 
     def mixture(self, q: np.ndarray) -> np.ndarray:
@@ -544,7 +552,9 @@ class _EMHalf:
 
     def gradient(self, d: np.ndarray) -> np.ndarray:
         """Log-likelihood gradient in q, given the mixture probabilities d."""
-        return np.bincount(self.pair_entry, weights=self.weight / d[self.t], minlength=self.size)
+        share = np.repeat(d, self.live_count)
+        np.divide(self.weight, share, out=share)
+        return np.bincount(self.pair_entry, weights=share, minlength=self.size)
 
     def _normalized(self, z: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """z divided by its row sums on the given rows whose sum is
@@ -638,6 +648,9 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     q = init.probs
     w = HistoryDistribution.geometric(cfg.init_decay, cfg.k).weights.copy()
     entry = init.pair_indices(stats.src, stats.tgt[:, None])
+    # Every half reads entry; the sources go, so that training holds one
+    # (T, k) table besides its scratch.  _denominators still reads stats.
+    del stats.src
 
     def active_size() -> int:
         return int(np.count_nonzero(w > 0)) + int(np.count_nonzero(q > 0))

@@ -256,7 +256,7 @@ def test_exit_code_map(capsys, tmp_path, argv_for, expected, names):
 
 
 #: (id, argv from the test's tmp dir) of commands that read their inputs and
-#: then fail, at a check or at writing a file other than --output (out.json).
+#: then fail, at a check or at an output whose directory is missing.
 FAILING_AFTER_READING = [
     ("preprocess-split-one-line", lambda t: [
         "preprocess", write_corpus_text(t, "a b a\n"), "--output", str(t / "out.json"),
@@ -270,15 +270,22 @@ FAILING_AFTER_READING = [
     ("train-report-missing-dir", lambda t: [
         "train", worked_corpus(t), "--output", str(t / "out.json"), "--k", "2",
         "--report", str(t / "missing" / "r.jsonl")]),
+    ("train-output-missing-dir", lambda t: [
+        "train", write_corpus_text(t, "a b a\nb a b\n", "c.txt"), "--output", str(t / "missing" / "m.json"),
+        "--k", "1", "--report", str(t / "r.jsonl")]),
 ]
 
 
 @pytest.mark.parametrize("argv_for", [pytest.param(f, id=name) for name, f in FAILING_AFTER_READING])
 def test_a_failing_command_leaves_no_output_or_manifest(capsys, tmp_path, argv_for):
-    code, _, err = run(capsys, argv_for(tmp_path))
+    argv = argv_for(tmp_path)
+    inputs = set(tmp_path.rglob("*"))
+    code, _, err = run(capsys, argv)
     assert code == 2 and "data error" in err
     assert not (tmp_path / "out.json").exists()
     assert not (tmp_path / "out.json.manifest.json").exists()
+    assert not (tmp_path / "r.jsonl").exists()
+    assert set(tmp_path.rglob("*")) == inputs  # no file of any kind was written
 
 
 def test_module_entry_point_runs():
@@ -882,6 +889,19 @@ def test_manifest_records_run_metadata(capsys, tmp_path):
     doc = json.loads(open(out).read())
     assert manifest["summary"]["perplexity"] == doc["perplexity"]
     assert manifest["wall_time_s"] >= 0.0
+
+
+def test_manifest_hashes_an_input_that_output_overwrites(capsys, tmp_path):
+    # The hash is of the bytes the command read, taken before its first
+    # write, not of the cache that replaced them.
+    path = write_corpus_text(tmp_path, "a b a\nb a b\n", "c.txt")
+    with open(path, "rb") as fh:
+        read = hashlib.sha256(fh.read()).hexdigest()
+    code, _, _ = run(capsys, ["preprocess", path, "--output", path])
+    assert code == 0
+    assert load_corpus_cache(path).vocab.tokens  # the cache replaced the text
+    manifest = json.loads(open(path + ".manifest.json").read())
+    assert manifest["input_hashes"] == {path: read}
 
 
 def test_every_command_writes_exactly_one_manifest(capsys, tmp_path):

@@ -883,6 +883,53 @@ def test_pair_indices_take_the_table_on_small_ranges():
     np.testing.assert_array_equal(m.lookup_pairs(src, tgt), P[src, tgt])
 
 
+def read_only(array):
+    array = np.array(array)
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("n, queries", [(6, 200), (300, 5)], ids=["table", "sort"])
+def test_pair_lookups_leave_read_only_int32_inputs_alone(n, queries):
+    # pair_indices and lookup_pairs build their keys in buffers of their
+    # own: the caller's arrays stay as they were, and the result is the
+    # reference key src * n + tgt looked up in the sorted stored keys.
+    rng = np.random.default_rng(8)
+    P = random_stochastic_matrix(rng, n)
+    keep = rng.random((n, n)) < 0.4
+    keep[np.arange(n), np.argmax(P, axis=1)] = True  # no row is empty
+    P = np.where(keep, P, 0.0)
+    P /= P.sum(axis=1, keepdims=True)
+    m = SparseStochasticMatrix.from_dense(P)
+    src = read_only(rng.integers(0, n, size=(queries, 3)).astype(np.int32))
+    tgt = read_only(rng.integers(0, n, size=(queries, 1)).astype(np.int32))
+    keys = m._pair_keys
+    span = int(keys[-1]) + 1
+    assert (span <= core._TABLE_SLOTS_PER_QUERY * src.size) == (queries == 200)  # the branch named
+    before = src.copy(), tgt.copy()
+    want_keys = src.astype(np.int64) * n + tgt.astype(np.int64)
+    at = np.minimum(np.searchsorted(keys, want_keys), keys.size - 1)
+    want = np.where(keys[at] == want_keys, at, -1)
+    got = m.pair_indices(src, tgt)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert (want >= 0).any() and (want < 0).any()
+    np.testing.assert_array_equal(m.lookup_pairs(src, tgt), P[src, tgt])
+    assert np.array_equal(src, before[0]) and np.array_equal(tgt, before[1])
+
+
+def test_scored_positions_leave_read_only_int32_tokens_alone():
+    tokens = read_only(np.array([3, 0, 4, 4, 1, 2, 0, 1, 3], dtype=np.int32))
+    offsets = read_only(np.array([0, 4, 5, 9], dtype=np.int32))
+    corpus = Corpus(Vocabulary.from_size(5), tokens, offsets)
+    k = 3
+    stats = core.ScoredPositions(corpus, k)
+    want = [[seq[max(p - i, 0)] for i in range(1, k + 1)]
+            for seq in np.split(tokens, offsets[1:-1]) for p in range(1, seq.size)]
+    assert np.array_equal(stats.src, np.array(want))
+    assert np.array_equal(tokens, [3, 0, 4, 4, 1, 2, 0, 1, 3]) and np.array_equal(offsets, [0, 4, 5, 9])
+    assert np.array_equal(corpus.tokens, tokens)
+
+
 def test_scoring_memory_stays_bounded_on_a_large_sparse_vocabulary():
     # 4000 states with 2 entries a row: a table over every (row, column) key
     # would take 128 MB, and counting over a chunk's (position, column)
