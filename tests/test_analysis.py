@@ -92,12 +92,15 @@ def stepwise_tv(P, t_max):
 def schedule(monkeypatch, P):
     """Record what mixing_time does from now on, in order: "r" for a unit
     step through P's rows, "p" for a dense product with P on the left, "g"
-    for any other dense product and "F" for a full total-variation scan."""
+    for any other dense product and "F" for a full total-variation scan.
+    The batched products inside a row step are 3-D and are not dense
+    products."""
     events, dense = [], P.dense()
     row_steps, matmul, worst_tv = analysis._sparse_times, np.matmul, analysis._worst_tv
 
     def product(a, b, **kwargs):
-        events.append("p" if np.array_equal(a, dense) else "g")
+        if np.ndim(a) == 2:
+            events.append("p" if np.array_equal(a, dense) else "g")
         return matmul(a, b, **kwargs)
 
     def scan(M, pi, buf, stop=math.inf):
@@ -302,14 +305,32 @@ class TestMixingTime:
             assert mixing_time(P, delta) == ref_mixing_time(P, delta)
         assert "r" in events
 
-    @pytest.mark.parametrize("n, rows_taken", [(150, True), (100, False)])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(450, 480), ring=st.floats(0.05, 0.9),
+           delta=st.floats(0.005, 0.3))
+    def test_row_walk_matches_stepwise_oracle(self, seed, n, ring, delta):
+        # At most three entries per row and n >= 450 states: the search is
+        # the row walk, with no dense product.
+        P = ring_chain(np.random.default_rng(seed), n, ring)
+        assume(is_ergodic(P).ergodic)
+        with pytest.MonkeyPatch.context() as mp:
+            events = schedule(mp, P)
+            assert mixing_time(P, delta) == ref_mixing_time(P, delta)
+        assert set(events) <= {"r"}
+
+    @pytest.mark.parametrize("n, rows_taken", [(150, True), (100, False), (450, True)])
     def test_every_crossing_is_found_within_one_giant_step(self, n, rows_taken, monkeypatch):
         # A threshold between d(t - 1) and d(t) puts the crossing at t, for
-        # every t = 1..40.  The row-step branch forms no dense product before
-        # P^8, and at most eight unit steps follow the last giant step (the
-        # warm-up's P^8 when no product follows it).  Three entries per row
-        # take the row steps at n = 150 and dense products at n = 100.
+        # every t = 1..40.  Three entries per row take the row walk at
+        # n = 450, giant steps with row steps at n = 150 and dense products
+        # at n = 100.  The walk forms no dense product and reaches P^t in
+        # exactly t - 1 row steps from P.  Giant steps with row steps form
+        # no dense product before P^8.  With giant steps, at most eight unit
+        # steps follow the last one (the warm-up's P^8 when no product
+        # follows it).
         P = ring_chain(np.random.default_rng(5), n, 0.8)
+        walk = int(np.diff(P.indptr).max()) * analysis._WALK_RATIO <= n
+        assert walk == (n == 450)
         d = stepwise_tv(P, 40)
         events = schedule(monkeypatch, P)
         kinds = set()
@@ -321,11 +342,14 @@ class TestMixingTime:
             assert mixing_time(P, delta) == t
             products = [e for e in events if e != "F"]
             kinds.update(products)
+            if walk:
+                assert products == ["r"] * (t - 1)
+                continue
             if rows_taken:
                 assert "g" not in products[:7]
             last_giant = len(products) - products[::-1].index("g") if "g" in products else 7
             assert len(products) - last_giant <= 8
-        assert kinds == ({"r", "g"} if rows_taken else {"p", "g"})
+        assert kinds == ({"r"} if walk else {"r", "g"} if rows_taken else {"p", "g"})
 
     def test_a_predicted_walk_that_misses_carries_on(self, monkeypatch):
         # The lazy cycle's d sits on plateaus: d(8) = 0.93, then d(16) =
@@ -341,12 +365,12 @@ class TestMixingTime:
         assert mixing_time(P, delta) == ref_mixing_time(P, delta) > 24
         assert "p" * 8 + "Fg" in "".join(events)
 
-    @pytest.mark.parametrize("n", [100, 150])
+    @pytest.mark.parametrize("n", [100, 150, 450])
     def test_last_power_read_is_the_crossing(self, n, monkeypatch):
         # d(t) never rises, so nothing past the first crossing is read: the
         # last matrix whose total variation is taken is P^t itself.  Three
-        # entries per row take dense unit steps at n = 100 and row steps at
-        # n = 150.
+        # entries per row take dense unit steps at n = 100, row steps at
+        # n = 150 and the row walk at n = 450.
         P = ring_chain(np.random.default_rng(5), n, 0.8)
         last = []
         worst_tv = analysis._worst_tv
@@ -375,19 +399,37 @@ class TestMixingTime:
             assert mixing_time(P, delta) == brute_mixing(dense, delta)
             assert len(calls) <= 20
 
+    def test_row_walk_ends_where_the_rows_agree(self, monkeypatch):
+        # The converged-rows exit holds on the row walk too: with a delta
+        # below rounding, the walk checks the rows of every P^(8j) and raises
+        # at the first one whose rows agree within n·2^-52.
+        P = ring_chain(np.random.default_rng(5), 450, 0.8)
+        checks = []
+        rows_agree = analysis._rows_agree
+        monkeypatch.setattr(analysis, "_rows_agree", lambda M, buf: checks.append(M.copy()) or rows_agree(M, buf))
+        with pytest.raises(NumericError, match="mixing-time horizon exceeded"):
+            mixing_time(P, 1e-30)
+        spread = [0.5 * float(np.abs(M - M[0]).sum(axis=1).max()) for M in checks]
+        assert min(spread[:-1]) > P.n * 2.0**-52 >= spread[-1]
+        dense = P.dense()
+        for j, M in enumerate(checks, 1):
+            np.testing.assert_allclose(M, np.linalg.matrix_power(dense, 8 * j), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("dense", [False, True])
     def test_memory_stays_within_four_dense_arrays(self, dense):
-        # The row steps keep three n x n arrays live (P^8 and two powers) and
-        # the dense steps four (P, P^8 and two powers), plus one block of
-        # rows for total variation and the row steps, and a quarter of an
-        # array for vectors and ufunc buffers.
-        n = 300
+        # The row walk keeps two n x n arrays live (two powers) and the dense
+        # steps four (P, P^8 and two powers), plus one block of rows for
+        # total variation and the row steps, and a quarter of an array for
+        # vectors and ufunc buffers.  Three entries per row take the row
+        # walk at n = 450.
+        n = 450
         rng = np.random.default_rng(9)
         if dense:
             P = SparseStochasticMatrix.from_dense(
                 0.9 * np.roll(np.eye(n), 1, axis=1) + 0.1 * rng.dirichlet(np.ones(n), size=n))
         else:
             P = ring_chain(rng, n, 0.9)
+            assert int(np.diff(P.indptr).max()) * analysis._WALK_RATIO <= n
         t = mixing_time(P, 0.01)  # the first call loads what numpy imports lazily
         tracemalloc.start()
         try:
@@ -396,7 +438,7 @@ class TestMixingTime:
         finally:
             tracemalloc.stop()
         array = n * n * 8
-        arrays, block = (4, analysis._TV_BLOCK * 8) if dense else (3, analysis._GATHER_BLOCK * 8)
+        arrays, block = (4, analysis._TV_BLOCK * 8) if dense else (2, analysis._GATHER_BLOCK * 8)
         assert peak <= arrays * array + block + array // 4
 
     @settings(max_examples=100, deadline=None)

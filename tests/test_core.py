@@ -155,6 +155,29 @@ def test_matrix_storage_is_read_only_and_never_aliased():
         assert not arr.flags.writeable
 
 
+def test_left_multiply_copies_no_matrix_array():
+    # numpy's bincount copies a read-only input on every call: 1.28 MB of
+    # columns here, at 160 000 entries.  left_multiply holds only the
+    # repeated pi, weighted in place, and its result, and gives the bits of
+    # the plain expression over the public, read-only arrays.
+    n, width = 20_000, 8
+    rng = np.random.default_rng(4)
+    cols = np.sort((np.arange(n)[:, None] + 2500 * np.arange(width)) % n, axis=1)
+    m = SparseStochasticMatrix(n, width * np.arange(n + 1), cols.ravel(), rng.dirichlet(np.ones(width), size=n).ravel())
+    assert not m.cols.flags.writeable and not m.probs.flags.writeable
+    pi = rng.dirichlet(np.ones(n))
+    want = np.bincount(m.cols, weights=np.repeat(pi, width) * m.probs, minlength=n)
+    m.left_multiply(pi)  # builds the cached row sizes
+    tracemalloc.start()
+    try:
+        got = m.left_multiply(pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 8 * (m.cols.size + n) + 4096, peak
+
+
 def test_matrix_accessors_and_empty_rows():
     m = SparseStochasticMatrix.from_rows(3, [[(1, 1.0)], [], [(0, 0.25), (2, 0.75)]])
     assert m.prob(0, 1) == 1.0

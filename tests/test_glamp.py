@@ -417,6 +417,29 @@ class TestLift:
             expected[h[-1]] += p
         assert lifted.marginal_over_last(pi).tobytes() == expected.tobytes()
 
+    def test_lift_holds_at_most_one_copy_of_its_entries(self):
+        # A dense 20^3 lift: 8000 tuple states and 160 000 entries in Q.
+        # While it builds, the lift holds each row's size and its targets
+        # and probabilities; Q's arrays are joined from those, one at a
+        # time.  Its tracemalloc peak stays within what the returned chain
+        # holds (Q, its states and their index) plus one copy of Q's columns
+        # and probabilities.
+        rng = np.random.default_rng(3)
+        n = 20
+        mats = tuple(SparseStochasticMatrix.from_dense(rng.dirichlet(np.ones(n), size=n)) for _ in range(2))
+        model = LampModel.per_lag(
+            HistoryDistribution.from_weights([0.5, 0.3, 0.2]), mats, (1, 2, 1), Vocabulary.from_size(n))
+        lift_to_kth_order(model)  # the first call loads what numpy imports lazily
+        tracemalloc.start()
+        try:
+            lifted = lift_to_kth_order(model)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        Q = lifted.Q
+        assert Q.cols.size == n**3 * n
+        assert peak <= held + Q.cols.nbytes + Q.probs.nbytes, (peak, held)
+
     def test_marginal_length_validation(self):
         lifted = lift_to_kth_order(worked_glamp())
         with pytest.raises(DataError):
