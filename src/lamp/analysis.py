@@ -8,17 +8,15 @@ history-mixture process.
 
 Ergodicity is a breadth-first search over the CSR arrays, forwards and over
 the reversed edges, with the period taken as one gcd over all edges.  The
-mixing time takes one of three schedules by the length of P's longest row
-(see :func:`mixing_time`).  With the shortest rows it walks
-P^t = P P^(t-1) one step through P's rows at a time, to the first crossing
-of delta, in two n x n arrays.  Otherwise it takes giant steps of P^8 while
-the geometric prediction d(8j)^2 / d(8j - 8) says the next one will not
-cross delta, and unit steps from the last giant step to the crossing; a
-unit step goes through P's rows when they are short enough, with three
-n x n arrays live, and is a dense product otherwise, with four.  Its pi is
-the power iteration's, moved on by P^8 until it settles near rounding.  The
-result can depart from a stepwise search over P^t = P^(t-1) P only where
-d(t) ties delta to within rounding, about 1 ulp.
+mixing time takes one of two schedules by the length of P's longest row
+(see :func:`mixing_time`).  With short rows it walks P^t = P P^(t-1) one
+step through P's rows at a time, to the first crossing of delta, in two
+n x n arrays.  Otherwise it takes giant steps of P^8 while the geometric
+prediction d(8j)^2 / d(8j - 8) says the next one will not cross delta, and
+dense unit steps from the last giant step to the crossing, with four n x n
+arrays live; its pi is the power iteration's, moved on by P^8 until it
+settles near rounding.  The result can depart from a stepwise search over
+P^t = P^(t-1) P only where d(t) ties delta to within rounding, about 1 ulp.
 The analyses that need an ergodic matrix name its first empty row, when it
 has one, as the cause.
 """
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -72,7 +69,7 @@ _GIANT_STEP = 8
 _TV_BLOCK = 1 << 14
 
 #: Entries of the block that a row step gathers rows of P^t into; total
-#: variation then works through the same block.  Timed like the ratios
+#: variation then works through the same block.  Timed like the ratio
 #: below, one row step, best of 7: at n = 600 with 4 entries per row, 1.39 ms
 #: with 6 rows per block (2^14 entries), 0.97 to 1.08 ms with 13 to 54 rows
 #: (2^15 to 2^17) and 1.46 ms with 109 (2^18); at n = 1200 with 22 entries
@@ -80,29 +77,18 @@ _TV_BLOCK = 1 << 14
 #: times as long.
 _GATHER_BLOCK = 1 << 16
 
-#: Unit steps of the mixing-time search go through P's rows when the longest
-#: holds at most n / _CSR_STEP_RATIO entries, and are dense products
+#: The mixing-time search is the row walk when P's longest row holds at most
+#: n / _CSR_STEP_RATIO entries, and giant steps with dense unit steps
 #: otherwise.  Timed on a 2-core x86-64 machine with numpy 2.4 and one BLAS
 #: thread: whole calls on ring chains (``perfbench.workloads.ring_chain``,
-#: ring 0.7, delta 0.01, t = 16 to 48), best of 2 to 5, for n from 64 to 2000
-#: and 2 to 64 entries per row, under each schedule.  From n = 256 up, giant
-#: steps with row steps beat the dense schedule at n/50 entries per row and
-#: fewer, and broke even between n/62 and n/25; at n = 64 and 128 the dense
-#: schedule won at every width.  48 keeps the row steps on the side where
-#: they win.
-_CSR_STEP_RATIO = 48
-
-#: The mixing-time search walks row steps alone, with no giant step, when P's
-#: longest row holds at most n / _WALK_RATIO entries; two n x n arrays are
-#: then live instead of three.  Timed like the ratio above, the walk against
-#: giant steps with row steps: from n = 600 up the walk won or tied (+1.8% at
-#: most) at n/150 entries per row and fewer, and lost by 5 to 22% from n/125
-#: (from n/75 at n = 600); at n = 256 it lost at n/85, the narrowest rows
-#: measured.  A chain that mixes slowly costs the walk eight row steps where
-#: giant steps take one dense product: at n/150 entries and ring 0.97
-#: (t = 197 to 330), and on a lazy cycle of 300 states (t = 75 752), the walk
-#: took 0.89 to 1.43 times as long.
-_WALK_RATIO = 150
+#: ring 0.7, delta 0.01, t = 18 to 38), best of 3 to 5, under each schedule,
+#: for n from 256 to 2000 and 3 to 62 entries per row.  At n = 600 the walk
+#: won or tied (within 4%) at n/46 entries per row and fewer, and lost by 15%
+#: at n/40; at n = 1200 it won by 11% at n/60 and lost by 4 to 19% from n/55
+#: to n/46; at n = 2000 it won by 12% at n/67, tied at n/61 (-0.4 to +5%)
+#: and lost by 3 to 94% from n/56 to n/32.  At n = 256 the two were within
+#: 5 ms of each other.  60 keeps the walk on the side where it wins or ties.
+_CSR_STEP_RATIO = 60
 
 
 @dataclass(frozen=True)
@@ -285,51 +271,35 @@ def _rows_agree(M: np.ndarray, buf: np.ndarray) -> bool:
     return _worst_tv(M, M[0], buf, tol) <= tol
 
 
-def _row_steps(P: SparseStochasticMatrix) -> tuple[Callable[[np.ndarray, np.ndarray], None], np.ndarray]:
-    """(times_p, buf): times_p(M, out) writes out = P M through P's padded
-    rows, gathering into ``buf``, which total variation also works through."""
-    cols, probs = _padded_rows(P)
-    buf = np.empty((max(1, _GATHER_BLOCK // (cols.shape[1] * P.n)) * cols.shape[1], P.n))
-    return (lambda M, out: _sparse_times(cols, probs, M, out, buf)), buf
-
-
 def _row_walk(P: SparseStochasticMatrix, pi: np.ndarray, delta: float) -> int:
     """:func:`mixing_time` by the row walk: P^t = P P^(t-1) for t = 1, 2, ...
-    through P's rows, in two n x n arrays that the steps write in turn, each
-    scan stopping at the first row above delta."""
-    times_p, buf = _row_steps(P)
+    through P's padded rows, in two n x n arrays that the steps write in
+    turn, each scan stopping at the first row above delta.  The row steps
+    gather into one block, which total variation also works through."""
+    cols, probs = _padded_rows(P)
+    buf = np.empty((max(1, _GATHER_BLOCK // (cols.shape[1] * P.n)) * cols.shape[1], P.n))
     cur, nxt = P.dense(), np.empty((P.n, P.n))
     t = 1
     while _worst_tv(cur, pi, buf, delta) > delta:
         if t % _GIANT_STEP == 0 and (t > _MIXING_HORIZON or _rows_agree(cur, buf)):
             raise NumericError("mixing-time horizon exceeded")
-        times_p(cur, nxt)
+        _sparse_times(cols, probs, cur, nxt, buf)
         cur, nxt = nxt, cur
         t += 1
     return t
 
 
-def _giant_search(P: SparseStochasticMatrix, pi: np.ndarray, delta: float, rows: bool) -> int:
+def _giant_search(P: SparseStochasticMatrix, pi: np.ndarray, delta: float) -> int:
     """:func:`mixing_time` by giant steps of G = P^8 while the geometric
-    prediction says they will not cross delta, and unit steps
-    P^t = P P^(t-1) to the crossing: through P's rows when ``rows`` is set,
-    and dense products otherwise."""
+    prediction says they will not cross delta, and dense unit steps
+    P^t = P P^(t-1) to the crossing."""
     n = P.n
-    free: list[np.ndarray] = []  # n x n arrays no live power holds
-    if rows:
-        times_p, buf = _row_steps(P)
-        step = giant = None  # the warm-up walk forms G
-    else:
-        buf = np.empty((max(1, _TV_BLOCK // n), n))
-        step = P.dense()
-        half = np.matmul(step, step)
-        quarter = np.matmul(half, half)
-        giant = np.matmul(quarter, quarter, out=half)
-        free.append(quarter)
-
-        def times_p(m, out):
-            np.matmul(step, m, out=out)
-
+    buf = np.empty((max(1, _TV_BLOCK // n), n))
+    step = P.dense()
+    half = np.matmul(step, step)
+    quarter = np.matmul(half, half)
+    giant = np.matmul(quarter, quarter, out=half)
+    free = [quarter]  # n x n arrays no live power holds
     pi = _settled(P, pi, giant)
 
     def fresh():
@@ -345,10 +315,9 @@ def _giant_search(P: SparseStochasticMatrix, pi: np.ndarray, delta: float, rows:
         delta)."""
         for t in range(base + 1, base + _GIANT_STEP + 1):
             if cur is None:
-                cur = step if step is not None else P.dense(out=fresh())
+                cur = step
             else:
-                nxt = fresh()
-                times_p(cur, nxt)
+                nxt = np.matmul(step, cur, out=fresh())
                 release(cur)
                 cur = nxt
             d = _worst_tv(cur, pi, buf, math.inf if t % _GIANT_STEP == 0 else delta)
@@ -358,10 +327,8 @@ def _giant_search(P: SparseStochasticMatrix, pi: np.ndarray, delta: float, rows:
 
     base, cur, d, d_last = 0, None, 1.0, 1.0  # P^base, d(base), d(base - 8)
     while True:
-        if giant is None or d * d <= delta * d_last:  # warm-up, or a predicted crossing
+        if d * d <= delta * d_last:  # a predicted crossing
             t, nxt, d_next = walk(base, cur)
-            if giant is None:
-                giant = nxt
         else:
             t = base + _GIANT_STEP
             nxt = giant if cur is None else np.matmul(cur, giant, out=fresh())
@@ -386,13 +353,12 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
 
     **Schedule.**  By the length of P's longest row, against n:
 
-    - at most n / ``_WALK_RATIO`` entries: the row walk.  P^t = P P^(t-1)
-      for t = 1, 2, ..., one step through P's rows (padded to the longest)
-      at a time, and d is read at every power up to the crossing.
-    - at most n / ``_CSR_STEP_RATIO``: giant steps, with unit steps through
-      P's rows.  A warm-up walks P^1 .. P^8 and checks each, so a crossing
-      at t <= 8 ends there and P^8 becomes the giant step G.
-    - longer: giant steps with dense unit steps, G formed by three squarings.
+    - at most n / ``_CSR_STEP_RATIO`` entries: the row walk.
+      P^t = P P^(t-1) for t = 1, 2, ..., one step through P's rows (padded
+      to the longest) at a time, and d is read at every power up to the
+      crossing.
+    - longer: giant steps, G = P^8 formed by three squarings, with dense
+      unit steps.
 
     With giant steps, from P^(8j) (P^0 = I) the search takes the giant step
     P^(8j+8) = P^(8j) G only when the geometric prediction
@@ -408,9 +374,8 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     giant step past it.
 
     **Buffers.**  The row walk keeps two n x n arrays live, the powers that
-    its steps write in turn.  Giant steps with row steps keep three: G and
-    two powers; with dense steps four: P, G and two powers.  Total
-    variation and the row steps work through one block of rows.
+    its steps write in turn; giant steps keep four: P, G and two powers.
+    Total variation and the row steps work through one block of rows.
 
     **Stop.**  The search raises :class:`NumericError` after
     ``_MIXING_HORIZON`` powers, or at the first power P^(8j) above delta
@@ -438,10 +403,9 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     if delta >= 1.0:
         return 0
     pi = _power_iteration(P)  # before the n x n arrays, which its temporaries would join
-    width = int(np.diff(P.indptr).max())
-    if width * _WALK_RATIO <= n:
+    if int(np.diff(P.indptr).max()) * _CSR_STEP_RATIO <= n:
         return _row_walk(P, _settled(P, pi, None), delta)
-    return _giant_search(P, pi, delta, rows=width * _CSR_STEP_RATIO <= n)
+    return _giant_search(P, pi, delta)
 
 
 # ---------------------------------------------------------------------------

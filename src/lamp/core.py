@@ -609,8 +609,10 @@ class Corpus:
     Sequence s is ``tokens[offsets[s]:offsets[s + 1]]``: ``tokens`` holds
     every id of every sequence in order and ``offsets`` the n_sequences + 1
     nondecreasing offsets from 0 to ``tokens.size``.  Both arrays are int64
-    and stored read-only.  Every sequence must be nonempty and every id must
-    lie in the vocabulary.
+    and stored read-only; the corpus keeps a private writable view of
+    ``tokens`` for ``np.bincount``, which copies a read-only input, and an
+    input ``tokens`` that is already read-only is copied once for it.  Every
+    sequence must be nonempty and every id must lie in the vocabulary.
     """
 
     vocab: Vocabulary
@@ -618,8 +620,12 @@ class Corpus:
     offsets: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("tokens", "offsets"):
-            object.__setattr__(self, name, _as_readonly(np.asarray(getattr(self, name), dtype=np.int64)))
+        tokens = np.ascontiguousarray(self.tokens, dtype=np.int64)
+        if not tokens.flags.writeable:
+            tokens = tokens.copy()
+        object.__setattr__(self, "_tokens_rw", tokens.view())  # the writable view bincount reads
+        object.__setattr__(self, "tokens", _as_readonly(tokens))
+        object.__setattr__(self, "offsets", _as_readonly(np.asarray(self.offsets, dtype=np.int64)))
         tokens, offsets = self.tokens, self.offsets
         if (tokens.ndim != 1 or offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
                 or offsets[-1] != tokens.size or np.any(np.diff(offsets) < 0)):

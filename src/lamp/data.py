@@ -136,7 +136,7 @@ def decode_ids(vocab: Vocabulary, ids: Sequence[int]) -> list[str]:
 
 def token_counts(corpus: Corpus) -> np.ndarray:
     """Occurrences of each token id across all sequences."""
-    return np.bincount(corpus.tokens, minlength=len(corpus.vocab))
+    return np.bincount(corpus._tokens_rw, minlength=len(corpus.vocab))
 
 
 # ---------------------------------------------------------------------------

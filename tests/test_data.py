@@ -1,6 +1,7 @@
 """Tests for corpus loading, caching, transforms, and splitting."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +387,25 @@ class TestFlatStorage:
         assert not any(s.flags.writeable for s in corpus.sequences)
         assert [s.tolist() for s in corpus.take([2, 0]).sequences] == [[1, 1, 0], [0, 1]]
         assert len(corpus.take([])) == 0
+
+    def test_token_counts_reads_the_tokens_in_place(self):
+        # np.bincount copies a read-only input; the corpus hands it a private
+        # writable view instead, so counting allocates only the counts, also
+        # when the corpus was built from a read-only array.
+        tokens = np.random.default_rng(3).integers(0, 50, 200_000)
+        frozen = tokens.copy()
+        frozen.setflags(write=False)
+        for array in (tokens, frozen):
+            c = Corpus(Vocabulary.from_size(50), array, np.array([0, 150_000, 200_000]))
+            assert not c.tokens.flags.writeable
+            tracemalloc.start()
+            try:
+                counts = token_counts(c)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert counts.tolist() == np.bincount(tokens, minlength=50).tolist()
+            assert peak <= counts.nbytes + 4096, peak
 
     def test_validation_names_the_first_bad_sequence(self):
         v = Vocabulary.from_size(2)
