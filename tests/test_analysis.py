@@ -306,13 +306,14 @@ class TestMixingTime:
         assume(low <= expected <= high)
         assert mixing_time(P, delta) == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**31), n=st.integers(144, 480), ring=st.floats(0.05, 0.9),
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(144, 200), ring=st.floats(0.05, 0.9),
            delta=st.floats(0.005, 0.3))
-    def test_row_walk_matches_stepwise_oracle(self, seed, n, ring, delta):
-        # At most three entries per row: from n = 3 * _CSR_STEP_RATIO states
-        # up the search is the row walk, with no dense product, and below
-        # that it takes giant steps, with no row step.
+    def test_row_steps_match_stepwise_oracle(self, seed, n, ring, delta):
+        # At most three entries per row and n = 144..200 states straddle the
+        # split: from n = 3 * _CSR_STEP_RATIO up the search is the row walk,
+        # with no dense product, and below that it takes giant steps, with
+        # no row step.
         P = ring_chain(np.random.default_rng(seed), n, ring)
         assume(is_ergodic(P).ergodic)
         walk = int(np.diff(P.indptr).max()) * analysis._CSR_STEP_RATIO <= n
@@ -320,6 +321,19 @@ class TestMixingTime:
             events = schedule(mp, P)
             assert mixing_time(P, delta) == ref_mixing_time(P, delta)
         assert (set(events) <= {"r"}) if walk else ("r" not in events)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(450, 480), ring=st.floats(0.05, 0.9),
+           delta=st.floats(0.005, 0.3))
+    def test_row_walk_matches_stepwise_oracle(self, seed, n, ring, delta):
+        # At most three entries per row and n >= 450 states: the search is
+        # the row walk, with no dense product.
+        P = ring_chain(np.random.default_rng(seed), n, ring)
+        assume(is_ergodic(P).ergodic)
+        with pytest.MonkeyPatch.context() as mp:
+            events = schedule(mp, P)
+            assert mixing_time(P, delta) == ref_mixing_time(P, delta)
+        assert set(events) <= {"r"}
 
     @pytest.mark.parametrize("n", [100, 180, 450])
     def test_every_crossing_is_found_within_one_giant_step(self, n, monkeypatch):
