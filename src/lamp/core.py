@@ -282,7 +282,7 @@ class SparseStochasticMatrix:
             raise DataError(f"indptr must hold n + 1 = {n + 1} nondecreasing offsets from 0")
         if cols.ndim != 1 or cols.shape != probs.shape or indptr[-1] != cols.size:
             raise DataError("column and probability arrays differ in length")
-        row = self._entry_rows
+        row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))  # _entry_rows is cached only on use
         not_increasing = np.zeros(cols.size, dtype=bool)
         not_increasing[1:] = (row[1:] == row[:-1]) & (np.diff(cols) <= 0)
         sums = np.bincount(row, weights=self._probs_rw, minlength=n)

@@ -516,8 +516,9 @@ def ref_stationary(P, tol=1e-12):
 
 
 def ref_mixing_time(P, delta):
-    """First t with worst-start TV <= delta over stepwise products
-    P^t = P^(t-1) P, continued until TV <= delta/10 or t = 10 n t_first."""
+    """First t >= 0 with worst-start TV <= delta over stepwise products
+    P^t = P^(t-1) P from P^0 = I, continued until TV <= delta/10 or
+    t = 10 n t_first."""
     if delta >= 1.0:
         return 0
     pi = ref_stationary(P)
@@ -525,8 +526,6 @@ def ref_mixing_time(P, delta):
     M = np.eye(P.n)
     t, t_first = 0, None
     while True:
-        M = M @ dense
-        t += 1
         d = 0.5 * float(np.max(np.abs(M - pi).sum(axis=1)))
         if t_first is None:
             if d <= delta:
@@ -535,6 +534,8 @@ def ref_mixing_time(P, delta):
             assert d <= delta, "total variation rose back above delta"
             if d <= delta / 10.0 or t >= 10 * P.n * t_first:
                 return t_first
+        M = M @ dense
+        t += 1
 
 
 def ref_mixture_matrix(model):

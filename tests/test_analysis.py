@@ -60,13 +60,13 @@ def brute_stationary(dense):
 
 
 def brute_mixing(dense, delta, horizon=100_000):
-    """Scan all start states over explicit dense powers."""
+    """Scan all start states over explicit dense powers, from P^0 = I."""
     pi = brute_stationary(dense)
     M = np.eye(dense.shape[0])
-    for t in range(1, horizon):
-        M = M @ dense
+    for t in range(horizon):
         if 0.5 * np.max(np.abs(M - pi).sum(axis=1)) <= delta:
             return t
+        M = M @ dense
     raise AssertionError("chain did not mix within the horizon")
 
 
@@ -101,6 +101,35 @@ def stepwise_tv(P, t_max):
         M = M @ dense
         d.append(0.5 * float(np.max(np.abs(M - pi).sum(axis=1))))
     return d
+
+
+@st.composite
+def class_graphs(draw):
+    """(n, rows) for SparseStochasticMatrix.from_rows, n up to 40.  Edges run
+    from class c to class c + 1 mod d, so d > 1 allows a periodic chain; a
+    row draws a value for at most ``width`` of its targets, and may end up
+    empty or hold explicit zeros."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 9))
+    cls = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+    rows = []
+    for x in range(n):
+        targets = [y for y in range(n) if cls[y] == (cls[x] + 1) % d]
+        if targets:
+            targets = sorted(draw(st.lists(st.sampled_from(targets), max_size=width, unique=True)))
+        cells = draw(st.lists(st.integers(-2, 3), min_size=len(targets), max_size=len(targets)))
+        mass = sum(v for v in cells if v > 0)
+        rows.append([(y, v / mass) for y, v in zip(targets, cells) if v >= 0] if mass else [])
+    return n, rows
+
+
+def cycle_with_edge(n, source, target, p):
+    """The cycle 0 -> 1 -> ... -> n-1 -> 0 and one more edge, source ->
+    target with probability p, stored even when p is 0."""
+    rows = [[((x + 1) % n, 1.0)] for x in range(n)]
+    rows[source] = [((source + 1) % n, 1.0 - p), (target, p)]
+    return n, rows
 
 
 def schedule(monkeypatch, P):
@@ -173,22 +202,63 @@ class TestErgodicity:
             ErgodicityReport(False, "nonsense")
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_matches_python_bfs_oracle(self, data):
-        # Edges run from class c to class c + 1 mod d, so d > 1 allows a
-        # periodic chain; rows may be empty or hold explicit zeros.
-        n = data.draw(st.integers(1, 9))
-        d = data.draw(st.integers(1, 3))
-        cls = data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
-        rows = []
-        for x in range(n):
-            targets = [y for y in range(n) if cls[y] == (cls[x] + 1) % d]
-            cells = data.draw(st.lists(st.integers(-2, 3), min_size=len(targets),
-                                       max_size=len(targets)))
-            mass = sum(v for v in cells if v > 0)
-            rows.append([(y, v / mass) for y, v in zip(targets, cells) if v >= 0] if mass else [])
-        P = SparseStochasticMatrix.from_rows(n, rows)
-        assert is_ergodic(P).reason == ref_is_ergodic(P)
+    @given(graph=class_graphs(), block=st.integers(1, 5))
+    # A cycle of 60 with a self-loop on its last state: both searches go 60
+    # levels deep, and the gcd reaches 1 only in the last block.  Stored as
+    # 0, the loop leaves the cycle periodic.  A chord 58 -> 0 closes a cycle
+    # of 59: the gcd reaches 1 only from the gaps 59 and 60 of two blocks.
+    @example(graph=cycle_with_edge(60, 59, 59, 0.5), block=2)
+    @example(graph=cycle_with_edge(60, 59, 59, 0.0), block=3)
+    @example(graph=cycle_with_edge(60, 58, 0, 0.5), block=1)
+    @example(graph=(2, [[(0, 0.0), (1, 1.0)], [(0, 1.0)]]), block=1)
+    def test_matches_python_bfs_oracle(self, graph, block):
+        # Each graph is classified as it is and again with blocks of a few
+        # edges, so frontiers, the in-neighbour lists and the gcd span many
+        # blocks, and a block can hold only stored zeros.
+        P = SparseStochasticMatrix.from_rows(*graph)
+        want = ref_is_ergodic(P)
+        assert is_ergodic(P).reason == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_EDGE_BLOCK", block)
+            assert is_ergodic(P).reason == want
+
+    def test_scratch_is_a_block_and_the_in_neighbour_sources(self):
+        # The dense 20^3 lift of test_glamp's memory test: 8000 states and
+        # 160 000 entries.  Besides arrays of n entries, the check holds the
+        # in-neighbour sources (4 bytes an edge) and one block of edges.
+        rng = np.random.default_rng(3)
+        n = 20
+        mats = tuple(SparseStochasticMatrix.from_dense(rng.dirichlet(np.ones(n), size=n)) for _ in range(2))
+        model = LampModel.per_lag(
+            HistoryDistribution.from_weights([0.5, 0.3, 0.2]), mats, (1, 2, 1), Vocabulary.from_size(n))
+        Q = lift_to_kth_order(model).Q
+        assert Q.cols.size == n**3 * n
+        assert is_ergodic(Q).ergodic  # the first call loads what numpy imports lazily
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert is_ergodic(Q).ergodic
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 1.5 * Q.cols.nbytes, (peak - held) / Q.cols.nbytes
+
+    def test_validated_matrix_keeps_only_its_three_arrays(self):
+        # Validation reads each entry's row from a local array; the matrix
+        # builds and caches that array only when a reader asks for it.
+        rng = np.random.default_rng(5)
+        n, width = 5000, 8
+        indptr = width * np.arange(n + 1)
+        cols = np.sort((np.arange(n)[:, None] + 600 * np.arange(width)) % n, axis=1).ravel()
+        probs = rng.dirichlet(np.ones(width), size=n).ravel()
+        tracemalloc.start()
+        try:
+            m = SparseStochasticMatrix.from_csr(n, indptr, cols, probs)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= indptr.nbytes + cols.nbytes + probs.nbytes + 4096, held
+        assert np.array_equal(m._entry_rows, np.repeat(np.arange(n), width))
 
 
 class TestStationaryDistribution:
@@ -260,6 +330,18 @@ class TestMixingTime:
         P = SparseStochasticMatrix.from_dense(worked_matrix())
         assert mixing_time(P, 1.0) == 0
         assert mixing_time(P, 2.5) == 0
+
+    def test_zero_when_the_start_is_within_delta(self):
+        # d(0) = 1 - min(pi): 0 for one state, 0.5 for the two-state chain
+        # whose every entry is 1/2, which mixes fully in one step.
+        one = SparseStochasticMatrix.from_dense(np.array([[1.0]]))
+        assert mixing_time(one, 0.01) == 0
+        half = np.full((2, 2), 0.5)
+        P = SparseStochasticMatrix.from_dense(half)
+        assert mixing_time(P, 0.6) == brute_mixing(half, 0.6) == ref_mixing_time(P, 0.6) == 0
+        assert mixing_time(P, 0.4) == brute_mixing(half, 0.4) == ref_mixing_time(P, 0.4) == 1
+        bound = lamp_mixing_bound(HistoryDistribution.from_weights([0.5, 0.5]), P, delta=0.6, epsilon=1.0, T=7)
+        assert (bound.chain_mixing_time, bound.bound) == (0, 7)
 
     def test_state_guard(self):
         n = 2001
