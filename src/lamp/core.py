@@ -181,13 +181,14 @@ def _find_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Index of each of ``keys`` (any shape) in ``sorted_keys``, which
     strictly ascend, or -1 where it is absent.
 
-    When the stored keys are non-negative and the largest is below
-    ``_TABLE_SLOTS_PER_QUERY`` times the number of queries, a table indexed
-    by key maps each stored key to its index and every query reads its slot.
-    Otherwise the queries are searched in ascending order, which walks
-    ``sorted_keys`` once instead of jumping about it, and the hits are
-    scattered back to the queries' places.  Each stored key is found at its
-    only index either way, so both branches return the same array.
+    The caller hands over ``keys``, a contiguous int64 array, whose buffer
+    takes the answers.  When the stored keys are non-negative and the
+    largest is below ``_TABLE_SLOTS_PER_QUERY`` times the number of queries,
+    a table indexed by key maps each stored key to its index and every query
+    reads its slot.  Otherwise the keys are sorted in place and searched in
+    ascending order, which walks ``sorted_keys`` once; the hits are checked
+    in blocks and the argsort scatters them back, so the argsort and the
+    search are the only key-sized scratch.  Both branches agree.
     """
     if sorted_keys.size == 0:
         return np.full(keys.shape, -1, dtype=np.int64)
@@ -195,19 +196,20 @@ def _find_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     if sorted_keys[0] >= 0 and span <= _TABLE_SLOTS_PER_QUERY * keys.size:
         table = np.full(span + 1, -1, dtype=np.int64)  # slot `span` answers every key out of range
         table[sorted_keys] = np.arange(sorted_keys.size)
-        slot = np.clip(keys, -1, span, out=np.empty(keys.shape, dtype=np.int64))
+        slot = np.clip(keys, -1, span, out=keys)
         # "wrap" sends -1 to slot `span`.  take reads each index before it
         # writes that place, so the answers can overwrite the slots.
         return np.take(table, slot, out=slot, mode="wrap")
     order = np.argsort(keys, axis=None)
-    needles = keys.ravel()[order]
-    at = np.searchsorted(sorted_keys, needles)
+    flat = keys.reshape(-1)  # a view, sorted in place
+    flat.sort()
+    at = np.searchsorted(sorted_keys, flat)
     np.minimum(at, sorted_keys.size - 1, out=at)
-    at[sorted_keys[at] != needles] = -1
-    del needles
-    found = np.empty(keys.shape, dtype=np.int64)
-    found.reshape(-1)[order] = at
-    return found
+    for lo in range(0, at.size, 1 << 16):
+        part = slice(lo, lo + (1 << 16))
+        at[part][sorted_keys[at[part]] != flat[part]] = -1
+    flat[order] = at
+    return keys
 
 
 def _integers(values: list, low: float, high: float, what: str) -> np.ndarray:
@@ -282,17 +284,19 @@ class SparseStochasticMatrix:
             raise DataError(f"indptr must hold n + 1 = {n + 1} nondecreasing offsets from 0")
         if cols.ndim != 1 or cols.shape != probs.shape or indptr[-1] != cols.size:
             raise DataError("column and probability arrays differ in length")
-        row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))  # _entry_rows is cached only on use
-        not_increasing = np.zeros(cols.size, dtype=bool)
-        not_increasing[1:] = (row[1:] == row[:-1]) & (np.diff(cols) <= 0)
-        sums = np.bincount(row, weights=self._probs_rw, minlength=n)
-        checks = (  # in the order each row is checked; each lists its bad rows ascending
-            ("column index out of range", row[(cols < 0) | (cols >= n)]),
-            ("columns must be strictly increasing", row[not_increasing]),
-            ("probabilities must be finite and nonnegative", row[(probs < 0.0) | ~np.isfinite(probs)]),
-            (None, np.flatnonzero((np.diff(indptr) > 0) & (np.abs(sums - 1.0) > ROW_SUM_TOL))),
+        decreasing = np.append(False, cols[1:] <= cols[:-1])  # entry i's column is not above entry i-1's
+        decreasing[indptr[:-1][indptr[:-1] < cols.size]] = False  # except at row starts
+        starts = indptr[:-1][np.diff(indptr) > 0]  # of the nonempty rows; a sum runs to the next
+        off_sum = np.zeros(cols.size, dtype=bool)  # at the first entry of a row
+        off_sum[starts[np.abs(np.add.reduceat(probs, starts) - 1.0) > ROW_SUM_TOL]] = True
+        checks = (  # in the order each row is checked; each marks its bad entries
+            ("column index out of range", (cols < 0) | (cols >= n)),
+            ("columns must be strictly increasing", decreasing),
+            ("probabilities must be finite and nonnegative", (probs < 0.0) | ~np.isfinite(probs)),
+            (None, off_sum),
         )
-        bad = [(int(rows[0]), i, reason) for i, (reason, rows) in enumerate(checks) if rows.size]
+        bad = [(int(np.searchsorted(indptr, entries.argmax(), "right")) - 1, i, reason)
+               for i, (reason, entries) in enumerate(checks) if entries.any()]
         if bad:  # name the first bad row and the first check it fails
             x, _, reason = min(bad)
             if reason is None:
@@ -695,7 +699,7 @@ class ScoredPositions:
         self.tgt = flat[at]
         source = at[:, None] - np.arange(1, k + 1)
         np.maximum(source, first[:, None], out=source)  # clamped to the sequence start
-        self.src = flat[source]
+        self.src = np.take(flat, source, out=source, mode="clip")  # in place; "clip" is unbuffered
         self.T = int(self.tgt.size)
 
     def lag_probabilities(self, model: LampModel) -> np.ndarray:
@@ -869,8 +873,12 @@ def log_likelihood(
     """
     _check_vocab(model.vocab, corpus.vocab)
     positions = ScoredPositions(corpus, model.k)
-    if floor is None:
-        p = positions.lag_probabilities(model) @ model.w.weights
+    if floor is None:  # lag_probabilities, with the pair keys built over the sources
+        bank, keys = model._bank, positions.src
+        keys += model._lag_rows
+        keys *= bank.n
+        keys += positions.tgt[:, None]
+        p = np.append(bank.probs, 0.0)[_find_sorted(bank._pair_keys, keys)] @ model.w.weights
     else:
         p = _floored_probabilities(model, positions, floor)
     return LogLikelihood.of_positions(positions, p)

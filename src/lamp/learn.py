@@ -5,11 +5,11 @@ w fixed, jointly concave in P over the product of its row simplices, but not
 concave in both together.  Training therefore alternates two block updates.
 
 Both blocks read one flat table over the empirical initializer's support:
-its flat probabilities q and ``entry``, computed once, whose [t, i-1] is the
-index of the pair (source at lag i, target) of scored position t in that
-support, -1 outside it.  A = q[entry] (0 at -1) holds every position's
-per-lag terms and d = A @ w its mixture probabilities, the same bits the
-scoring kernel computes from the trained model.
+its flat probabilities q and ``entry``, whose [t, i-1] is the index of the
+pair (source at lag i, target) of scored position t in that support; the
+initializer's one sort of the pair keys gives both.  A = q[entry] holds
+every position's per-lag terms and d = A @ w its mixture probabilities, the
+same bits the scoring kernel computes from the trained model.
 
 A w half-round solves the k-simplex block by projected Newton steps on the
 full k x k Hessian -B^T B, B = A / d row by row (``optimize_simplex_block``).
@@ -20,7 +20,7 @@ rounding error ends the block.
 
 A P half-round runs EM over every row at once.  One update computes the
 gradient g = bincount(entry, w_i / d[t]) over the (position, lag) pairs with
-w_i > 0 inside the support, position-major, and sets each row to
+w_i > 0, position-major, reading ``entry`` in place, and sets each row to
 q * g / sum(q * g), or to (q * g + c) normalized under ``prior_count`` c,
 the MAP form of the same step (Berchtold & Raftery 2002).  The update never
 lowers the objective, and its fixed points with positive entries are the
@@ -255,7 +255,9 @@ def _positions(corpus: Corpus, k: int) -> ScoredPositions:
     """The position table of ``corpus`` at k lags.  The trainer hands its own
     table to :func:`empirical_transition_matrix` in place of the corpus, so
     that training builds the table once and still calls the public
-    initializer."""
+    initializer.  The initializer builds its pair keys in place over the
+    table's ``src`` and leaves ``entry`` instead, the index of every
+    (position, lag) pair in the support it returns, for the trainer."""
     if isinstance(corpus, ScoredPositions) and corpus.k == k:
         return corpus
     return ScoredPositions(corpus, k)
@@ -281,34 +283,38 @@ def empirical_transition_matrix(
         raise DataError("support_epsilon must be positive")
     stats = _positions(corpus, k)
     n = stats.n
-    lag1_keys, lag1_counts = np.unique(stats.src[:, 0] * n + stats.tgt, return_counts=True)
     lag1_totals = np.bincount(stats.src[:, 0], minlength=n)
-    keys = stats.src * n
-    keys += stats.tgt[:, None]
-    keys = keys.ravel()  # a view of the fresh array, sorted in place
+    stats.src *= n
+    stats.src += stats.tgt[:, None]  # the sources become their pair keys
+    keys = stats.src.reshape(-1)
+    order = np.argsort(keys)
     keys.sort()  # row-major, columns ascending
     first = np.ones(keys.size, dtype=bool)  # each pair's first occurrence
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    rows, cols = np.divmod(keys, n)
-    count = np.zeros(keys.size, dtype=np.int64)
-    count[np.searchsorted(keys, lag1_keys)] = lag1_counts  # lag-1 pairs are support pairs
-    lag1 = count > 0
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    support = keys[first]
+    np.copyto(keys, first)
+    np.cumsum(keys, out=keys)  # each sorted pair's support index, plus 1
+    keys -= 1
+    stats.entry = np.empty_like(stats.src)
+    stats.entry.reshape(-1)[order] = keys
+    del stats.src, keys, order, first
+    rows, cols = np.divmod(support, n, out=(support, None))
+    count = np.bincount(stats.entry[:, 0], minlength=cols.size)
+    lag1_pairs = int(np.count_nonzero(count))
     # Every support row is the lag-1 source of some position, so its total is positive.
-    value = np.where(lag1, count / lag1_totals[rows], support_epsilon)
+    value = count / lag1_totals[rows]
+    value[count == 0] = support_epsilon
     # bincount adds each row's entries left to right, so the row sums (and
     # the normalized rows) are bit-identical to a sequential sum.
-    total = np.bincount(rows, weights=value, minlength=n)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    matrix = SparseStochasticMatrix.from_csr(n, indptr, cols, value / total[rows])
+    value /= np.bincount(rows, weights=value, minlength=n)[rows]
+    matrix = SparseStochasticMatrix(n, np.searchsorted(rows, np.arange(n + 1)), cols, value)
     if not return_report:
         return matrix
-    lag1_pairs = int(np.count_nonzero(lag1))
     report = EmpiricalMatrixReport(
         empty_rows=tuple(matrix.empty_rows()),
         support_size=matrix.support_size,
         lag1_pairs=lag1_pairs,
-        clamped_only_pairs=int(keys.size) - lag1_pairs,
+        clamped_only_pairs=matrix.support_size - lag1_pairs,
     )
     return matrix, report
 
@@ -517,44 +523,44 @@ class _EMHalf:
     Works on flat probabilities q over the stored entries of ``support``,
     whose own probabilities it never reads; w stays as it was at
     construction.  ``prior`` is the ``prior_count`` of the MAP form
-    q * g + prior.  ``entry`` is what
-    ``support.pair_indices(stats.src, stats.tgt[:, None])`` returns, computed
-    when None; training computes it once.
+    q * g + prior.  ``entry`` is the (T, k) index of every (position, lag)
+    pair in the support, ``support_size`` outside it; training hands over
+    its own, and when None it comes from ``support.pair_indices``.
 
-    The mixture is A @ w with A = q[entry], as every block computes it.  The
-    gradient adds w_i / d[t] over the live pairs: the (position, lag) pairs
-    with w_i > 0 whose pair lies in the support, position-major.  It keeps
-    each live pair's entry and weight and each position's number of live
-    pairs, which spreads d over them.
+    The mixture is A @ w with A = q[entry] (0 past the last entry), as every
+    block computes it.  The gradient adds w_i / d[t] over the pairs with
+    w_i > 0, position-major, into their entries' bins, a pair outside the
+    support into a dropped bin past the last.  Its pair index is ``entry``
+    itself when every lag has positive weight, else its live columns' copy.
     """
 
     def __init__(
         self, stats: ScoredPositions, support: SparseStochasticMatrix, w: np.ndarray, prior: float,
         entry: np.ndarray | None = None,
     ) -> None:
+        self.n, self.size = support.n, support.support_size
         if entry is None:
             entry = support.pair_indices(stats.src, stats.tgt[:, None])
-        self.entry, self.w = entry, w
-        live = (entry >= 0) & (w > 0.0)
-        self.live_count = np.count_nonzero(live, axis=1)
-        self.pair_entry = entry[live]  # position-major
-        self.weight = np.broadcast_to(w, entry.shape)[live]
-        self.n, self.size = support.n, support.support_size
+            entry[entry < 0] = self.size
+        live = w > 0.0
+        self.entry, self.w, self.live_w = entry, w, w[live]
+        self.pair = entry if live.all() else np.compress(live, entry, axis=1)  # C order, as ravel reads
         self.row = support._entry_rows
-        hit = np.zeros(self.size, dtype=bool)
-        hit[self.pair_entry] = True
-        self.reached = np.bincount(self.row, weights=hit, minlength=self.n) > 0  # rows with a pair
+        hit = np.zeros(self.size + 1, dtype=bool)
+        hit[self.pair] = True
+        self.reached = np.bincount(self.row, weights=hit[:-1], minlength=self.n) > 0  # rows with a pair
         self.prior = prior
 
     def mixture(self, q: np.ndarray) -> np.ndarray:
         """Mixture probability of every scored position."""
-        return np.append(q, 0.0)[self.entry] @ self.w  # index -1 reads the 0
+        return np.append(q, 0.0)[self.entry] @ self.w  # an index past the last entry reads the 0
 
     def gradient(self, d: np.ndarray) -> np.ndarray:
         """Log-likelihood gradient in q, given the mixture probabilities d."""
-        share = np.repeat(d, self.live_count)
-        np.divide(self.weight, share, out=share)
-        return np.bincount(self.pair_entry, weights=share, minlength=self.size)
+        share = np.empty(self.pair.shape)
+        for j, w in enumerate(self.live_w):  # by column: broadcasting would loop once per position
+            np.divide(w, d, out=share[:, j])
+        return np.bincount(self.pair.ravel(), weights=share.ravel(), minlength=self.size + 1)[:-1]
 
     def _normalized(self, z: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """z divided by its row sums on the given rows whose sum is
@@ -647,10 +653,6 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     init = empirical_transition_matrix(stats, cfg.k, cfg.support_epsilon)
     q = init.probs
     w = HistoryDistribution.geometric(cfg.init_decay, cfg.k).weights.copy()
-    entry = init.pair_indices(stats.src, stats.tgt[:, None])
-    # Every half reads entry; the sources go, so that training holds one
-    # (T, k) table besides its scratch.  _denominators still reads stats.
-    del stats.src
 
     def active_size() -> int:
         return int(np.count_nonzero(w > 0)) + int(np.count_nonzero(q > 0))
@@ -663,7 +665,7 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     def lag_terms() -> np.ndarray:
         """The per-lag terms ``stats.lag_probabilities`` gives the model of
         q's positive entries."""
-        return np.append(q, 0.0)[entry]
+        return np.append(q, 0.0)[stats.entry]  # the initializer's entries; see _positions
 
     denom = _denominators(stats, lag_terms() @ w)
     T = stats.T
@@ -696,7 +698,7 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
             del A, obj  # free before the P half
             records.append(record("w", res.kkt_residual, time.perf_counter() - t0, res.iterations))
         elif not cfg.weight_only:
-            q, d, residual, updates = _p_half(stats, init, q, w, cfg, entry, snap=half == last_p_half)
+            q, d, residual, updates = _p_half(stats, init, q, w, cfg, stats.entry, snap=half == last_p_half)
             denom = _denominators(stats, d)
             records.append(record("P", residual, time.perf_counter() - t0, updates))
 

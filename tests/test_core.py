@@ -886,7 +886,7 @@ def test_find_sorted_matches_brute_force(slots, stored, queries, shape):
         keys = np.array(queries, dtype=np.int64).reshape(shape or (len(queries),))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_TABLE_SLOTS_PER_QUERY", slots)
-        got = core._find_sorted(sorted_keys, keys)
+        got = core._find_sorted(sorted_keys, keys.copy())  # it answers in the keys' buffer
     assert np.shape(got) == keys.shape
     assert np.array_equal(got, brute_find(sorted_keys, keys))
 
@@ -904,6 +904,43 @@ def test_pair_indices_take_the_table_on_small_ranges():
     want = np.array([[where.get((int(s), int(t)), -1) for s, t in zip(a, b)] for a, b in zip(src, tgt)])
     assert np.array_equal(m.pair_indices(src, tgt), want)
     np.testing.assert_array_equal(m.lookup_pairs(src, tgt), P[src, tgt])
+
+
+@pytest.mark.parametrize("n, queries", [(6, 200), (300, 5)], ids=["table", "sort"])
+def test_pair_lookups_leave_writable_int64_inputs_alone(n, queries):
+    # _find_sorted writes its answers into the keys it is handed;
+    # pair_indices and lookup_pairs build those keys in a buffer of their
+    # own, so the caller's src and tgt keep their values.
+    rng = np.random.default_rng(9)
+    m = SparseStochasticMatrix.from_dense(random_stochastic_matrix(rng, n))
+    src, tgt = rng.integers(0, n, size=(queries, 3)), rng.integers(0, n, size=(queries, 1))
+    assert (m._pair_keys[-1] < core._TABLE_SLOTS_PER_QUERY * src.size) == (queries == 200)  # the branch named
+    before = src.copy(), tgt.copy()
+    assert (m.pair_indices(src, tgt) >= 0).all()
+    np.testing.assert_array_equal(m.lookup_pairs(src, tgt), m.dense()[before[0], before[1]])
+    assert np.array_equal(src, before[0]) and np.array_equal(tgt, before[1])
+
+
+def test_find_sorted_sort_branch_holds_two_key_sized_arrays():
+    # Besides the keys, which it sorts and answers in, the sort branch holds
+    # the argsort and the search, and checks the hits 2^16 queries at a time
+    # (0.6 MB here).  Gathering the sorted keys and the answers into arrays
+    # of their own held four arrays the size of the keys.
+    rng = np.random.default_rng(10)
+    stored = np.unique(rng.integers(0, 10**9, size=50_000))
+    keys = rng.integers(0, 10**9, size=(1 << 18, 4))
+    keys[::3] = stored[rng.integers(0, stored.size, size=keys[::3].shape)]
+    want = brute_find(stored, keys[:1000])
+    assert stored[-1] > core._TABLE_SLOTS_PER_QUERY * keys.size  # the sort branch
+    tracemalloc.start()
+    try:
+        got = core._find_sorted(stored, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * keys.nbytes, peak / keys.nbytes
+    assert np.array_equal(got[:1000], want) and (got >= 0).mean() > 0.3
+    assert got is keys  # the answers are written over the keys
 
 
 def read_only(array):

@@ -980,6 +980,33 @@ class TestEMHalf:
         assert q[row].tobytes() == P.probs[row].tobytes()
         assert q.tobytes() != P.probs.tobytes()
 
+    @pytest.mark.parametrize("w", [(0.5, 0.0, 0.5), (0.5, 0.25, 0.25)], ids=["zero-lag", "all-live"])
+    def test_gradient_is_the_per_pair_sum(self, w):
+        # Pairs outside the support (row 2 stores only 2 -> 2, which no
+        # pair reads) and, with a zero weight, every pair at lag 2 add
+        # nothing; every other pair adds w_i / d[t] to its entry, in
+        # position order, so the sums keep the bits of this loop.  Row 2 is
+        # read only by pairs outside the support, so no pair reaches it.
+        corpus = make_corpus(Vocabulary.from_size(3), [[0, 1, 2, 0, 1, 0, 2, 1], [1, 2, 0, 0, 1]])
+        P = SparseStochasticMatrix.from_rows(
+            3, [[(0, 0.2), (1, 0.5), (2, 0.3)], [(0, 0.4), (1, 0.3), (2, 0.3)], [(2, 1.0)]])
+        w = np.array(w)
+        stats = ScoredPositions(corpus, 3)
+        where = {(int(r), int(c)): j for j, (r, c) in enumerate(zip(P._entry_rows, P.cols))}
+        pairs = [(t, i, where.get((int(stats.src[t, i]), int(stats.tgt[t])))) for t in range(stats.T) for i in range(3)]
+        assert any(j is None and w[i] > 0 for _, i, j in pairs)
+        assert all(j is None for t, i, j in pairs if stats.src[t, i] == 2 and w[i] > 0)
+        em = learn._EMHalf(stats, P, w, 0.0)
+        d = em.mixture(P.probs)
+        assert (d > 0.0).all()
+        want = [0.0] * P.support_size
+        for t, i, j in pairs:
+            if w[i] > 0.0 and j is not None:
+                want[j] += w[i] / d[t]
+        assert [g.hex() for g in em.gradient(d).tolist()] == [g.hex() for g in want]
+        assert em.reached.tolist() == [True, True, False]
+        np.testing.assert_array_equal(grad_P(LampModel(HistoryDistribution(w), P, corpus.vocab), corpus)[2], [0.0])
+
     @settings(max_examples=200, deadline=None)
     @given(case=em_cases())
     def test_lag_one_weights_give_count_ratios(self, case):
@@ -1042,9 +1069,10 @@ def test_training_memory_per_scored_pair_stays_bounded():
     # Training holds one (T, k) table, the initializer support's index of
     # every (position, lag) pair, and at each step at most the scratch of one
     # block.  On this corpus of 127 680 scored pairs its tracemalloc peak is
-    # 31.7 bytes a pair (numpy 2.4): in the P half's gradient, the table,
-    # the live pairs' entries and weights, and d spread over them.  Keeping
-    # the sources and a per-pair position index besides took 39.7.
+    # 31.5 bytes a pair (numpy 2.4): in the w half's Hessian, the table, A
+    # and B = A / d.  The P half, whose gradient reads the table in place,
+    # peaks at 24.2.  Keeping the sources and a per-pair position index
+    # besides took 39.7.
     rng = np.random.default_rng(24)
     n, k = 60, 8
     source = make_model([1.0], rng.dirichlet(np.full(n, 0.3), size=n))
@@ -1058,6 +1086,52 @@ def test_training_memory_per_scored_pair_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak / pairs < 36.0, peak / pairs
+
+
+def test_initializer_and_entry_peak_per_scored_pair():
+    # The position table, the initializer and the support index of every
+    # (position, lag) pair, up to the first mixture training computes.  The
+    # table's sources become the pair keys, one argsort sorts them, and
+    # their support index replaces them: at most three (T, k) integer tables
+    # at once.  This support holds more than half the pairs, so the
+    # support-sized arrays weigh too.  Building the keys once more for a
+    # search of the support read 72.5 bytes a pair here; now 36.7 (numpy 2.4).
+    rng = np.random.default_rng(28)
+    n, k = 2000, 4
+    P = np.zeros((n, n))
+    for x in range(n):
+        P[x, rng.choice(n, 5, replace=False)] = rng.dirichlet(np.ones(5))
+    source = make_model([0.4, 0.3, 0.2, 0.1], P)
+    corpus = make_corpus(source, [generate(source, int(rng.integers(n)), 40, seed=i).tolist() for i in range(800)])
+    pairs = ScoredPositions(corpus, k).T * k
+    assert empirical_transition_matrix(corpus, k).support_size >= pairs / 2
+
+    class FirstMixture(Exception):
+        pass
+
+    def first_mixture(stats, d):
+        raise FirstMixture(tracemalloc.get_traced_memory()[1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learn, "_denominators", first_mixture)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstMixture) as stop:
+                alternate_minimize(corpus, TrainConfig(k=k))
+        finally:
+            tracemalloc.stop()
+    peak = stop.value.args[0]
+    assert peak / pairs <= 55.0, peak / pairs
+
+
+def test_initializer_of_a_corpus_without_transitions_is_empty():
+    # No scored position: the sort, the first-occurrence flags and the
+    # support index all run on empty arrays.
+    corpus = make_corpus(Vocabulary.from_size(3), [[2], [0], [2]])
+    matrix, report = empirical_transition_matrix(corpus, 2, return_report=True)
+    assert matrix.indptr.tolist() == [0, 0, 0, 0] and matrix.support_size == 0
+    assert report == learn.EmpiricalMatrixReport(
+        empty_rows=(0, 1, 2), support_size=0, lag1_pairs=0, clamped_only_pairs=0)
 
 
 def test_dropping_zero_entries_keeps_every_bit_of_training():
