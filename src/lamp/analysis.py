@@ -8,18 +8,17 @@ history-mixture process.
 
 Ergodicity is a breadth-first search over the CSR arrays, forwards and over
 the reversed edges, with the period taken as a gcd over the edges that
-stops once it reaches 1; every pass reads a block of edges at a time.  The
-mixing time takes one of two schedules by the length of P's longest row
-(see :func:`mixing_time`).  With short rows it walks P^t = P P^(t-1) one
-step through P's rows at a time, to the first crossing of delta, in two
-n x n arrays.  Otherwise it takes giant steps of P^8 while the geometric
-prediction d(8j)^2 / d(8j - 8) says the next one will not cross delta, and
-dense unit steps from the last giant step to the crossing, with four n x n
-arrays live; its pi is the power iteration's, moved on by P^8 until it
-settles near rounding.  The result can depart from a stepwise search over
-P^t = P^(t-1) P only where d(t) ties delta to within rounding, about 1 ulp.
-The analyses that need an ergodic matrix name its first empty row, when it
-has one, as the cause.
+stops once it reaches 1; every pass reads its edges a block at a time
+through one reader.  The mixing time takes unit steps P^t = P P^(t-1) to
+the first crossing of delta (see :func:`mixing_time`).  When P's longest
+row is short against n, each step goes through P's rows and two n x n
+arrays are live.  Otherwise each step is a dense product, and giant steps
+of P^8 come first, while the power they land on stays above delta; four
+n x n arrays are live.  pi is the power iteration's, moved on by P^8 until
+it settles near rounding.  The result can depart from a stepwise search
+over P^t = P^(t-1) P only where d(t) ties delta to within rounding, about
+1 ulp.  The analyses that need an ergodic matrix name its first empty row,
+when it has one, as the cause.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from lamp.core import (
     NonErgodicError,
     NumericError,
     SparseStochasticMatrix,
+    _rng,
     generate,
 )
 
@@ -85,17 +85,20 @@ _TV_BLOCK = 1 << 14
 #: times as long.
 _GATHER_BLOCK = 1 << 16
 
-#: The mixing-time search is the row walk when P's longest row holds at most
-#: n / _CSR_STEP_RATIO entries, and giant steps with dense unit steps
-#: otherwise.  Timed on a 2-core x86-64 machine with numpy 2.4 and one BLAS
-#: thread: whole calls on ring chains (``perfbench.workloads.ring_chain``,
-#: ring 0.7, delta 0.01, t = 18 to 38), best of 3 to 5, under each schedule,
-#: for n from 256 to 2000 and 3 to 62 entries per row.  At n = 600 the walk
-#: won or tied (within 4%) at n/46 entries per row and fewer, and lost by 15%
-#: at n/40; at n = 1200 it won by 11% at n/60 and lost by 4 to 19% from n/55
-#: to n/46; at n = 2000 it won by 12% at n/67, tied at n/61 (-0.4 to +5%)
-#: and lost by 3 to 94% from n/56 to n/32.  At n = 256 the two were within
-#: 5 ms of each other.  60 keeps the walk on the side where it wins or ties.
+#: The mixing-time search takes its unit steps through P's rows when P's
+#: longest row holds at most n / _CSR_STEP_RATIO entries, and giant steps with
+#: dense unit steps otherwise.  Timed on a 2-core x86-64 machine with numpy
+#: 2.4 and one BLAS thread: whole calls on ring chains
+#: (``perfbench.workloads.ring_chain``, ring 0.7, delta 0.01, t = 18 to 38),
+#: best of 3 to 5, with row steps from P and with giant steps and dense unit
+#: steps, for n from 256 to 2000 and 3 to 62 entries per row.  At n = 600 the
+#: row steps won or tied (within 4%) at n/46 entries per row and fewer, and
+#: lost by 15% at n/40; at n = 1200 they won by 11% at n/60 and lost by 4 to
+#: 19% from n/55 to n/46; at n = 2000 they won by 12% at n/67, tied at n/61
+#: (-0.4 to +5%) and lost by 3 to 94% from n/56 to n/32.  At n = 256 the two
+#: were within 5 ms of each other.  60 keeps the row steps on the side where
+#: they win or tie.  The sweep's dense side skipped the giant step that
+#: crosses delta by predicting it; the search forms that one product more.
 _CSR_STEP_RATIO = 60
 
 
@@ -114,52 +117,47 @@ class ErgodicityReport:
 
 
 def _edges(
-    indptr: np.ndarray, cols: np.ndarray, probs: np.ndarray | None
+    indptr: np.ndarray, cols: np.ndarray, probs: np.ndarray | None, rows: np.ndarray | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """A CSR digraph's edges in storage order, ``_EDGE_BLOCK`` stored
-    entries at a time: yields (u, v) for the edges u -> v of a block.  With
-    ``probs`` given, entries of probability 0 are not edges.  Each block's
-    targets are a slice of ``cols``, where :func:`_frontier_edges` gathers."""
-    for lo in range(0, cols.size, _EDGE_BLOCK):
-        hi = min(lo + _EDGE_BLOCK, cols.size)
-        a, b = np.searchsorted(indptr, (lo, hi - 1), side="right").tolist()  # rows a-1 .. b-1
-        part = np.minimum(indptr[a:b + 1], hi)
-        part -= np.maximum(indptr[a - 1:b], lo)
-        u, v = np.repeat(np.arange(a - 1, b), part), cols[lo:hi]
-        if probs is not None:
-            keep = probs[lo:hi] > 0.0
-            u, v = u[keep], v[keep]
-        yield u, v
-
-
-def _frontier_edges(
-    indptr: np.ndarray, cols: np.ndarray, probs: np.ndarray | None, rows: np.ndarray
-) -> Iterator[np.ndarray]:
-    """The targets of the edges out of the CSR rows ``rows``, in storage
-    order, ``_EDGE_BLOCK`` stored entries at a time; ``probs`` is as in
-    :func:`_edges`."""
-    first = indptr[rows]
-    counts = indptr[rows + 1] - first
-    ends = np.cumsum(counts)
-    first -= ends - counts  # entry j of the rows' run is j + first[its row]
+    """The edges out of the CSR rows ``rows`` (every row when None), in
+    storage order, ``_EDGE_BLOCK`` stored entries at a time: yields (u, v)
+    for the edges u -> v of a block.  With ``probs`` given, entries of
+    probability 0 are not edges.  Over every row the entries of a block are
+    a slice of ``cols``; over other rows they are gathered."""
+    if rows is None:
+        rows, starts, ends, first = np.arange(indptr.size - 1), indptr[:-1], indptr[1:], None
+    else:
+        first = indptr[rows]
+        counts = indptr[rows + 1] - first
+        ends = np.cumsum(counts)
+        starts = np.subtract(ends, counts, out=counts)  # where each row begins in the rows' run
+        first -= starts  # entry j of the run is j + first[its row]
     total = int(ends[-1]) if ends.size else 0
     for lo in range(0, total, _EDGE_BLOCK):
         hi = min(lo + _EDGE_BLOCK, total)
         a, b = np.searchsorted(ends, (lo, hi - 1), side="right").tolist()
         part = np.minimum(ends[a:b + 1], hi)
-        part -= np.maximum(ends[a:b + 1] - counts[a:b + 1], lo)
-        entry = np.repeat(first[a:b + 1], part)
-        entry += np.arange(lo, hi)
-        yield cols[entry] if probs is None else cols[entry[probs[entry] > 0.0]]
+        part -= np.maximum(starts[a:b + 1], lo)
+        u = np.repeat(rows[a:b + 1], part)
+        if first is None:
+            entry = slice(lo, hi)
+        else:
+            entry = np.repeat(first[a:b + 1], part)
+            entry += np.arange(lo, hi)
+        v = cols[entry].astype(np.intp, copy=False)  # int32 indices convert at every use
+        if probs is not None:
+            keep = probs[entry] > 0.0
+            u, v = u[keep], v[keep]
+        yield u, v
 
 
 def _levels(indptr: np.ndarray, cols: np.ndarray, probs: np.ndarray | None, n: int) -> np.ndarray:
     """Breadth-first distance from state 0 over a CSR digraph, -1 where
     unreachable; each frontier's edges are read a block at a time by
-    :func:`_frontier_edges`.  A new state reached several times in
-    a block joins the frontier once: each copy writes its place into
-    ``owner``, and the copy whose place was kept joins.  This takes no sort,
-    and no scan over all n states per level as a boolean mark would."""
+    :func:`_edges`.  A new state reached several times in a block joins the
+    frontier once: each copy writes its place into ``owner``, and the copy
+    whose place was kept joins.  This takes no sort, and no scan over all n
+    states per level as a boolean mark would."""
     level = np.full(n, -1, dtype=np.int64)
     level[0] = 0
     owner = np.empty(n, dtype=np.int64)
@@ -168,7 +166,7 @@ def _levels(indptr: np.ndarray, cols: np.ndarray, probs: np.ndarray | None, n: i
     while frontier.size:
         depth += 1
         found = [frontier[:0]]  # empty, for a frontier with no edges out
-        for nbrs in _frontier_edges(indptr, cols, probs, frontier):
+        for _, nbrs in _edges(indptr, cols, probs, frontier):
             nbrs = nbrs[level[nbrs] < 0]
             place = np.arange(nbrs.size)
             owner[nbrs] = place
@@ -193,12 +191,13 @@ def _in_neighbours(P: SparseStochasticMatrix, probs: np.ndarray | None) -> tuple
     np.cumsum(into, out=into)
     sources = np.empty(int(into[-1]), dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
     fill = into[:-1].copy()  # the next free slot of each state's list
+    shift = n.bit_length()  # a key holds the target above this many bits and the source below
     for u, v in _edges(P.indptr, P.cols, probs):
-        key = v * n
-        key += u
+        key = v << shift
+        key |= u
         key.sort()  # the block's edges by target, then source
-        v = key // n
-        key -= v * n  # now the sources
+        v = key >> shift
+        key &= (1 << shift) - 1  # now the sources
         head = np.empty(v.size, dtype=bool)  # where a target's run starts
         head[:1] = True
         np.not_equal(v[1:], v[:-1], out=head[1:])
@@ -359,77 +358,48 @@ def _rows_agree(M: np.ndarray, buf: np.ndarray) -> bool:
     return _worst_tv(M, M[0], buf, tol) <= tol
 
 
-def _row_walk(P: SparseStochasticMatrix, pi: np.ndarray, delta: float) -> int:
-    """:func:`mixing_time` by the row walk: P^t = P P^(t-1) for t = 1, 2, ...
-    through P's padded rows, in two n x n arrays that the steps write in
-    turn, each scan stopping at the first row above delta.  The row steps
-    gather into one block, which total variation also works through."""
-    cols, probs = _padded_rows(P)
-    buf = np.empty((max(1, _GATHER_BLOCK // (cols.shape[1] * P.n)) * cols.shape[1], P.n))
-    cur, nxt = P.dense(), np.empty((P.n, P.n))
-    t = 1
-    while _worst_tv(cur, pi, buf, delta) > delta:
-        if t % _GIANT_STEP == 0 and (t > _MIXING_HORIZON or _rows_agree(cur, buf)):
-            raise NumericError("mixing-time horizon exceeded")
-        _sparse_times(cols, probs, cur, nxt, buf)
-        cur, nxt = nxt, cur
-        t += 1
-    return t
-
-
-def _giant_search(P: SparseStochasticMatrix, pi: np.ndarray, delta: float) -> int:
-    """:func:`mixing_time` by giant steps of G = P^8 while the geometric
-    prediction says they will not cross delta, and dense unit steps
-    P^t = P P^(t-1) to the crossing."""
+def _first_crossing(P: SparseStochasticMatrix, pi: np.ndarray, delta: float) -> int:
+    """:func:`mixing_time` once d(0) is known to lie above delta: the first
+    t with d(t) <= delta, by the schedule that :func:`mixing_time` sets out.
+    The powers of P live in ``powers``, and each new one is written into
+    the array of the two that does not hold the power it is formed from."""
     n = P.n
-    buf = np.empty((max(1, _TV_BLOCK // n), n))
-    step = P.dense()
-    half = np.matmul(step, step)
-    quarter = np.matmul(half, half)
-    giant = np.matmul(quarter, quarter, out=half)
-    free = [quarter]  # n x n arrays no live power holds
-    pi = _settled(P, pi, giant)
-
-    def fresh():
-        return free.pop() if free else np.empty((n, n))
-
-    def release(m):
-        if m is not None and m is not step and m is not giant:
-            free.append(m)
-
-    def walk(base, cur):
-        """Unit steps from P^base (None for I) to the first crossing, or to
-        P^(base + 8) if none comes first: (t, P^t, d(t) or a value above
-        delta)."""
-        for t in range(base + 1, base + _GIANT_STEP + 1):
-            if cur is None:
-                cur = step
-            else:
-                nxt = np.matmul(step, cur, out=fresh())
-                release(cur)
-                cur = nxt
-            d = _worst_tv(cur, pi, buf, math.inf if t % _GIANT_STEP == 0 else delta)
-            if d <= delta:
-                break
-        return t, cur, d
-
-    base, cur, d, d_last = 0, None, 1.0, 1.0  # P^base, d(base), d(base - 8)
+    width = int(np.diff(P.indptr).max())
+    row_steps = width * _CSR_STEP_RATIO <= n
+    t, cur = 0, None  # P^0 = I
+    if row_steps:
+        pi = _settled(P, pi, None)  # before the n x n arrays, as in mixing_time
+        cols, probs = _padded_rows(P)
+        buf = np.empty((max(1, _GATHER_BLOCK // (width * n)) * width, n))
+        step = P.dense()
+        powers = (step, np.empty((n, n)))  # row steps read P's padded rows, so they may write over P
+    else:
+        buf = np.empty((max(1, _TV_BLOCK // n), n))
+        step = P.dense()
+        half = np.matmul(step, step)
+        powers = (np.matmul(half, half), np.empty((n, n)))
+        giant = np.matmul(powers[0], powers[0], out=half)
+        pi = _settled(P, pi, giant)
+        landing = giant  # P^(t + 8)
+        while _worst_tv(landing, pi, buf, delta) > delta:
+            t, cur = t + _GIANT_STEP, landing
+            if t > _MIXING_HORIZON or _rows_agree(cur, buf):
+                raise NumericError("mixing-time horizon exceeded")
+            landing = np.matmul(cur, giant, out=powers[cur is powers[0]])
     while True:
-        if d * d <= delta * d_last:  # a predicted crossing
-            t, nxt, d_next = walk(base, cur)
+        if cur is None:
+            cur = step
         else:
-            t = base + _GIANT_STEP
-            nxt = giant if cur is None else np.matmul(cur, giant, out=fresh())
-            d_next = _worst_tv(nxt, pi, buf)
-            if d_next <= delta:  # overshot: walk from P^base instead
-                release(nxt)
-                t, nxt, d_next = walk(base, cur)
+            out = powers[cur is powers[0]]
+            if row_steps:
+                _sparse_times(cols, probs, cur, out, buf)
             else:
-                release(cur)
-        if d_next <= delta:
+                np.matmul(step, cur, out=out)
+            cur = out
+        t += 1
+        if _worst_tv(cur, pi, buf, delta) <= delta:
             return t
-        base, cur, d, d_last = t, nxt, d_next, d
-        if base > _MIXING_HORIZON or _rows_agree(cur, buf):
+        if t % _GIANT_STEP == 0 and (t > _MIXING_HORIZON or _rows_agree(cur, buf)):
             raise NumericError("mixing-time horizon exceeded")
 
 
@@ -441,30 +411,24 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     The search starts at t = 0, where P^0 = I gives d(0) = 1 - min(pi): a
     delta at or above that, as every delta >= 1 is, gives 0.
 
-    **Schedule.**  By the length of P's longest row, against n:
+    **Schedule.**  The search takes unit steps P^t = P P^(t-1) to the first
+    crossing, and d is read at every power it forms.  How it forms them
+    depends on the length of P's longest row, against n:
 
-    - at most n / ``_CSR_STEP_RATIO`` entries: the row walk.
-      P^t = P P^(t-1) for t = 1, 2, ..., one step through P's rows (padded
-      to the longest) at a time, and d is read at every power up to the
-      crossing.
-    - longer: giant steps, G = P^8 formed by three squarings, with dense
-      unit steps.
+    - at most n / ``_CSR_STEP_RATIO`` entries: each unit step goes through
+      P's rows, padded to the longest, from t = 1.
+    - longer: each unit step is a dense product.  Before them the search
+      takes giant steps of G = P^8, formed by three squarings:
+      P^(8j+8) = P^(8j) G from P^0 = I, while the power it lands on stays
+      above delta.  The unit steps then start from the last power above
+      delta, so at most eight of them follow the last giant step, and d is
+      read at powers up to the crossing plus one giant step past it.
 
-    With giant steps, from P^(8j) (P^0 = I) the search takes the giant step
-    P^(8j+8) = P^(8j) G only when the geometric prediction
-    d(8j)^2 / d(8j-8) > delta says it will not cross, with d(0) and d(-8)
-    taken as 1.  When the prediction says it will cross, or when a giant
-    step lands at or below delta, it walks unit steps P^t = P P^(t-1) from
-    P^(8j) to the first crossing.  A predicted walk that reaches P^(8j+8)
-    without crossing carries on from there as if the giant step had been
-    taken.  A power at a multiple of 8 is then scanned in full, which gives
-    d(8j) for the next prediction; every other scan, and every scan of the
-    row walk, stops at the first row above delta, since only d > delta is
-    asked.  So d is read at powers up to the crossing, plus at most one
-    giant step past it.
+    Every scan stops at the first row above delta, since only d > delta is
+    asked.
 
-    **Buffers.**  The row walk keeps two n x n arrays live, the powers that
-    its steps write in turn; giant steps keep four: P, G and two powers.
+    **Buffers.**  The row steps keep two n x n arrays live, the powers that
+    they write in turn; the dense side keeps four: P, G and two powers.
     Total variation and the row steps work through one block of rows.
 
     **Stop.**  The search raises :class:`NumericError` after
@@ -495,9 +459,7 @@ def mixing_time(P: SparseStochasticMatrix, delta: float) -> int:
     pi = _power_iteration(P)  # before the n x n arrays, which its temporaries would join
     if 1.0 - float(pi.min()) <= delta:  # d(0) <= delta
         return 0
-    if int(np.diff(P.indptr).max()) * _CSR_STEP_RATIO <= n:
-        return _row_walk(P, _settled(P, pi, None), delta)
-    return _giant_search(P, pi, delta)
+    return _first_crossing(P, pi, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +511,7 @@ def _simulate_exponent_matrix(
     cum = w._cum
     out = np.empty((len(seeds), t_max), dtype=np.int64)
     for r, seed in enumerate(seeds):
-        u = np.random.default_rng(seed).random(t_max - 1)
+        u = _rng(seed).random(t_max - 1)
         # e holds k zeros for e_s, s <= 0, then e_1 = 1; e[-lag] is e_{t - lag}.
         e = [0] * w.k + [1]
         for lag in (np.searchsorted(cum, u, side="right") + 1).tolist():

@@ -159,6 +159,14 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's generator for ``seed``, which must be a non-negative integer;
+    a negative one raises DataError naming it."""
+    if seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Indices into the flat storage of every stored entry of the CSR rows
     ``rows``, in order."""
@@ -915,7 +923,7 @@ def generate(model: LampModel, start: int, length: int, seed: int) -> np.ndarray
     if length < 1:
         raise DataError("length must be at least 1")
     cols, cum, indptr = model._bank._samplers
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     seq = [start]
     # One row of uniforms per step, so a longer run with the same seed
     # extends a shorter one without changing its prefix.

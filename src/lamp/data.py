@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from lamp.core import Corpus, DataError, Vocabulary, _integers, _read_json, _write_json
+from lamp.core import Corpus, DataError, Vocabulary, _integers, _read_json, _rng, _write_json
 
 __all__ = [
     "LoadReport",
@@ -314,7 +314,7 @@ def split(
     n = len(corpus)
     if n < 2:
         raise DataError("splitting requires at least two sequences")
-    order = np.random.default_rng(seed).permutation(n)
+    order = _rng(seed).permutation(n)
     n_train = min(max(int(fraction * n), 1), n - 1)
     return _project(corpus, np.sort(order[:n_train]), np.sort(order[n_train:]), rare_label)
 
@@ -329,7 +329,7 @@ def kfold_split(
         raise DataError("k-fold splitting needs at least two folds")
     if n_folds > n:
         raise DataError(f"cannot make {n_folds} folds from {n} sequences")
-    order = np.random.default_rng(seed).permutation(n)
+    order = _rng(seed).permutation(n)
     bounds = np.linspace(0, n, n_folds + 1).astype(int)
     pairs = []
     for f in range(n_folds):

@@ -458,19 +458,23 @@ class TestMixingTime:
         assert mixing_time(P, 0.05) == ref_mixing_time(P, 0.05)
         assert set(events) - {"F"} == ({"p", "g"} if wider else {"r"})
 
-    def test_a_predicted_walk_that_misses_carries_on(self, monkeypatch):
-        # The lazy cycle's d sits on plateaus: d(8) = 0.93, then d(16) =
-        # d(24) = 0.66.  At P^16 the prediction d(16)^2 / d(8) = 0.47 <= delta
-        # sends the search on a walk that reaches P^24 without crossing:
-        # eight unit steps and a full scan, then a giant step from there.  The
-        # search still ends at the stepwise crossing.
+    def test_dense_schedule_is_squarings_giant_steps_then_unit_steps(self, monkeypatch):
+        # The lazy 13-cycle's d sits on plateaus, and its rows are too long
+        # for row steps.  Three squarings form G = P^8; the giant steps land
+        # on P^8 = G, with no product, and then on P^(8j+8) = P^(8j) G while
+        # the landing stays above delta; unit steps P P^(t-1) from the last
+        # power above delta, at most eight, end at the stepwise crossing.
+        # No scan reads a whole matrix.
         P = SparseStochasticMatrix.from_dense(cycle_matrix(13, 0.5))
-        d = stepwise_tv(P, 24)
         delta = 0.5
-        assert d[16] ** 2 <= delta * d[8] and delta < d[24]
+        t = ref_mixing_time(P, delta)
+        d = stepwise_tv(P, t)
+        last = max(j for j in range(t // 8 + 1) if d[8 * j] > delta)  # P^(8 last), the last above delta
+        assert last >= 2 and min(d[8 * j] for j in range(1, last + 1)) > delta
         events = schedule(monkeypatch, P)
-        assert mixing_time(P, delta) == ref_mixing_time(P, delta) > 24
-        assert "p" * 8 + "Fg" in "".join(events)
+        assert mixing_time(P, delta) == t
+        assert "".join(events) == "pgg" + "g" * last + "p" * (t - 8 * last)
+        assert t - 8 * last <= 8
 
     @pytest.mark.parametrize("n", [100, 150, 450])
     def test_last_power_read_is_the_crossing(self, n, monkeypatch):

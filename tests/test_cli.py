@@ -235,6 +235,13 @@ EXIT_CODES = [
      "epsilon must be positive and finite"),
     ("exponent-word-weight", lambda t: ["analyze", "exponent", "--w", "1,abc", "--output", str(t / "o.json")], 2,
      "lag weight is not a number: could not convert string to float: 'abc'"),
+    ("generate-negative-seed", lambda t: ["generate", save_worked_model(t)[0], "--seed", "-1",
+                                          "--output", str(t / "g.json")], 2, "got -1"),
+    ("exponent-negative-seed", lambda t: ["analyze", "exponent", "--w", "0.5,0.5", "--seed", "-1",
+                                          "--steps", "10", "--output", str(t / "o.json")], 2, "got -1"),
+    ("preprocess-negative-split-seed", lambda t: ["preprocess", write_corpus_text(t, "a b a\nb a b\n"),
+                                                  "--output", str(t / "c.json"), "--split", "0.5",
+                                                  "--split-seed", "-1"], 2, "got -1"),
     ("cache-fractional-id", lambda t: cache_argv(t, "[[0, 1.7, 0]]"), 2, "state id 1.7"),
     ("cache-string-id", lambda t: cache_argv(t, '[[0, "1", 0]]'), 2, "state id '1'"),
     ("cache-huge-id", lambda t: cache_argv(t, "[[0, 1e30, 0]]"), 2, "state id 1e+30"),

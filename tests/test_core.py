@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lamp.core as core
+from lamp import analysis, data
 from lamp.core import (
     Corpus,
     DataError,
@@ -648,6 +649,25 @@ def test_generate_empty_row_error():
     model = make_model([1.0], np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(EmptyRowError):
         core.generate(model, 0, 10, seed=1)
+
+
+def two_sequences():
+    return make_corpus(Vocabulary.from_size(2), [[0, 1, 0], [1, 0, 1]])
+
+
+@pytest.mark.parametrize("draw", [
+    pytest.param(lambda seed: core.generate(make_model([1.0], worked_matrix()), 0, 10, seed), id="generate"),
+    pytest.param(lambda seed: analysis.simulate_exponent_process(
+        HistoryDistribution.from_weights([0.5, 0.5]), 10, seed), id="exponent"),
+    pytest.param(lambda seed: data.split(two_sequences(), 0.5, seed), id="split"),
+    pytest.param(lambda seed: data.kfold_split(two_sequences(), 2, seed), id="kfold"),
+])
+def test_a_negative_seed_is_a_data_error_naming_it(draw):
+    # Every seeded draw starts from one generator; numpy refuses a negative
+    # seed with a ValueError, which the package reports as a DataError.
+    draw(0)
+    with pytest.raises(DataError, match="seed must be a non-negative integer, got -3"):
+        draw(-3)
 
 
 def test_cycle_double_but_never_triple_repeats():
