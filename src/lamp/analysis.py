@@ -8,17 +8,22 @@ history-mixture process.
 
 Ergodicity is a breadth-first search over the CSR arrays, forwards and over
 the reversed edges, with the period taken as a gcd over the edges that
-stops once it reaches 1; every pass reads its edges a block at a time
-through one reader.  The mixing time takes unit steps P^t = P P^(t-1) to
-the first crossing of delta (see :func:`mixing_time`).  When P's longest
-row is short against n, each step goes through P's rows and two n x n
-arrays are live.  Otherwise each step is a dense product, and giant steps
-of P^8 come first, while the power they land on stays above delta; four
-n x n arrays are live.  pi is the power iteration's, moved on by P^8 until
-it settles near rounding.  The result can depart from a stepwise search
-over P^t = P^(t-1) P only where d(t) ties delta to within rounding, about
-1 ulp.  The analyses that need an ergodic matrix name its first empty row,
-when it has one, as the cause.
+stops once it reaches 1.  Stored zeros are dropped once, up front, by a
+copy of the positive entries' columns made only when P holds a zero.
+Every pass then reads blocks of whole rows, cut by the rule of
+:func:`lamp.core._row_blocks`: over all rows a block's targets are a
+slice of the columns, and over a frontier they are gathered by
+:func:`lamp.core._row_entries`.
+
+The mixing time takes unit steps P^t = P P^(t-1) to the first crossing of
+delta (see :func:`mixing_time`).  When P's longest row is short against n,
+each step goes through P's rows and two n x n arrays are live.  Otherwise
+each step is a dense product, and giant steps of P^8 come first, while the
+power they land on stays above delta; four n x n arrays are live.  pi is
+the power iteration's, moved on by P^8 until it settles near rounding.  The
+result can depart from a stepwise search over P^t = P^(t-1) P only where
+d(t) ties delta to within rounding, about 1 ulp.  The analyses that need an
+ergodic matrix name its first empty row, when it has one, as the cause.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from lamp.core import (
     NumericError,
     SparseStochasticMatrix,
     _rng,
+    _row_blocks,
+    _row_entries,
     generate,
 )
 
@@ -66,11 +73,12 @@ _MIXING_HORIZON = 1_000_000
 #: Powers of P per giant step of the mixing-time search, G = P^8.
 _GIANT_STEP = 8
 
-#: Stored entries that the ergodicity check reads at a time.  On a dense
-#: 20^3 lift (8000 states, 160 000 entries; 2-core x86-64, numpy 2.4) the
-#: check took 6.8 / 6.4 / 5.9 ms with 2^12 / 2^13 / 2^14 entries a block, and
-#: its scratch was 1.01 / 1.12 / 1.34 copies of the matrix's column array; on
-#: a dense 2000-state chain it took 171 / 164 / 205 ms.
+#: Stored entries that the ergodicity check reads at a time, in whole rows.
+#: On a dense 20^3 lift (8000 states, 160 000 entries; 2-core x86-64, numpy
+#: 2.4) the check took 7.2-7.5 / 6.3-6.9 / 6.2-6.3 ms with 2^12 / 2^13 / 2^14
+#: entries a block, and its scratch was 0.94 / 1.05 / 1.33 copies of the
+#: matrix's column array; on a dense 2000-state chain it took 174-190 /
+#: 148-162 / 147-161 ms.
 _EDGE_BLOCK = 1 << 13
 
 #: Entries per row block when total variation is taken over a dense power.
@@ -116,57 +124,35 @@ class ErgodicityReport:
             raise DataError("ergodic flag inconsistent with reason")
 
 
-def _edges(
-    indptr: np.ndarray, cols: np.ndarray, probs: np.ndarray | None, rows: np.ndarray | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The edges out of the CSR rows ``rows`` (every row when None), in
-    storage order, ``_EDGE_BLOCK`` stored entries at a time: yields (u, v)
-    for the edges u -> v of a block.  With ``probs`` given, entries of
-    probability 0 are not edges.  Over every row the entries of a block are
-    a slice of ``cols``; over other rows they are gathered."""
-    if rows is None:
-        rows, starts, ends, first = np.arange(indptr.size - 1), indptr[:-1], indptr[1:], None
-    else:
-        first = indptr[rows]
-        counts = indptr[rows + 1] - first
-        ends = np.cumsum(counts)
-        starts = np.subtract(ends, counts, out=counts)  # where each row begins in the rows' run
-        first -= starts  # entry j of the run is j + first[its row]
-    total = int(ends[-1]) if ends.size else 0
-    for lo in range(0, total, _EDGE_BLOCK):
-        hi = min(lo + _EDGE_BLOCK, total)
-        a, b = np.searchsorted(ends, (lo, hi - 1), side="right").tolist()
-        part = np.minimum(ends[a:b + 1], hi)
-        part -= np.maximum(starts[a:b + 1], lo)
-        u = np.repeat(rows[a:b + 1], part)
-        if first is None:
-            entry = slice(lo, hi)
-        else:
-            entry = np.repeat(first[a:b + 1], part)
-            entry += np.arange(lo, hi)
-        v = cols[entry].astype(np.intp, copy=False)  # int32 indices convert at every use
-        if probs is not None:
-            keep = probs[entry] > 0.0
-            u, v = u[keep], v[keep]
-        yield u, v
+def _edges(indptr: np.ndarray, cols: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every edge u -> v of a CSR digraph in storage order, as (u, v) for
+    the blocks of whole rows that :func:`lamp.core._row_blocks` cuts at
+    ``_EDGE_BLOCK`` stored entries; a block's targets are a slice of
+    ``cols``."""
+    for a, b in _row_blocks(indptr[1:], _EDGE_BLOCK):
+        lo, hi = indptr[a], indptr[b]
+        yield np.repeat(np.arange(a, b), np.diff(indptr[a:b + 1])), cols[lo:hi]
 
 
-def _levels(indptr: np.ndarray, cols: np.ndarray, probs: np.ndarray | None, n: int) -> np.ndarray:
+def _levels(indptr: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """Breadth-first distance from state 0 over a CSR digraph, -1 where
-    unreachable; each frontier's edges are read a block at a time by
-    :func:`_edges`.  A new state reached several times in a block joins the
-    frontier once: each copy writes its place into ``owner``, and the copy
-    whose place was kept joins.  This takes no sort, and no scan over all n
-    states per level as a boolean mark would."""
+    unreachable; each frontier's targets are read a block of its rows at a
+    time, cut as in :func:`_edges`.  A new state reached several times in a
+    block joins the frontier once: each copy writes its place into
+    ``owner``, and the copy whose place was kept joins.  This takes no sort,
+    and no scan over all n states per level as a boolean mark would."""
     level = np.full(n, -1, dtype=np.int64)
     level[0] = 0
     owner = np.empty(n, dtype=np.int64)
+    sizes = np.diff(indptr)
     frontier = np.zeros(1, dtype=np.int64)
     depth = 0
     while frontier.size:
         depth += 1
         found = [frontier[:0]]  # empty, for a frontier with no edges out
-        for _, nbrs in _edges(indptr, cols, probs, frontier):
+        for a, b in _row_blocks(np.cumsum(sizes[frontier]), _EDGE_BLOCK):
+            nbrs = cols[_row_entries(indptr, frontier[a:b])]
+            nbrs = nbrs.astype(np.intp, copy=False)  # int32 indices convert at every use
             nbrs = nbrs[level[nbrs] < 0]
             place = np.arange(nbrs.size)
             owner[nbrs] = place
@@ -177,22 +163,17 @@ def _levels(indptr: np.ndarray, cols: np.ndarray, probs: np.ndarray | None, n: i
     return level
 
 
-def _in_neighbours(P: SparseStochasticMatrix, probs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The reversed edges of P in CSR form: offsets from the in-degrees, and
-    the sources of each state's in-edges, ascending, filled one block of
-    P's rows at a time.  The sources are int32 where n allows."""
-    n = P.n
+def _in_neighbours(indptr: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reversed edges of a CSR digraph in CSR form: offsets from the
+    in-degrees, and the sources of each state's in-edges, ascending, filled
+    one block of rows at a time.  The sources are int32 where n allows."""
     into = np.zeros(n + 1, dtype=np.int64)
-    into[1:] = np.bincount(P._cols_rw, minlength=n)  # bincount copies a read-only array
-    if probs is not None:  # stored zeros are not edges
-        for lo in range(0, probs.size, _EDGE_BLOCK):
-            zero = np.flatnonzero(probs[lo:lo + _EDGE_BLOCK] == 0.0)
-            np.subtract.at(into[1:], P.cols[zero + lo], 1)
+    into[1:] = np.bincount(cols, minlength=n)
     np.cumsum(into, out=into)
     sources = np.empty(int(into[-1]), dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
     fill = into[:-1].copy()  # the next free slot of each state's list
     shift = n.bit_length()  # a key holds the target above this many bits and the source below
-    for u, v in _edges(P.indptr, P.cols, probs):
+    for u, v in _edges(indptr, cols):
         key = v << shift
         key |= u
         key.sort()  # the block's edges by target, then source
@@ -220,20 +201,25 @@ def is_ergodic(P: SparseStochasticMatrix) -> ErgodicityReport:
     level(u) + 1 - level(v) over all edges (u, v) with BFS levels from
     state 0.
 
-    Besides arrays of n entries, the check holds one block of
-    ``_EDGE_BLOCK`` edges at a time and the in-neighbour sources, 4 bytes
-    an edge.
+    Stored zeros are not edges.  When P holds one, the check first copies
+    the columns of the positive entries, 8 bytes an entry, and shifts each
+    row offset back by the zeros before it; it keeps that copy to the end.
+    Besides it and arrays of n entries, the check holds the in-neighbour
+    sources, 4 bytes an edge, and one block at a time: whole rows of at
+    most ``_EDGE_BLOCK`` edges together, or one longer row.
     """
-    n = P.n
-    probs = None if P.probs.all() else P.probs  # stored zeros are not edges; filter only then
-    forward = _levels(P.indptr, P.cols, probs, n)
+    n, indptr, cols = P.n, P.indptr, P._cols_rw  # bincount copies a read-only array
+    if not P.probs.all():
+        indptr = indptr - np.searchsorted(np.flatnonzero(P.probs == 0.0), indptr)
+        cols = cols[P.probs > 0.0]
+    forward = _levels(indptr, cols, n)
     if np.any(forward < 0):
         return ErgodicityReport(False, "reducible")
-    backward = _levels(*_in_neighbours(P, probs), None, n)
+    backward = _levels(*_in_neighbours(indptr, cols, n), n)
     if np.any(backward < 0):
         return ErgodicityReport(False, "reducible")
     period = 0
-    for u, v in _edges(P.indptr, P.cols, probs):
+    for u, v in _edges(indptr, cols):
         gap = forward[u]  # level(u) + 1 - level(v) over the block's edges (u, v)
         gap += 1
         gap -= forward[v]

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -170,10 +170,24 @@ def _rng(seed: int) -> np.random.Generator:
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Indices into the flat storage of every stored entry of the CSR rows
     ``rows``, in order."""
-    counts = indptr[rows + 1] - indptr[rows]
-    entry = np.repeat(indptr[rows] - (np.cumsum(counts) - counts), counts)
+    first = indptr[rows]
+    counts = indptr[rows + 1] - first
+    entry = np.repeat(first - (np.cumsum(counts) - counts), counts)
     entry += np.arange(entry.size)
     return entry
+
+
+def _row_blocks(ends: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """The blocks of every blocked pass over CSR rows, as (start, stop)
+    bounds of consecutive whole rows: as many rows as hold at most
+    ``budget`` stored entries together, or one longer row alone.  ``ends``
+    is the running total of the rows' sizes, ``np.cumsum`` of them."""
+    start = 0
+    while start < ends.size:
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + budget, side="right")), start + 1)
+        yield start, stop
+        start = stop
 
 
 #: ``_find_sorted`` builds a direct-address table when the key range is at
@@ -353,7 +367,7 @@ class SparseStochasticMatrix:
             raise DataError("dense matrix must be square")
         n = dense.shape[0]
         rows, cols = np.nonzero(dense)  # row-major, columns ascending
-        return cls(n, np.searchsorted(rows, np.arange(n + 1)), cols, dense[rows, cols])
+        return cls._from_entries(n, rows, cols, dense[rows, cols])
 
     def row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (columns, probabilities) views of row x."""
@@ -850,10 +864,7 @@ def _floored_probabilities(
     rows = positions.src + model._lag_rows  # bank row of every (position, lag)
     ends = np.cumsum((bank.indptr[rows + 1] - bank.indptr[rows]).sum(axis=1))
     out = np.empty(positions.T)
-    start = 0
-    while start < positions.T:
-        base = ends[start - 1] if start else 0
-        stop = max(int(np.searchsorted(ends, base + _FLOOR_CHUNK, side="right")), start + 1)
+    for start, stop in _row_blocks(ends, _FLOOR_CHUNK):
         m = stop - start
         keys, acc = _cell_sums(*_lag_terms(model, rows[start:stop], model.w.weights), m * n)
         want = np.arange(0, m * n, n) + positions.tgt[start:stop]  # ascending, like keys
@@ -863,7 +874,6 @@ def _floored_probabilities(
         norm = (np.bincount(local, weights=np.maximum(acc, floor), minlength=m)
                 + (n - np.bincount(local, minlength=m)) * floor)
         out[start:stop] = np.maximum(at_tgt, floor) / norm
-        start = stop
     return out
 
 

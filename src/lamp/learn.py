@@ -307,7 +307,7 @@ def empirical_transition_matrix(
     # bincount adds each row's entries left to right, so the row sums (and
     # the normalized rows) are bit-identical to a sequential sum.
     value /= np.bincount(rows, weights=value, minlength=n)[rows]
-    matrix = SparseStochasticMatrix(n, np.searchsorted(rows, np.arange(n + 1)), cols, value)
+    matrix = SparseStochasticMatrix._from_entries(n, rows, cols, value)
     if not return_report:
         return matrix
     report = EmpiricalMatrixReport(

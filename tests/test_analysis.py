@@ -214,7 +214,8 @@ class TestErgodicity:
     def test_matches_python_bfs_oracle(self, graph, block):
         # Each graph is classified as it is and again with blocks of a few
         # edges, so frontiers, the in-neighbour lists and the gcd span many
-        # blocks, and a block can hold only stored zeros.
+        # blocks, and a row longer than a block is a block alone.  Stored
+        # zeros are dropped before any pass, so they can leave a row empty.
         P = SparseStochasticMatrix.from_rows(*graph)
         want = ref_is_ergodic(P)
         assert is_ergodic(P).reason == want
@@ -241,7 +242,7 @@ class TestErgodicity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - held <= 1.5 * Q.cols.nbytes, (peak - held) / Q.cols.nbytes
+        assert peak - held <= 1.15 * Q.cols.nbytes, (peak - held) / Q.cols.nbytes
 
     def test_validated_matrix_keeps_only_its_three_arrays(self):
         # Validation reads each entry's row from a local array; the matrix

@@ -871,6 +871,30 @@ def test_floored_probabilities_edge_chunks(chunk):
         np.testing.assert_allclose(got[-29:], 1.0 / n, rtol=1e-12)
 
 
+@pytest.mark.parametrize("sizes, want", [
+    ([], []),  # no rows, no blocks
+    ([0, 0, 0], [(0, 3)]),  # rows of no entries share a block
+    ([2, 0, 2, 0, 1], [(0, 4), (4, 5)]),  # the first block ends at exactly 4 entries
+    ([1, 6, 0, 3], [(0, 1), (1, 2), (2, 4)]),  # the row of 6 is a block alone
+])
+def test_row_blocks_cut_whole_rows_at_the_budget(sizes, want):
+    assert list(core._row_blocks(np.cumsum(sizes, dtype=np.int64), 4)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 9), max_size=30), budget=st.integers(1, 12))
+def test_row_blocks_are_greedy_runs_of_whole_rows(sizes, budget):
+    # The blocks tile the rows in order.  Each holds at most ``budget``
+    # entries or is one row, and the row after a block would overflow it.
+    blocks = list(core._row_blocks(np.cumsum(sizes, dtype=np.int64), budget))
+    bounds = [0] + [b for _, b in blocks]
+    assert [a for a, _ in blocks] == bounds[:-1] and bounds[-1] == len(sizes)
+    for a, b in blocks:
+        held = sum(sizes[a:b])
+        assert held <= budget or b == a + 1
+        assert b == len(sizes) or held + sizes[b] > budget
+
+
 @pytest.mark.parametrize("per_term", [0, 4, 10**6])  # always sort, as shipped, always count
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), cell=st.lists(st.integers(0, 40), max_size=60))
