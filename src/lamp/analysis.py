@@ -41,6 +41,7 @@ from lamp.core import (
     NonErgodicError,
     NumericError,
     SparseStochasticMatrix,
+    _kept_offsets,
     _rng,
     _row_blocks,
     _row_entries,
@@ -210,8 +211,8 @@ def is_ergodic(P: SparseStochasticMatrix) -> ErgodicityReport:
     """
     n, indptr, cols = P.n, P.indptr, P._cols_rw  # bincount copies a read-only array
     if not P.probs.all():
-        indptr = indptr - np.searchsorted(np.flatnonzero(P.probs == 0.0), indptr)
-        cols = cols[P.probs > 0.0]
+        keep = P.probs > 0.0
+        indptr, cols = _kept_offsets(indptr, keep), cols[keep]
     forward = _levels(indptr, cols, n)
     if np.any(forward < 0):
         return ErgodicityReport(False, "reducible")

@@ -190,6 +190,13 @@ def _row_blocks(ends: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
         start = stop
 
 
+def _kept_offsets(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """CSR row offsets once the stored entries where ``keep`` is False are
+    dropped: each offset moves back by the dropped entries before it.  The
+    scratch is a boolean per stored entry and an int64 per dropped one."""
+    return indptr - np.searchsorted(np.flatnonzero(~keep), indptr)
+
+
 #: ``_find_sorted`` builds a direct-address table when the key range is at
 #: most this many slots per query.  Timed on a 2-core x86-64 machine with
 #: numpy 2.4 for 10^3 to 3*10^5 random queries: building and reading the table
@@ -1032,7 +1039,11 @@ def model_from_dict(doc: dict) -> LampModel:
 
 def _write_json(doc, path: str) -> None:
     """Write a document as compact JSON with sorted keys and a trailing
-    newline, so equal documents give equal bytes."""
+    newline, so equal documents give equal bytes.
+
+    Writing stays on :mod:`json`, though :func:`_read_json` parses with
+    orjson: orjson spells some floats differently (``1e-5`` where Python
+    writes ``1e-05``), and every artifact keeps the bytes it had."""
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -1043,14 +1054,25 @@ def save_model(model: LampModel, path: str) -> None:
 
 
 def _read_json(path: str, what: str):
-    """Parse a JSON file; an unreadable or malformed file is a DataError
-    naming ``what``."""
+    """Parse a JSON file; an unreadable file, or one that is not UTF-8 JSON,
+    is a DataError naming ``what``.
+
+    The one reader of JSON input parses the file's bytes with orjson, which
+    is faster than :mod:`json` and reads every double that
+    :func:`_write_json` writes to the same bits.  It refuses a byte order
+    mark, bytes that are not UTF-8, ``NaN``, ``Infinity``, a number outside
+    double range and an unpaired surrogate escape; it reads an integer past
+    64 bits as a float."""
+    import orjson  # here, so a command that reads no JSON does not load it
+
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
         raise DataError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 

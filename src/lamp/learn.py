@@ -60,6 +60,7 @@ from lamp.core import (
     SparseStochasticMatrix,
     _check_vocab,
     _integers,
+    _kept_offsets,
 )
 
 __all__ = [
@@ -556,7 +557,11 @@ class _EMHalf:
         return np.append(q, 0.0)[self.entry] @ self.w  # an index past the last entry reads the 0
 
     def gradient(self, d: np.ndarray) -> np.ndarray:
-        """Log-likelihood gradient in q, given the mixture probabilities d."""
+        """Log-likelihood gradient in q, given the mixture probabilities d.
+        A position of zero mixture, which only a foreign support leaves,
+        adds nothing."""
+        if not d.all():
+            d = np.where(d > 0.0, d, np.inf)  # w / inf is 0
         share = np.empty(self.pair.shape)
         for j, w in enumerate(self.live_w):  # by column: broadcasting would loop once per position
             np.divide(w, d, out=share[:, j])
@@ -705,6 +710,6 @@ def alternate_minimize(corpus: Corpus, cfg: TrainConfig) -> tuple[LampModel, Tra
     if objective(records[-1].log_likelihood) < start - 1e-9:
         raise NumericError("training decreased its objective; numeric failure")
     keep = q > 0.0
-    P = SparseStochasticMatrix(init.n, np.append(0, np.cumsum(keep))[init.indptr], init.cols[keep], q[keep])
+    P = SparseStochasticMatrix(init.n, _kept_offsets(init.indptr, keep), init.cols[keep], q[keep])
     model = LampModel(w=HistoryDistribution(w), P=P, vocab=corpus.vocab)
     return model, TrainReport(tuple(records), final_model=model)

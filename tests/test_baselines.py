@@ -4,6 +4,7 @@ with the lagged model."""
 
 import json
 import math
+import re
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -381,6 +382,13 @@ class TestValidationAndSerialization:
         save_ngram(model, str(a))
         save_ngram(model, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_undecodable_file_is_a_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "ngram.json"
+        save_ngram(fit_naive_ngram(corpus_of([[0, 1, 0]], 2), order=1), str(path))
+        path.write_bytes(path.read_bytes().replace(b'"smoothing":"none"', b'"smoothing":"\xff"'))
+        with pytest.raises(DataError, match=f"model file {re.escape(str(path))} is not valid JSON"):
+            load_ngram(str(path))
 
     def test_malformed_document(self):
         with pytest.raises(DataError):

@@ -156,6 +156,24 @@ def three_state_chain_model(tmp_path):
     return path
 
 
+def edited_model_file(tmp_path, old, new):
+    """bad.json: the worked model's file with the bytes ``old`` replaced by
+    ``new``."""
+    path, _ = save_worked_model(tmp_path, name="bad.json")
+    raw = open(path, "rb").read()
+    assert raw.count(old) == 1
+    with open(path, "wb") as fh:
+        fh.write(raw.replace(old, new))
+    return path
+
+
+def bad_cache(tmp_path):
+    """bad.json: a corpus cache whose second token holds the byte 0xFF."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"vocab":["s0","s\xff"],"sequences":[[0,1,0]]}\n')
+    return str(path)
+
+
 def cache_argv(tmp_path, sequences):
     """``train`` on a corpus cache over s0, s1 whose "sequences" field is the
     JSON text ``sequences``."""
@@ -248,6 +266,21 @@ EXIT_CODES = [
     ("cache-nested-id", lambda t: cache_argv(t, "[[0, [1], 0]]"), 2, "state id [1]"),
     ("cache-bool-id", lambda t: cache_argv(t, "[[0, true, 1]]"), 2, "state id True"),
     ("cache-sequence-not-list", lambda t: cache_argv(t, "[0, 1]"), 2, "sequence 0 is not a list"),
+    # Past 2^64 the parser reads an integer as a float, here 1.8446744073709552e+19.
+    ("cache-id-past-64-bits", lambda t: cache_argv(t, "[[0, 18446744073709551616, 0]]"), 2,
+     "is not an integer"),
+    ("model-invalid-utf8", lambda t: ["analyze", "stationary", edited_model_file(t, b'"s1"', b'"s\xff"'),
+                                      "--output", str(t / "o.json")], 2, "bad.json is not valid JSON"),
+    ("model-nan", lambda t: ["evaluate", edited_model_file(t, b'"w":[0.6', b'"w":[NaN'), worked_corpus(t),
+                             "--output", str(t / "e.json")], 2, "bad.json is not valid JSON"),
+    ("model-1e400", lambda t: ["evaluate", edited_model_file(t, b'"w":[0.6', b'"w":[1e400'),
+                               worked_corpus(t), "--output", str(t / "e.json")], 2, "bad.json is not valid JSON"),
+    ("model-bom", lambda t: ["generate", edited_model_file(t, b'{"k"', b'\xef\xbb\xbf{"k"'),
+                             "--output", str(t / "g.json")], 2, "bad.json is not valid JSON"),
+    ("model-unpaired-surrogate", lambda t: ["generate", edited_model_file(t, b'"s1"', b'"s\\ud800"'),
+                                            "--output", str(t / "g.json")], 2, "bad.json is not valid JSON"),
+    ("cache-invalid-utf8", lambda t: ["evaluate", save_worked_model(t)[0], bad_cache(t),
+                                      "--output", str(t / "e.json")], 2, "bad.json is not valid JSON"),
 ]
 
 
@@ -256,10 +289,16 @@ EXIT_CODES = [
     [pytest.param(f, c, *(names or [""]), id=name) for name, f, c, *names in EXIT_CODES],
 )
 def test_exit_code_map(capsys, tmp_path, argv_for, expected, names):
-    code, _, err = run(capsys, argv_for(tmp_path))
+    argv = argv_for(tmp_path)
+    capsys.readouterr()  # what making the inputs printed
+    inputs = set(tmp_path.rglob("*"))
+    code, out, err = run(capsys, argv)
     assert code == expected
     assert {0: "", 1: "error", 2: "data error", 3: "numeric error"}[code] in err
     assert names in err
+    if code:  # a failing command prints no summary and writes no file
+        assert out == ""
+        assert set(tmp_path.rglob("*")) == inputs
 
 
 #: (id, argv from the test's tmp dir) of commands that read their inputs and

@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lamp.core as core
@@ -748,6 +748,49 @@ def test_load_model_rejects_per_lag_documents(tmp_path):
         core.load_model(str(path))
 
 
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=5e-324)  # the least subnormal
+@example(x=2.225073858507201e-308)  # the largest subnormal
+@example(x=2.2250738585072014e-308)  # the least normal
+@example(x=1.7976931348623157e308)  # the largest finite double
+@example(x=-1.7976931348623157e308)
+@example(x=1e-05)  # spelled 1e-05 by json and 1e-5 by orjson
+def test_written_doubles_read_back_bit_identical(x):
+    # _write_json spells a double as Python's repr; the reader must give back
+    # the same bits, sign of zero included.  Any finite double goes through
+    # the model document's parse; one a model can hold, a value in [0, 1],
+    # also through load_model as a lag weight and as a triple's probability.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        core._write_json({"w": [x], "matrix": [[0, 0, x]]}, path)
+        doc = core._read_json(path, "model file")
+        assert doc["w"][0].hex() == doc["matrix"][0][2].hex() == x.hex()
+        y = min(abs(x), 1.0 / abs(x)) if x else x  # in [0, 1]; a zero keeps its sign
+        model = LampModel(HistoryDistribution.from_weights([y, 1.0 - y]),
+                          SparseStochasticMatrix.from_rows(2, [[(0, y), (1, 1.0 - y)], [(0, 1.0)]]),
+                          Vocabulary.from_size(2))
+        core.save_model(model, path)
+        back = core.load_model(path)
+        assert float(back.w.weights[0]).hex() == float(back.P.probs[0]).hex() == y.hex()
+
+
+def test_random_bit_patterns_read_back_bit_identical(tmp_path):
+    # 200 000 doubles of uniformly random bits, subnormals among them, and
+    # every finite one survives _write_json and _read_json bit for bit.
+    bits = np.random.default_rng(11).integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                                             size=200_000, dtype=np.int64, endpoint=True)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert (np.abs(values) < np.finfo(np.float64).tiny).any()
+    path = str(tmp_path / "doubles.json")
+    core._write_json(values.tolist(), path)
+    back = np.array(core._read_json(path, "doubles"), dtype=np.float64)
+    assert back.view(np.int64).tobytes() == values.view(np.int64).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Sort-free branches of the scoring kernel
 
@@ -829,7 +872,7 @@ def test_stored_zeros_keep_their_bytes_and_score_like_absent_entries(data):
     model = data.draw(floor_models(data.draw(st.booleans())))
     P = model.P
     keep = P.probs > 0.0
-    indptr = np.append(0, np.cumsum(keep))[P.indptr]
+    indptr = core._kept_offsets(P.indptr, keep)
     compact = LampModel(model.w, SparseStochasticMatrix(P.n, indptr, P.cols[keep], P.probs[keep]), model.vocab)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")

@@ -1007,6 +1007,28 @@ class TestEMHalf:
         assert em.reached.tolist() == [True, True, False]
         np.testing.assert_array_equal(grad_P(LampModel(HistoryDistribution(w), P, corpus.vocab), corpus)[2], [0.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [(0.5, 0.0, 0.5), (0.5, 0.25, 0.25)], ids=["zero-lag", "all-live"])
+    def test_gradient_skips_a_position_of_zero_mixture(self, w):
+        # The identity support is foreign to this corpus: at some positions
+        # every positive-weight pair lies outside it, so the mixture is 0.
+        # Such a position adds nothing and divides by nothing; every other
+        # adds w_i / d[t] to its entries, as the per-pair loop does.
+        corpus = make_corpus(Vocabulary.from_size(3), [[0, 1, 2, 0, 1, 0, 2, 1], [1, 2, 0, 0, 1]])
+        P = SparseStochasticMatrix.from_rows(3, [[(0, 1.0)], [(1, 1.0)], [(2, 1.0)]])
+        w = np.array(w)
+        stats = ScoredPositions(corpus, 3)
+        em = learn._EMHalf(stats, P, w, 0.0)
+        d = em.mixture(P.probs)
+        assert (d == 0.0).any() and (d > 0.0).any()
+        want = [0.0] * P.support_size
+        for t in np.flatnonzero(d):
+            for i in range(3):
+                if w[i] > 0.0 and stats.src[t, i] == stats.tgt[t]:
+                    want[stats.tgt[t]] += w[i] / d[t]
+        assert [g.hex() for g in em.gradient(d).tolist()] == [g.hex() for g in want]
+        assert np.isfinite(em.update(P.probs, d)).all()
+
     @settings(max_examples=200, deadline=None)
     @given(case=em_cases())
     def test_lag_one_weights_give_count_ratios(self, case):
